@@ -3,8 +3,9 @@
 Inter-frames are predicted through (L + I)^{-1} applied to motion-
 corresponded reference attributes and the residual is coded in the
 eigenbasis of L + I; intra-frames use the normal-weighted graph
-transform.  Mode selection is Lagrangian with an offline power-law
-lambda(Q) model.
+transform.  L and L + I share their eigenvectors, so one eigenbasis per
+cluster serves both modes and the predictor.  Mode selection is
+Lagrangian with an offline power-law lambda(Q) model.
 """
 
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
@@ -17,14 +18,13 @@ from .graph import (GeneralizedLaplacian, SpatialGraph, build_epsilon_graph,
                     combinatorial_laplacian, estimate_normals,
                     generalized_laplacian)
 from .transform import (TransformBasis, eigendecompose, gft_forward,
-                        gft_inverse, ggft_forward, ggft_inverse,
-                        inter_predict)
+                        gft_inverse, inter_predict)
 from .coding import (QuantizedBlock, dequantize, entropy_decode,
                      entropy_encode, quantize)
 from .bitstream import BitstreamError, read_bitstream, write_bitstream
 from .rdo import (LambdaModel, ModeCost, choose_mode, distortion_yuv,
                   fit_lambda_model, lambda_from_q)
-from .codec import (DecodeResult, EncodeResult, FrameStats, GopPlan,
+from .codec import (DecodeResult, EncodeResult, FrameStats,
                     ReconstructedFrame, decode_sequence, encode_sequence)
 from .metrics import RdPoint, bd_br, bpip, psnr
 from .gmrf import (PrecisionEstimate, SimilarityReport, compare_to_laplacian,

@@ -8,18 +8,25 @@ fixed-width fields are little-endian; payload lengths use LEB128.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAGIC = b"PGFT"
-VERSION = 1
+# 2: inter clusters reconstruct through the spectral predictor and the
+# residual basis of L (not L + I); a version 1 stream would not decode.
+VERSION = 2
 
 FRAME_I = 0
 FRAME_P = 1
 
 _HEADER = struct.Struct("<4sBIdHIddHdI")
+# Bit width of each unsigned integer field in _HEADER.
+_HEADER_UINT_BITS = {"grid_dim": 32, "gop_size": 16,
+                     "target_cluster_size": 32, "normal_k": 16,
+                     "frame_count": 32}
 _FRAME_FIXED = struct.Struct("<BIQQ")
 
 
@@ -108,9 +115,20 @@ def frame_record_bytes(frame: FrameRecord) -> bytes:
     return bytes(out)
 
 
+def check_header(header: StreamHeader):
+    """Raise ValueError naming the first integer field of `header` that
+    does not fit its fixed-width slot in the stream header."""
+    for name, bits in _HEADER_UINT_BITS.items():
+        value = getattr(header, name)
+        if not (isinstance(value, numbers.Integral) and 0 <= value < 1 << bits):
+            raise ValueError(f"{name}={value!r} does not fit the stream "
+                             f"header's uint{bits} field")
+
+
 def write_bitstream(header: StreamHeader, frames) -> bytes:
     """Serialize frame records, each holding its clusters in canonical
     cluster order."""
+    check_header(header)
     out = bytearray()
     out += _HEADER.pack(MAGIC, VERSION, header.grid_dim, header.qstep,
                         header.gop_size, header.target_cluster_size,

@@ -22,10 +22,13 @@ from .pointcloud import (SequenceConfig, read_ply, write_ply, yuv_to_rgb)
 DEFAULT_SEED = 0
 
 
-def _add_config_flags(parser):
+def _add_config_flags(parser, with_q=True):
     cfg = SequenceConfig()
-    parser.add_argument("--q", type=float, required=True,
-                        help="quantization step (quality factor)")
+    if with_q:
+        parser.add_argument("--q", type=float, required=True,
+                            help="quantization step (quality factor)")
+    else:
+        parser.set_defaults(q=1.0)  # rd-sweep takes its q values from --q-list
     parser.add_argument("--gop", type=int, default=cfg.gop_size)
     parser.add_argument("--epsilon2", type=float, default=cfg.epsilon_sq,
                         help="squared neighborhood radius (50 for dense, "
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--q-list", required=True,
                        help="comma-separated quantization steps")
     sweep.add_argument("--output", required=True, help="curve file")
-    _add_config_flags_optional_q(sweep)
+    _add_config_flags(sweep, with_q=False)
     _threads_flag(sweep)
 
     val = sub.add_parser("validate-gmrf",
@@ -314,21 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--curve", required=True)
 
     return parser
-
-
-def _add_config_flags_optional_q(parser):
-    # rd-sweep takes its q values from --q-list.
-    cfg = SequenceConfig()
-    parser.add_argument("--gop", type=int, default=cfg.gop_size)
-    parser.add_argument("--epsilon2", type=float, default=cfg.epsilon_sq)
-    parser.add_argument("--cluster-size", type=int, default=cfg.target_cluster_size)
-    parser.add_argument("--sigma2", type=float, default=cfg.sigma_sq)
-    parser.add_argument("--normal-k", type=int, default=cfg.normal_k)
-    parser.add_argument("--box-expand", type=float, default=cfg.box_expand)
-    parser.add_argument("--grid-dim", type=int, default=cfg.grid_dim)
-    parser.add_argument("--lambda-alpha", type=float, default=cfg.lambda_alpha)
-    parser.add_argument("--lambda-beta", type=float, default=cfg.lambda_beta)
-    parser.set_defaults(q=1.0)
 
 
 def main(argv=None) -> int:

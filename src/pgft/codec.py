@@ -3,9 +3,12 @@
 Per frame: voxelize, cluster, then code every cluster either intra
 (transform of the attributes on the spatial graph) or inter (temporal
 prediction from the corresponded reconstructed reference, transform of
-the residual on the generalized graph).  The first frame of each GOP is
-intra-only; every P-frame predicts from the immediately previous
-reconstructed frame (low-delay).
+the residual).  Each cluster is eigendecomposed once: the eigenbasis of
+its combinatorial Laplacian L is the intra transform, and, because
+L + I shares its eigenvectors, also the residual transform (GGFT) and
+the spectral form of the predictor (L + I)^{-1} x_ref.  The first frame
+of each GOP is intra-only; every P-frame predicts from the immediately
+previous reconstructed frame (low-delay).
 
 The decoder recomputes every geometry-derived quantity (clusters,
 normals, graphs, bases, motion) from the shared point positions, so the
@@ -22,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitstream
+from . import bitstream, graph
 from .bitstream import (BitstreamError, ClusterRecord, FrameRecord,
                         StreamHeader, FRAME_I, FRAME_P)
 from .clustering import kmeans_geometry
 from .coding import ContextSet, decode_block, dequantize, encode_block, quantize
-from .graph import (build_epsilon_graph, combinatorial_laplacian,
-                    estimate_normals, generalized_laplacian)
 from .metrics import psnr
 from .motion import BoundingBox, expand_box, find_correspondence, icp_register
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
@@ -39,18 +40,6 @@ from .rdo import (INTER, INTRA, LambdaModel, ModeCost, choose_mode,
 from .transform import eigendecompose, gft_forward, gft_inverse, inter_predict
 
 CHANNELS = 3
-
-
-@dataclass(frozen=True)
-class GopPlan:
-    frame_types: tuple
-
-    @classmethod
-    def plan(cls, frame_count: int, gop_size: int) -> "GopPlan":
-        if gop_size < 1:
-            raise ValueError("gop_size must be >= 1")
-        return cls(tuple("I" if t % gop_size == 0 else "P"
-                         for t in range(frame_count)))
 
 
 @dataclass(frozen=True)
@@ -110,23 +99,20 @@ class _ClusterPlan:
     """Geometry-derived state for one cluster (identical on both paths)."""
 
     members: np.ndarray
-    laplacian: object                 # combinatorial L
-    intra_basis: object = None
-    gen_basis: object = None
+    basis: object                     # eigenbasis of the combinatorial L
     ref_index: np.ndarray = None      # reference voxel indices in frame t-1
     prediction: np.ndarray = None     # (n, 3), filled once ref attrs known
 
 
 def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
                      config: SequenceConfig, prev_coords,
-                     need_intra: bool, need_inter: bool) -> _ClusterPlan:
+                     need_inter: bool) -> _ClusterPlan:
     pts = frame.voxel_coords[members].astype(np.float64)
-    normals = estimate_normals(pts, config.normal_k)
-    g = build_epsilon_graph(pts, normals, config.epsilon_sq, config.sigma_sq)
-    lap = combinatorial_laplacian(g)
-    plan = _ClusterPlan(members=members, laplacian=lap)
-    if need_intra:
-        plan.intra_basis = eigendecompose(lap)
+    normals = graph.estimate_normals(pts, config.normal_k)
+    g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq,
+                                  config.sigma_sq)
+    plan = _ClusterPlan(members=members,
+                        basis=eigendecompose(graph.combinatorial_laplacian(g)))
     if need_inter and prev_coords is not None:
         box = expand_box(BoundingBox.of(pts), config.box_expand)
         region = np.flatnonzero(box.contains(prev_coords))
@@ -135,7 +121,6 @@ def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
             transform = icp_register(region_pts, pts)
             corr = find_correspondence(pts, transform.apply(region_pts))
             plan.ref_index = region[corr.ref_index]
-            plan.gen_basis = eigendecompose(generalized_laplacian(lap))
     return plan
 
 
@@ -154,21 +139,21 @@ def _code_channels(coeffs: np.ndarray, qstep: float, contexts):
 
 
 def _intra_candidate(attrs, plan, qstep, contexts, mode_bit):
-    coeffs = gft_forward(attrs, plan.intra_basis)
+    coeffs = gft_forward(attrs, plan.basis)
     payloads, blocks, ctx, bits = _code_channels(coeffs, qstep, contexts)
     recon = gft_inverse(np.stack([dequantize(b) for b in blocks], axis=1),
-                        plan.intra_basis)
+                        plan.basis)
     rate = bits + mode_bit
     return payloads, ctx, recon, rate
 
 
 def _inter_candidate(attrs, plan, prev_recon_attrs, qstep, contexts):
     ref = prev_recon_attrs[plan.ref_index]
-    plan.prediction = inter_predict(plan.laplacian, ref)
-    coeffs = gft_forward(attrs - plan.prediction, plan.gen_basis)
+    plan.prediction = inter_predict(plan.basis, ref)
+    coeffs = gft_forward(attrs - plan.prediction, plan.basis)
     payloads, blocks, ctx, bits = _code_channels(coeffs, qstep, contexts)
     residual = gft_inverse(np.stack([dequantize(b) for b in blocks], axis=1),
-                           plan.gen_basis)
+                           plan.basis)
     recon = plan.prediction + residual
     rate = bits + 1
     return payloads, ctx, recon, rate
@@ -183,9 +168,8 @@ class _MirrorHash:
 
     def add_cluster(self, mode: str, plan: _ClusterPlan, recon: np.ndarray):
         self._h.update(mode.encode())
-        basis = plan.gen_basis if mode == INTER else plan.intra_basis
-        self._h.update(np.ascontiguousarray(basis.basis, dtype="<f8").tobytes())
-        self._h.update(np.ascontiguousarray(basis.eigenvalues, dtype="<f8").tobytes())
+        self._h.update(np.ascontiguousarray(plan.basis.basis, dtype="<f8").tobytes())
+        self._h.update(np.ascontiguousarray(plan.basis.eigenvalues, dtype="<f8").tobytes())
         if mode == INTER:
             self._h.update(np.ascontiguousarray(plan.ref_index, dtype="<i8").tobytes())
             self._h.update(np.ascontiguousarray(plan.prediction, dtype="<f8").tobytes())
@@ -217,9 +201,16 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     if not raw_frames:
         raise ValueError("need at least one frame")
     config.validate()
+    header = StreamHeader(grid_dim=config.grid_dim, qstep=config.qstep,
+                          gop_size=config.gop_size,
+                          target_cluster_size=config.target_cluster_size,
+                          epsilon_sq=config.epsilon_sq,
+                          sigma_sq=config.sigma_sq, normal_k=config.normal_k,
+                          box_expand=config.box_expand,
+                          frame_count=len(raw_frames))
+    bitstream.check_header(header)
     lam = lambda_from_q(config.qstep,
                         LambdaModel(config.lambda_alpha, config.lambda_beta))
-    gop = GopPlan.plan(len(raw_frames), config.gop_size)
     box = sequence_bounding_box(raw_frames[0])
 
     records = []
@@ -229,13 +220,12 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     for t, raw in enumerate(raw_frames):
         frame = voxelize(raw, config.grid_dim, box)
         partition = kmeans_geometry(frame, config.target_cluster_size)
-        is_p = gop.frame_types[t] == "P"
+        is_p = t % config.gop_size != 0
         prev_coords = prev.frame.voxel_coords if is_p else None
 
         def analyze(cid):
             return _analyze_cluster(frame, partition.members(cid), config,
-                                    prev_coords, need_intra=True,
-                                    need_inter=is_p)
+                                    prev_coords, need_inter=is_p)
 
         plans = _map_clusters(analyze, partition.k, threads)
 
@@ -280,19 +270,12 @@ def encode_sequence(raw_frames, config: SequenceConfig,
         prev = rec
         py, pu, pv = _frame_psnr(raw, rec)
         stats.append(FrameStats(
-            index=t, frame_type=gop.frame_types[t],
+            index=t, frame_type="P" if is_p else "I",
             bits=len(bitstream.frame_record_bytes(record)) * 8,
             psnr_y=py, psnr_u=pu, psnr_v=pv,
             intra_clusters=partition.k - n_inter, inter_clusters=n_inter,
             mirror_hash=mirror.hexdigest()))
 
-    header = StreamHeader(grid_dim=config.grid_dim, qstep=config.qstep,
-                          gop_size=config.gop_size,
-                          target_cluster_size=config.target_cluster_size,
-                          epsilon_sq=config.epsilon_sq,
-                          sigma_sq=config.sigma_sq, normal_k=config.normal_k,
-                          box_expand=config.box_expand,
-                          frame_count=len(raw_frames))
     data = bitstream.write_bitstream(header, records)
     return EncodeResult(data=data, stats=stats, recon=recon_frames)
 
@@ -338,9 +321,7 @@ def decode_sequence(data: bytes, geometry_frames,
 
         def analyze(cid):
             return _analyze_cluster(frame, partition.members(cid), config,
-                                    prev_coords,
-                                    need_intra=not flags[cid],
-                                    need_inter=bool(flags[cid]))
+                                    prev_coords, need_inter=bool(flags[cid]))
 
         plans = _map_clusters(analyze, partition.k, threads)
 
@@ -361,12 +342,12 @@ def decode_sequence(data: bytes, geometry_frames,
                         f"frame {t} cluster {cid} is inter-coded but has no "
                         "reference candidates")
                 ref = prev.attributes[plan.ref_index]
-                plan.prediction = inter_predict(plan.laplacian, ref)
-                cluster_recon = plan.prediction + gft_inverse(coeffs, plan.gen_basis)
+                plan.prediction = inter_predict(plan.basis, ref)
+                cluster_recon = plan.prediction + gft_inverse(coeffs, plan.basis)
                 mode = INTER
                 n_inter += 1
             else:
-                cluster_recon = gft_inverse(coeffs, plan.intra_basis)
+                cluster_recon = gft_inverse(coeffs, plan.basis)
                 mode = INTRA
             recon_attrs[plan.members] = cluster_recon
             mirror.add_cluster(mode, plan, cluster_recon)

@@ -37,6 +37,8 @@ class RawPointCloud:
         col = np.asarray(self.colors)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must have shape (n, 3)")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         if col.shape != pos.shape:
             raise ValueError("positions and colors must have equal length")
         if col.size and (col.min() < 0 or col.max() > 255):

@@ -5,6 +5,13 @@ Laplacians and must land on the exact same basis, so the decomposition
 is canonicalized: eigenvalues ascending, every eigenvector's first
 nonzero component positive, and degenerate groups ordered
 lexicographically by entries.
+
+One basis per cluster serves every purpose.  The generalized Laplacian
+L + I has the eigenvectors of the combinatorial L with every eigenvalue
+raised by 1, so the eigenbasis U of L is also the GGFT basis that
+decorrelates the inter residual, and the optimal predictor
+(L + I)^{-1} x_ref is the spectral low-pass filter
+U diag(1 / (1 + lambda)) U^T x_ref.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import GeneralizedLaplacian
 
@@ -86,23 +92,20 @@ def gft_inverse(coeffs: np.ndarray, basis: TransformBasis) -> np.ndarray:
     return basis.basis @ coeffs
 
 
-# The residual transform uses the same projection, just with the basis of
-# L + I instead of L.
-ggft_forward = gft_forward
-ggft_inverse = gft_inverse
+def inter_predict(basis: TransformBasis, ref_attrs: np.ndarray) -> np.ndarray:
+    """Temporal prediction (L + I)^{-1} x_ref, per channel.
 
-
-def inter_predict(laplacian: GeneralizedLaplacian, ref_attrs: np.ndarray) -> np.ndarray:
-    """Temporal prediction: solve (L + I) p = x_ref per channel.
-
-    L is the target cluster's combinatorial Laplacian; the result is a
-    low-pass filtered version of the corresponded reference attributes.
+    `basis` is the eigenbasis of the target cluster's combinatorial
+    Laplacian L; the result is the corresponded reference attributes
+    with each graph frequency lambda scaled by 1 / (1 + lambda).
     """
-    if laplacian.kind != "combinatorial":
-        raise ValueError("inter_predict expects the combinatorial Laplacian")
     ref = np.asarray(ref_attrs, dtype=np.float64)
-    if ref.shape[0] != laplacian.n:
+    if ref.shape[0] != basis.n:
         raise ValueError("reference attribute length does not match cluster size")
-    a = laplacian.matrix + np.eye(laplacian.n)
-    c, low = scipy.linalg.cho_factor(a, lower=True)
-    return scipy.linalg.cho_solve((c, low), ref)
+    scale = max(1.0, float(np.abs(basis.eigenvalues).max(initial=0.0)))
+    if basis.n and abs(basis.eigenvalues[0]) > _DEGENERACY_TOL * scale:
+        raise ValueError("inter_predict expects the eigenbasis of the "
+                         "combinatorial Laplacian")
+    gain = 1.0 / (1.0 + basis.eigenvalues)
+    gain = gain.reshape(gain.shape + (1,) * (ref.ndim - 1))
+    return basis.basis @ (gain * (basis.basis.T @ ref))

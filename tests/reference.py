@@ -1,11 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: brute-force
-nearest neighbors, a plain cyclic Jacobi eigensolver, and a
-numerically-integrated Bjontegaard metric.
+nearest neighbors, a plain cyclic Jacobi eigensolver, a Cholesky solve
+of the temporal predictor, and a numerically-integrated Bjontegaard
+metric.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad
 
 
@@ -53,6 +55,13 @@ def jacobi_eigh(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
     values = np.diag(a).copy()
     order = np.argsort(values, kind="stable")
     return values[order], v[:, order]
+
+
+def cholesky_predict(laplacian: np.ndarray, ref_attrs: np.ndarray) -> np.ndarray:
+    """Temporal prediction by solving (L + I) p = x_ref per channel."""
+    a = np.asarray(laplacian, dtype=np.float64) + np.eye(laplacian.shape[0])
+    c, low = scipy.linalg.cho_factor(a, lower=True)
+    return scipy.linalg.cho_solve((c, low), np.asarray(ref_attrs, dtype=np.float64))
 
 
 def bd_rate_numeric(curve_a, curve_b) -> float:

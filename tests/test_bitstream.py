@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,19 @@ def test_version_mismatch():
     data[4] = 99
     with pytest.raises(BitstreamError, match="version"):
         read_bitstream(bytes(data))
+
+
+def test_previous_version_refused():
+    data = bytearray(write_bitstream(_header(0), []))
+    data[4] = 1
+    with pytest.raises(BitstreamError, match="unsupported stream version 1$"):
+        read_bitstream(bytes(data))
+
+
+def test_header_field_width_checked():
+    header = dataclasses.replace(_header(0), gop_size=1 << 16)
+    with pytest.raises(ValueError, match="gop_size"):
+        write_bitstream(header, [])
 
 
 def test_truncation():

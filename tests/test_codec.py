@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from pgft import codec
 from pgft.bitstream import BitstreamError
-from pgft.codec import (GopPlan, decode_sequence, encode_sequence)
+from pgft.codec import decode_sequence, encode_sequence
 from pgft.pointcloud import RawPointCloud, SequenceConfig
 from pgft.synth import synthetic_sequence
 
@@ -15,10 +16,41 @@ def _cfg(**kw):
 
 
 def test_gop_plan():
-    plan = GopPlan.plan(16, 8)
-    assert plan.frame_types[0] == "I"
-    assert plan.frame_types[8] == "I"
-    assert all(t == "P" for i, t in enumerate(plan.frame_types) if i % 8)
+    frames = synthetic_sequence("wave", 16, point_count=150, seed=11)
+    result = encode_sequence(frames, _cfg(gop_size=8))
+    types = [s.frame_type for s in result.stats]
+    assert types == (["I"] + ["P"] * 7) * 2
+
+
+def test_p_frame_eigendecomposes_each_cluster_once(monkeypatch):
+    frames = synthetic_sequence("rigid-motion", 2, point_count=900, seed=12)
+    calls = []
+    original = codec.eigendecompose
+
+    def counting(lap):
+        calls.append(lap.n)
+        return original(lap)
+
+    monkeypatch.setattr(codec, "eigendecompose", counting)
+    result = encode_sequence(frames, _cfg())
+    assert result.stats[1].frame_type == "P"
+    assert result.stats[1].inter_clusters > 0
+    assert len(calls) == sum(s.intra_clusters + s.inter_clusters
+                             for s in result.stats)
+    assert sum(calls) == sum(r.frame.voxel_count for r in result.recon)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gop_size", 70_000), ("gop_size", 8.5), ("normal_k", 1 << 16),
+    ("target_cluster_size", 1 << 32), ("grid_dim", 1 << 32)])
+def test_header_field_overflow_rejected_before_coding(monkeypatch, field, value):
+    def never(*args, **kwargs):
+        raise AssertionError("clustering ran before the header check")
+
+    monkeypatch.setattr(codec, "kmeans_geometry", never)
+    frames = synthetic_sequence("wave", 2, point_count=200, seed=13)
+    with pytest.raises(ValueError, match=field):
+        encode_sequence(frames, _cfg(**{field: value}))
 
 
 def test_single_frame_is_intra_only():

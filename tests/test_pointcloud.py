@@ -57,6 +57,14 @@ def test_ply_ascii_roundtrip(tmp_path):
     assert np.array_equal(raw.colors, col)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_positions_rejected(bad):
+    positions = np.zeros((3, 3))
+    positions[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RawPointCloud(positions, np.zeros((3, 3), dtype=np.uint8))
+
+
 def test_rgb_to_yuv_gray_fixed_point():
     assert np.allclose(rgb_to_yuv([128, 128, 128]), [128, 128, 128])
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from pgft.gmrf import sample_gmrf
 from pgft.graph import (GeneralizedLaplacian, combinatorial_laplacian,
                         generalized_laplacian)
 from pgft.transform import (eigendecompose, gft_forward, gft_inverse,
-                            ggft_forward, ggft_inverse, inter_predict)
-from reference import jacobi_eigh, random_spatial_graph
+                            inter_predict)
+from reference import cholesky_predict, jacobi_eigh, random_spatial_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -16,10 +20,13 @@ def _lap(matrix, kind="combinatorial"):
                                 kind=kind)
 
 
-def _random_generalized(n, seed, edge_prob=0.15):
+def _random_combinatorial(n, seed, edge_prob=0.15):
     rng = np.random.default_rng(seed)
-    g = random_spatial_graph(n, edge_prob, rng)
-    return generalized_laplacian(combinatorial_laplacian(g))
+    return combinatorial_laplacian(random_spatial_graph(n, edge_prob, rng))
+
+
+def _random_generalized(n, seed, edge_prob=0.15):
+    return generalized_laplacian(_random_combinatorial(n, seed, edge_prob))
 
 
 def test_eigendecompose_two_node():
@@ -126,22 +133,22 @@ def test_gft_dimension_mismatch():
 
 
 def test_inter_predict_edgeless_is_copy():
-    lap = _lap(np.zeros((5, 5)))
+    basis = eigendecompose(_lap(np.zeros((5, 5))))
     ref = np.arange(5, dtype=np.float64)
-    assert np.allclose(inter_predict(lap, ref), ref, atol=1e-12)
+    assert np.allclose(inter_predict(basis, ref), ref, atol=1e-12)
 
 
 def test_inter_predict_two_node_hand_example():
-    lap = _lap([[1, -1], [-1, 1]])
-    pred = inter_predict(lap, np.array([3.0, 0.0]))
+    basis = eigendecompose(_lap([[1, -1], [-1, 1]]))
+    pred = inter_predict(basis, np.array([3.0, 0.0]))
     assert np.allclose(pred, [2.0, 1.0])
 
 
 def test_inter_predict_constant_fixed_point():
     rng = np.random.default_rng(9)
     g = random_spatial_graph(25, 0.3, rng)
-    lap = combinatorial_laplacian(g)
-    pred = inter_predict(lap, np.full(25, 7.25))
+    basis = eigendecompose(combinatorial_laplacian(g))
+    pred = inter_predict(basis, np.full(25, 7.25))
     assert np.allclose(pred, 7.25, atol=1e-10)
 
 
@@ -150,37 +157,86 @@ def test_inter_predict_residual_bound():
     g = random_spatial_graph(80, 0.2, rng)
     lap = combinatorial_laplacian(g)
     ref = rng.normal(size=(80, 3)) * 60
-    pred = inter_predict(lap, ref)
+    pred = inter_predict(eigendecompose(lap), ref)
     residual = (lap.matrix + np.eye(80)) @ pred - ref
     assert np.linalg.norm(residual) < 1e-8
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), edge_prob=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.4]),
+       seed=st.integers(0, 2**32 - 1))
+def test_inter_predict_matches_cholesky_oracle(n, edge_prob, seed):
+    """The spectral filter equals the (L + I)^{-1} solve, including on
+    disconnected graphs whose L has a repeated zero eigenvalue."""
+    rng = np.random.default_rng(seed)
+    lap = combinatorial_laplacian(random_spatial_graph(n, edge_prob, rng))
+    ref = rng.normal(size=(n, 3)) * 100
+    pred = inter_predict(eigendecompose(lap), ref)
+    assert np.max(np.abs(pred - cholesky_predict(lap.matrix, ref))) < 1e-9
+
+
+def test_inter_predict_matches_oracle_on_components_and_isolated_vertices():
+    """Two dense components plus isolated vertices: L has a zero eigenvalue
+    of multiplicity 6, which eigh may return in any rotation."""
+    rng = np.random.default_rng(17)
+    blocks = [combinatorial_laplacian(random_spatial_graph(m, 0.6, rng)).matrix
+              for m in (12, 9)]
+    matrix = scipy.linalg.block_diag(*blocks, np.zeros((4, 4)))
+    components, _ = connected_components(matrix != 0, directed=False)
+    assert components == 6
+    ref = rng.normal(size=(25, 3)) * 100
+    pred = inter_predict(eigendecompose(_lap(matrix)), ref)
+    assert np.max(np.abs(pred - cholesky_predict(matrix, ref))) < 1e-9
+
+
+def test_inter_predict_rejects_generalized_basis():
+    basis = eigendecompose(_random_generalized(10, seed=18))
+    with pytest.raises(ValueError, match="combinatorial"):
+        inter_predict(basis, np.zeros(10))
+
+
+# The residual transform (GGFT) is the eigenbasis of L, shared with intra.
+
 def test_ggft_zero_residual():
-    basis = eigendecompose(_random_generalized(10, seed=11))
-    assert np.allclose(ggft_forward(np.zeros(10), basis), 0.0)
+    basis = eigendecompose(_random_combinatorial(10, seed=11))
+    assert np.allclose(gft_forward(np.zeros(10), basis), 0.0)
 
 
 def test_ggft_eigenvector_gives_unit_coefficient():
-    basis = eigendecompose(_random_generalized(10, seed=12))
-    coeffs = ggft_forward(basis.basis[:, 4], basis)
+    lap = _random_combinatorial(10, seed=12)
+    basis = eigendecompose(lap)
+    vec = basis.basis[:, 4]
+    # a column of the basis of L is an eigenvector of L + I
+    assert np.allclose(generalized_laplacian(lap).matrix @ vec,
+                       (basis.eigenvalues[4] + 1.0) * vec, atol=1e-12)
+    coeffs = gft_forward(vec, basis)
     expected = np.zeros(10)
     expected[4] = 1.0
     assert np.allclose(coeffs, expected, atol=1e-12)
 
 
 def test_ggft_decorrelates_gmrf_residuals():
-    gen = _random_generalized(20, seed=13, edge_prob=0.25)
-    basis = eigendecompose(gen)
-    res = sample_gmrf(gen.matrix, 10_000, rng=np.random.default_rng(14))
-    coeffs = ggft_forward(res.T, basis).T                  # (samples, n)
+    lap = _random_combinatorial(20, seed=13, edge_prob=0.25)
+    basis = eigendecompose(lap)
+    res = sample_gmrf(generalized_laplacian(lap).matrix, 10_000, rng=np.random.default_rng(14))
+    coeffs = gft_forward(res.T, basis).T                   # (samples, n)
     corr = np.corrcoef(coeffs, rowvar=False)
     off = corr - np.diag(np.diag(corr))
     assert np.max(np.abs(off)) < 0.1
 
 
 def test_ggft_inverse_matches_gft_inverse():
-    basis = eigendecompose(_random_generalized(15, seed=15))
-    rng = np.random.default_rng(16)
+    """The eigenbasis of L + I is the eigenbasis of L with eigenvalues
+    shifted by 1, so the residual inverse transform in either basis gives
+    the same signal."""
+    rng = np.random.default_rng(15)
+    lap = combinatorial_laplacian(random_spatial_graph(15, 0.9, rng))
+    lap_basis = eigendecompose(lap)
+    gen_basis = eigendecompose(generalized_laplacian(lap))
+    assert np.allclose(gen_basis.eigenvalues, lap_basis.eigenvalues + 1.0,
+                       atol=1e-12)
+    assert np.allclose(gen_basis.basis, lap_basis.basis, atol=1e-9)
     f = rng.normal(size=15)
-    assert np.array_equal(ggft_inverse(ggft_forward(f, basis), basis),
-                          gft_inverse(gft_forward(f, basis), basis))
+    assert np.allclose(gft_inverse(gft_forward(f, gen_basis), lap_basis),
+                       gft_inverse(gft_forward(f, lap_basis), lap_basis),
+                       atol=1e-9)
