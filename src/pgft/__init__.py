@@ -19,8 +19,7 @@ from .graph import (GeneralizedLaplacian, SpatialGraph, build_epsilon_graph,
                     generalized_laplacian)
 from .transform import (TransformBasis, eigendecompose, gft_forward,
                         gft_inverse, inter_predict)
-from .coding import (QuantizedBlock, dequantize, entropy_decode,
-                     entropy_encode, quantize)
+from .coding import dequantize, quantize
 from .bitstream import BitstreamError, read_bitstream, write_bitstream
 from .rdo import (LambdaModel, ModeCost, choose_mode, distortion_yuv,
                   fit_lambda_model, lambda_from_q)

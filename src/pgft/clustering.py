@@ -114,8 +114,3 @@ def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterP
     return ClusterPartition(labels=out_labels, k=k, cluster_sizes=sizes,
                             centroids=centroids)
 
-
-def within_cluster_cost(points: np.ndarray, labels: np.ndarray,
-                        centroids: np.ndarray) -> float:
-    """Total squared distance of points to their assigned centroids."""
-    return float(np.sum((points - centroids[labels]) ** 2))

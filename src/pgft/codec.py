@@ -12,9 +12,14 @@ previous reconstructed frame (low-delay).
 
 The decoder recomputes every geometry-derived quantity (clusters,
 normals, graphs, bases, motion) from the shared point positions, so the
-bitstream carries only mode flags and coefficient payloads.  Both paths
-fold their derived state into a per-frame mirror hash; equality of
-those hashes is the bit-exactness check.
+bitstream carries only mode flags and coefficient payloads.  Both
+directions share one per-cluster path: `_plans` derives each cluster's
+basis and reference one cluster at a time, in cluster order, and a plan
+is dropped once its cluster is coded, so at most a couple of dense
+bases are alive at once.  `_reconstruct` is the only reconstruction
+arithmetic; the encoder's mode trials and the decoder both call it.
+Both paths fold their derived state into a per-frame mirror hash;
+equality of those hashes is the bit-exactness check.
 """
 
 from __future__ import annotations
@@ -94,14 +99,13 @@ def recon_checksum(attributes: np.ndarray) -> int:
     return _hash64(np.ascontiguousarray(attributes, dtype="<f8").tobytes())
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ClusterPlan:
     """Geometry-derived state for one cluster (identical on both paths)."""
 
     members: np.ndarray
     basis: object                     # eigenbasis of the combinatorial L
     ref_index: np.ndarray = None      # reference voxel indices in frame t-1
-    prediction: np.ndarray = None     # (n, 3), filled once ref attrs known
 
 
 def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
@@ -111,8 +115,8 @@ def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
     normals = graph.estimate_normals(pts, config.normal_k)
     g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq,
                                   config.sigma_sq)
-    plan = _ClusterPlan(members=members,
-                        basis=eigendecompose(graph.combinatorial_laplacian(g)))
+    basis = eigendecompose(graph.combinatorial_laplacian(g))
+    ref_index = None
     if need_inter and prev_coords is not None:
         box = expand_box(BoundingBox.of(pts), config.box_expand)
         region = np.flatnonzero(box.contains(prev_coords))
@@ -120,43 +124,43 @@ def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
             region_pts = prev_coords[region].astype(np.float64)
             transform = icp_register(region_pts, pts)
             corr = find_correspondence(pts, transform.apply(region_pts))
-            plan.ref_index = region[corr.ref_index]
-    return plan
+            ref_index = region[corr.ref_index]
+    return _ClusterPlan(members=members, basis=basis, ref_index=ref_index)
 
 
-def _code_channels(coeffs: np.ndarray, qstep: float, contexts):
-    """Quantize and entropy-code the three channels; contexts are cloned
-    so the caller can keep or drop the trial."""
+def _plans(frame, partition, config, prev_coords, need_inter, threads: int):
+    """Yield every cluster's plan in cluster order, lazily, so the caller
+    can drop each plan once its cluster is coded.  `need_inter[cid]`
+    says whether cluster cid needs a motion-compensated reference."""
+    def analyze(cid):
+        return _analyze_cluster(frame, partition.members(cid), config,
+                                prev_coords, bool(need_inter[cid]))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(analyze, range(partition.k))
+    else:
+        yield from map(analyze, range(partition.k))
+
+
+def _reconstruct(plan: _ClusterPlan, indices: np.ndarray, qstep: float,
+                 prediction) -> np.ndarray:
+    """Decoded attributes of one cluster from its (n, 3) indices."""
+    recon = gft_inverse(dequantize(indices, qstep), plan.basis)
+    # Intra adds nothing: 0.0 + -0.0 would change the bytes recon_checksum hashes.
+    return recon if prediction is None else prediction + recon
+
+
+def _trial(attrs, plan: _ClusterPlan, prediction, qstep: float, contexts):
+    """Code one cluster intra (prediction None) or inter on copies of the
+    contexts, so the caller can keep or drop the trial.  Returns
+    (payloads, contexts, recon, payload bits)."""
+    residual = attrs if prediction is None else attrs - prediction
+    indices = quantize(gft_forward(residual, plan.basis), qstep)
     ctx = [c.copy() for c in contexts]
-    payloads = []
-    indices = []
-    for c in range(CHANNELS):
-        block = quantize(coeffs[:, c], qstep)
-        indices.append(block)
-        payloads.append(encode_block(block.indices, ctx[c]))
-    bits = 8 * sum(len(p) for p in payloads)
-    return payloads, indices, ctx, bits
-
-
-def _intra_candidate(attrs, plan, qstep, contexts, mode_bit):
-    coeffs = gft_forward(attrs, plan.basis)
-    payloads, blocks, ctx, bits = _code_channels(coeffs, qstep, contexts)
-    recon = gft_inverse(np.stack([dequantize(b) for b in blocks], axis=1),
-                        plan.basis)
-    rate = bits + mode_bit
-    return payloads, ctx, recon, rate
-
-
-def _inter_candidate(attrs, plan, prev_recon_attrs, qstep, contexts):
-    ref = prev_recon_attrs[plan.ref_index]
-    plan.prediction = inter_predict(plan.basis, ref)
-    coeffs = gft_forward(attrs - plan.prediction, plan.basis)
-    payloads, blocks, ctx, bits = _code_channels(coeffs, qstep, contexts)
-    residual = gft_inverse(np.stack([dequantize(b) for b in blocks], axis=1),
-                           plan.basis)
-    recon = plan.prediction + residual
-    rate = bits + 1
-    return payloads, ctx, recon, rate
+    payloads = tuple(encode_block(indices[:, c], ctx[c]) for c in range(CHANNELS))
+    recon = _reconstruct(plan, indices, qstep, prediction)
+    return payloads, ctx, recon, 8 * sum(len(p) for p in payloads)
 
 
 class _MirrorHash:
@@ -166,33 +170,39 @@ class _MirrorHash:
         self._h = hashlib.blake2b(digest_size=16)
         self._h.update(np.ascontiguousarray(labels, dtype="<i4").tobytes())
 
-    def add_cluster(self, mode: str, plan: _ClusterPlan, recon: np.ndarray):
-        self._h.update(mode.encode())
+    def add_cluster(self, plan: _ClusterPlan, prediction, recon: np.ndarray):
+        """Fold in one coded cluster; `prediction` is None for intra."""
+        self._h.update((INTRA if prediction is None else INTER).encode())
         self._h.update(np.ascontiguousarray(plan.basis.basis, dtype="<f8").tobytes())
         self._h.update(np.ascontiguousarray(plan.basis.eigenvalues, dtype="<f8").tobytes())
-        if mode == INTER:
+        if prediction is not None:
             self._h.update(np.ascontiguousarray(plan.ref_index, dtype="<i8").tobytes())
-            self._h.update(np.ascontiguousarray(plan.prediction, dtype="<f8").tobytes())
+            self._h.update(np.ascontiguousarray(prediction, dtype="<f8").tobytes())
         self._h.update(np.ascontiguousarray(recon, dtype="<f8").tobytes())
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
 
 
-def _frame_psnr(raw: RawPointCloud, rec: ReconstructedFrame):
+def _decoded_points(raw: RawPointCloud, rec: ReconstructedFrame) -> np.ndarray:
+    """The reconstruction spread back onto the frame's points (YUV)."""
+    f = rec.frame
+    return devoxelize(VoxelizedFrame(f.voxel_coords, rec.attributes,
+                                     f.grid_dim, f.point_map),
+                      f.point_map, raw.point_count)
+
+
+def _frame_stats(t: int, record: FrameRecord, raw: RawPointCloud,
+                 decoded: np.ndarray, mirror: _MirrorHash) -> FrameStats:
     orig = rgb_to_yuv(raw.colors)
-    decoded = devoxelize(
-        VoxelizedFrame(rec.frame.voxel_coords, rec.attributes,
-                       rec.frame.grid_dim, rec.frame.point_map),
-        rec.frame.point_map, raw.point_count)
-    return tuple(psnr(orig[:, c], decoded[:, c]) for c in range(CHANNELS))
-
-
-def _map_clusters(analyze, k: int, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(analyze, range(k)))
-    return [analyze(cid) for cid in range(k)]
+    py, pu, pv = (psnr(orig[:, c], decoded[:, c]) for c in range(CHANNELS))
+    n_inter = int(np.count_nonzero(record.inter_flags))
+    return FrameStats(
+        index=t, frame_type="P" if record.frame_type == FRAME_P else "I",
+        bits=len(bitstream.frame_record_bytes(record)) * 8,
+        psnr_y=py, psnr_u=pu, psnr_v=pv,
+        intra_clusters=record.cluster_count - n_inter, inter_clusters=n_inter,
+        mirror_hash=mirror.hexdigest())
 
 
 def encode_sequence(raw_frames, config: SequenceConfig,
@@ -223,39 +233,34 @@ def encode_sequence(raw_frames, config: SequenceConfig,
         is_p = t % config.gop_size != 0
         prev_coords = prev.frame.voxel_coords if is_p else None
 
-        def analyze(cid):
-            return _analyze_cluster(frame, partition.members(cid), config,
-                                    prev_coords, need_inter=is_p)
-
-        plans = _map_clusters(analyze, partition.k, threads)
-
         contexts = [ContextSet() for _ in range(CHANNELS)]
         mirror = _MirrorHash(partition.labels)
         recon_attrs = np.zeros_like(frame.attributes)
         clusters = []
         flags = np.zeros(partition.k, dtype=bool)
-        n_inter = 0
-        for cid, plan in enumerate(plans):
+        for cid, plan in enumerate(_plans(frame, partition, config, prev_coords,
+                                          np.full(partition.k, is_p), threads)):
             attrs = frame.attributes[plan.members]
-            mode_bit = 1 if is_p else 0
-            i_pay, i_ctx, i_recon, i_rate = _intra_candidate(
-                attrs, plan, config.qstep, contexts, mode_bit)
-            mode = INTRA
-            if is_p and plan.ref_index is not None:
-                p_pay, p_ctx, p_recon, p_rate = _inter_candidate(
-                    attrs, plan, prev.attributes, config.qstep, contexts)
-                intra_cost = ModeCost(INTRA, distortion_yuv(attrs, i_recon), i_rate)
-                inter_cost = ModeCost(INTER, distortion_yuv(attrs, p_recon), p_rate)
-                mode = choose_mode(intra_cost, inter_cost, lam)
-            if mode == INTER:
-                payloads, contexts, cluster_recon = p_pay, p_ctx, p_recon
-                flags[cid] = True
-                n_inter += 1
-            else:
-                payloads, contexts, cluster_recon = i_pay, i_ctx, i_recon
-            recon_attrs[plan.members] = cluster_recon
-            clusters.append(ClusterRecord(payloads=tuple(payloads)))
-            mirror.add_cluster(mode, plan, cluster_recon)
+            prediction = None
+            payloads, trial_ctx, recon, bits = _trial(
+                attrs, plan, None, config.qstep, contexts)
+            if plan.ref_index is not None:
+                candidate = inter_predict(plan.basis, prev.attributes[plan.ref_index])
+                p_pay, p_ctx, p_recon, p_bits = _trial(
+                    attrs, plan, candidate, config.qstep, contexts)
+                # both rates include the one-bit mode flag
+                mode = choose_mode(
+                    ModeCost(INTRA, distortion_yuv(attrs, recon), bits + 1),
+                    ModeCost(INTER, distortion_yuv(attrs, p_recon), p_bits + 1),
+                    lam)
+                if mode == INTER:
+                    prediction, payloads, trial_ctx, recon = (
+                        candidate, p_pay, p_ctx, p_recon)
+            contexts = trial_ctx
+            flags[cid] = prediction is not None
+            recon_attrs[plan.members] = recon
+            clusters.append(ClusterRecord(payloads=payloads))
+            mirror.add_cluster(plan, prediction, recon)
 
         record = FrameRecord(
             frame_type=FRAME_P if is_p else FRAME_I,
@@ -265,16 +270,10 @@ def encode_sequence(raw_frames, config: SequenceConfig,
             clusters=clusters)
         records.append(record)
 
-        rec = ReconstructedFrame(frame=frame, attributes=recon_attrs)
-        recon_frames.append(rec)
-        prev = rec
-        py, pu, pv = _frame_psnr(raw, rec)
-        stats.append(FrameStats(
-            index=t, frame_type="P" if is_p else "I",
-            bits=len(bitstream.frame_record_bytes(record)) * 8,
-            psnr_y=py, psnr_u=pu, psnr_v=pv,
-            intra_clusters=partition.k - n_inter, inter_clusters=n_inter,
-            mirror_hash=mirror.hexdigest()))
+        prev = ReconstructedFrame(frame=frame, attributes=recon_attrs)
+        recon_frames.append(prev)
+        stats.append(_frame_stats(t, record, raw, _decoded_points(raw, prev),
+                                  mirror))
 
     data = bitstream.write_bitstream(header, records)
     return EncodeResult(data=data, stats=stats, recon=recon_frames)
@@ -319,56 +318,33 @@ def decode_sequence(data: bytes, geometry_frames,
         prev_coords = prev.frame.voxel_coords if is_p else None
         flags = record.inter_flags if is_p else np.zeros(partition.k, dtype=bool)
 
-        def analyze(cid):
-            return _analyze_cluster(frame, partition.members(cid), config,
-                                    prev_coords, need_inter=bool(flags[cid]))
-
-        plans = _map_clusters(analyze, partition.k, threads)
-
         contexts = [ContextSet() for _ in range(CHANNELS)]
         mirror = _MirrorHash(partition.labels)
         recon_attrs = np.zeros_like(frame.attributes)
-        n_inter = 0
-        for cid, plan in enumerate(plans):
+        for cid, plan in enumerate(_plans(frame, partition, config, prev_coords,
+                                          flags, threads)):
             n_k = plan.members.shape[0]
             payloads = record.clusters[cid].payloads
-            coeffs = np.empty((n_k, CHANNELS))
-            for c in range(CHANNELS):
-                indices = decode_block(payloads[c], n_k, contexts[c])
-                coeffs[:, c] = indices.astype(np.float64) * config.qstep
+            indices = np.stack([decode_block(payloads[c], n_k, contexts[c])
+                                for c in range(CHANNELS)], axis=1)
+            prediction = None
             if flags[cid]:
                 if plan.ref_index is None:
                     raise BitstreamError(
                         f"frame {t} cluster {cid} is inter-coded but has no "
                         "reference candidates")
-                ref = prev.attributes[plan.ref_index]
-                plan.prediction = inter_predict(plan.basis, ref)
-                cluster_recon = plan.prediction + gft_inverse(coeffs, plan.basis)
-                mode = INTER
-                n_inter += 1
-            else:
-                cluster_recon = gft_inverse(coeffs, plan.basis)
-                mode = INTRA
-            recon_attrs[plan.members] = cluster_recon
-            mirror.add_cluster(mode, plan, cluster_recon)
+                prediction = inter_predict(plan.basis, prev.attributes[plan.ref_index])
+            recon = _reconstruct(plan, indices, config.qstep, prediction)
+            recon_attrs[plan.members] = recon
+            mirror.add_cluster(plan, prediction, recon)
 
         if recon_checksum(recon_attrs) != record.recon_checksum:
             raise BitstreamError(f"reconstruction checksum mismatch in frame {t}")
 
-        rec = ReconstructedFrame(frame=frame, attributes=recon_attrs)
-        recon_frames.append(rec)
-        prev = rec
-        decoded_frame = VoxelizedFrame(frame.voxel_coords, recon_attrs,
-                                       frame.grid_dim, frame.point_map)
-        point_attrs.append(devoxelize(decoded_frame, frame.point_map,
-                                      raw.point_count))
-        py, pu, pv = _frame_psnr(raw, rec)
-        stats.append(FrameStats(
-            index=t, frame_type="P" if is_p else "I",
-            bits=len(bitstream.frame_record_bytes(record)) * 8,
-            psnr_y=py, psnr_u=pu, psnr_v=pv,
-            intra_clusters=partition.k - n_inter, inter_clusters=n_inter,
-            mirror_hash=mirror.hexdigest()))
+        prev = ReconstructedFrame(frame=frame, attributes=recon_attrs)
+        recon_frames.append(prev)
+        point_attrs.append(_decoded_points(raw, prev))
+        stats.append(_frame_stats(t, record, raw, point_attrs[-1], mirror))
 
     return DecodeResult(recon=recon_frames, point_attributes=point_attrs,
                         stats=stats)

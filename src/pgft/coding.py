@@ -9,8 +9,6 @@ integer low/high scheme with underflow-bit carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 STATE_SIZE = 32
@@ -259,33 +257,18 @@ def decode_block(payload: bytes, count: int, contexts: ContextSet) -> np.ndarray
     return out
 
 
-def entropy_encode(indices) -> bytes:
-    """Lossless coding of an integer sequence with fresh contexts."""
-    return encode_block(indices, ContextSet())
-
-
-def entropy_decode(payload: bytes, count: int) -> np.ndarray:
-    return decode_block(payload, count, ContextSet())
-
-
 # ---------------------------------------------------------------------------
 # Quantization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuantizedBlock:
-    indices: np.ndarray  # (n,) int64
-    qstep: float
-
-
-def quantize(coeffs, qstep: float) -> QuantizedBlock:
-    """Uniform quantization, rounding half away from zero."""
+def quantize(coeffs, qstep: float) -> np.ndarray:
+    """Uniform quantization, rounding half away from zero; int64 indices
+    of the same shape as `coeffs`."""
     if qstep <= 0:
         raise ValueError("qstep must be positive")
     c = np.asarray(coeffs, dtype=np.float64)
-    idx = np.sign(c) * np.floor(np.abs(c) / qstep + 0.5)
-    return QuantizedBlock(indices=idx.astype(np.int64), qstep=float(qstep))
+    return (np.sign(c) * np.floor(np.abs(c) / qstep + 0.5)).astype(np.int64)
 
 
-def dequantize(block: QuantizedBlock) -> np.ndarray:
-    return block.indices.astype(np.float64) * block.qstep
+def dequantize(indices, qstep: float) -> np.ndarray:
+    return np.asarray(indices).astype(np.float64) * qstep

@@ -41,6 +41,12 @@ class RawPointCloud:
             raise ValueError("positions must be finite")
         if col.shape != pos.shape:
             raise ValueError("positions and colors must have equal length")
+        if col.dtype.kind not in "biu":
+            col = col.astype(np.float64)
+            if not np.all(np.isfinite(col)):
+                raise ValueError("colors must be finite")
+            if np.any(col != np.floor(col)):
+                raise ValueError("colors must be integers")
         if col.size and (col.min() < 0 or col.max() > 255):
             raise ValueError("color channels must be in [0, 255]")
         object.__setattr__(self, "positions", pos)
@@ -288,11 +294,14 @@ def read_ply(path) -> RawPointCloud:
                 if not line:
                     raise ValueError("truncated PLY vertex data")
                 rows.append(tuple(line.split()[: len(props)]))
-            data = np.array(rows, dtype=dtype)
+            # Colours parse as float so RawPointCloud can reject any value
+            # that is not an integer in [0, 255].
+            data = np.array(rows, dtype=[
+                (n, "<f8" if n in ("red", "green", "blue") else "<" + t)
+                for n, t in props])
 
     positions = np.stack([data["x"], data["y"], data["z"]], axis=1).astype(np.float64)
     colors = np.stack([data["red"], data["green"], data["blue"]], axis=1)
-    colors = np.clip(colors.astype(np.float64), 0, 255).astype(np.uint8)
     return RawPointCloud(positions=positions, colors=colors)
 
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: brute-force
 nearest neighbors, a plain cyclic Jacobi eigensolver, a Cholesky solve
-of the temporal predictor, and a numerically-integrated Bjontegaard
-metric.
+of the temporal predictor, a numerically-integrated Bjontegaard metric,
+and the k-means objective.
 """
 
 import numpy as np
@@ -62,6 +62,12 @@ def cholesky_predict(laplacian: np.ndarray, ref_attrs: np.ndarray) -> np.ndarray
     a = np.asarray(laplacian, dtype=np.float64) + np.eye(laplacian.shape[0])
     c, low = scipy.linalg.cho_factor(a, lower=True)
     return scipy.linalg.cho_solve((c, low), np.asarray(ref_attrs, dtype=np.float64))
+
+
+def within_cluster_cost(points: np.ndarray, labels: np.ndarray,
+                        centroids: np.ndarray) -> float:
+    """Total squared distance of points to their assigned centroids."""
+    return float(np.sum((points - centroids[labels]) ** 2))
 
 
 def bd_rate_numeric(curve_a, curve_b) -> float:

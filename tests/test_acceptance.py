@@ -161,7 +161,7 @@ def test_criterion_05_codec_roundtrip():
     basis = eigendecompose(lap)
     coeffs = gft_forward(frame.attributes[members], basis)
     for qstep in (1e-6, 0.5, 8.0, 32.0):
-        err = np.abs(dequantize(quantize(coeffs.ravel(), qstep)) - coeffs.ravel())
+        err = np.abs(dequantize(quantize(coeffs, qstep), qstep) - coeffs)
         assert np.max(err) <= qstep / 2
 
     # encoder-internal reconstruction identical to decoder output

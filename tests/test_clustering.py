@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import pgft.clustering as clustering
-from pgft.clustering import kmeans_geometry, within_cluster_cost
+from pgft.clustering import kmeans_geometry
 from pgft.pointcloud import VoxelizedFrame
+from reference import within_cluster_cost
 
 
 def _frame(coords):

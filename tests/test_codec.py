@@ -1,3 +1,6 @@
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,32 @@ def test_p_frame_eigendecomposes_each_cluster_once(monkeypatch):
     assert len(calls) == sum(s.intra_clusters + s.inter_clusters
                              for s in result.stats)
     assert sum(calls) == sum(r.frame.voxel_count for r in result.recon)
+
+
+def test_at_most_two_bases_alive(monkeypatch):
+    """Plans are produced and dropped one cluster at a time: when a basis
+    is computed, only the previous cluster's basis may still be alive."""
+    frames = synthetic_sequence("rigid-motion", 3, point_count=900, seed=12)
+    config = _cfg(target_cluster_size=150)
+    bases = []  # weakrefs; TransformBasis is unhashable, so no WeakSet
+    peak = []
+    original = codec.eigendecompose
+
+    def tracking(lap):
+        basis = original(lap)
+        bases.append(weakref.ref(basis))
+        peak.append(sum(ref() is not None for ref in bases))
+        return basis
+
+    monkeypatch.setattr(codec, "eigendecompose", tracking)
+    result = encode_sequence(frames, config, threads=1)
+    assert min(s.intra_clusters + s.inter_clusters for s in result.stats) >= 3
+    assert result.stats[1].inter_clusters > 0
+    assert max(peak) <= 2
+    peak.clear()
+    decode_sequence(result.data, frames, threads=1)
+    assert len(peak) == len(bases) // 2
+    assert max(peak) <= 2
 
 
 @pytest.mark.parametrize("field, value", [
@@ -103,22 +132,53 @@ def test_encode_deterministic_across_threads():
         assert np.array_equal(ra.attributes, rb.attributes)
 
 
-def test_corrupt_payload_byte_detected():
+def _pool_workers():
+    return {t for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor")}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_corrupt_payload_byte_detected(threads):
     frames = synthetic_sequence("wave", 2, point_count=800, seed=5)
     result = encode_sequence(frames, _cfg())
     data = bytearray(result.data)
     data[-40] ^= 0xFF  # inside the last frame's payloads
+    before = _pool_workers()
     with pytest.raises(Exception) as info:
-        decode_sequence(bytes(data), frames)
+        decode_sequence(bytes(data), frames, threads=threads)
     assert isinstance(info.value, (BitstreamError,)) or "stream" in str(info.value)
+    # the failure comes mid-frame; the plan generator's pool is shut down
+    assert _pool_workers() <= before
 
 
-def test_wrong_geometry_rejected():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_wrong_geometry_rejected(threads):
     frames = synthetic_sequence("wave", 2, point_count=800, seed=6)
     other = synthetic_sequence("wave", 2, point_count=800, seed=7)
     result = encode_sequence(frames, _cfg())
+    before = _pool_workers()
     with pytest.raises(BitstreamError, match="geometry mismatch"):
-        decode_sequence(result.data, other)
+        decode_sequence(result.data, other, threads=threads)
+    assert _pool_workers() <= before
+
+
+def test_inter_flag_without_reference_closes_pool(monkeypatch):
+    """An inter flag on a cluster with no reference fails in the middle
+    of a frame while worker threads still hold later plans."""
+    frames = synthetic_sequence("rigid-motion", 2, point_count=900, seed=12)
+    result = encode_sequence(frames, _cfg(target_cluster_size=150))
+    assert result.stats[1].inter_clusters > 0
+    real = codec._analyze_cluster
+
+    def no_reference(frame, members, config, prev_coords, need_inter):
+        plan = real(frame, members, config, prev_coords, need_inter)
+        return codec._ClusterPlan(members=plan.members, basis=plan.basis)
+
+    monkeypatch.setattr(codec, "_analyze_cluster", no_reference)
+    before = _pool_workers()
+    with pytest.raises(BitstreamError, match="frame 1 cluster .* no reference"):
+        decode_sequence(result.data, frames, threads=2)
+    assert _pool_workers() <= before
 
 
 def test_frame_count_mismatch():

@@ -4,28 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgft.coding import (ContextSet, EndOfStreamError, decode_block,
-                         dequantize, encode_block, entropy_decode,
-                         entropy_encode, quantize)
+                         dequantize, encode_block, quantize)
 
 
 def test_quantize_rounding():
-    block = quantize([23.0], 10.0)
-    assert block.indices[0] == 2
-    assert dequantize(block)[0] == 20.0
+    indices = quantize([23.0], 10.0)
+    assert indices.dtype == np.int64 and indices[0] == 2
+    assert dequantize(indices, 10.0)[0] == 20.0
 
 
 def test_quantize_half_away_from_zero():
-    block = quantize([-25.0], 10.0)
-    assert block.indices[0] == -3
-    assert dequantize(block)[0] == -30.0
-    assert quantize([25.0], 10.0).indices[0] == 3
+    indices = quantize([-25.0], 10.0)
+    assert indices[0] == -3
+    assert dequantize(indices, 10.0)[0] == -30.0
+    assert quantize([25.0], 10.0)[0] == 3
 
 
 def test_quantize_error_bound_random():
     rng = np.random.default_rng(0)
     x = rng.normal(size=5000) * 100
-    block = quantize(x, 4.0)
-    assert np.max(np.abs(dequantize(block) - x)) <= 2.0
+    indices = quantize(x, 4.0)
+    assert np.max(np.abs(dequantize(indices, 4.0) - x)) <= 2.0
+
+
+def test_quantize_block_is_per_coefficient():
+    rng = np.random.default_rng(4)
+    coeffs = rng.normal(size=(50, 3)) * 30
+    indices = quantize(coeffs, 8.0)
+    assert indices.shape == (50, 3) and indices.dtype == np.int64
+    for c in range(3):
+        assert np.array_equal(indices[:, c], quantize(coeffs[:, c], 8.0))
 
 
 def test_quantize_rejects_bad_step():
@@ -38,7 +46,7 @@ def test_quantize_rejects_bad_step():
 @settings(max_examples=60, deadline=None)
 def test_quantize_dequantize_bound_property(values, qstep):
     x = np.asarray(values, dtype=np.float64)
-    err = np.abs(dequantize(quantize(x, qstep)) - x)
+    err = np.abs(dequantize(quantize(x, qstep), qstep) - x)
     if x.size:
         # allow a few ulps of x: x/q can land exactly on a .5 tie whose
         # away-from-zero side is marginally beyond qstep/2 in floats
@@ -48,8 +56,8 @@ def test_quantize_dequantize_bound_property(values, qstep):
 @given(st.lists(st.integers(-2**40, 2**40), max_size=400))
 @settings(max_examples=80, deadline=None)
 def test_entropy_roundtrip_property(values):
-    payload = entropy_encode(values)
-    out = entropy_decode(payload, len(values))
+    payload = encode_block(values, ContextSet())
+    out = decode_block(payload, len(values), ContextSet())
     assert list(out) == values
 
 
@@ -59,27 +67,27 @@ def test_entropy_roundtrip_laplacian_bulk():
     mags = rng.geometric(0.08, size=100_000) - 1
     signs = rng.choice([-1, 1], size=100_000)
     values = (mags * signs).astype(np.int64)
-    payload = entropy_encode(values)
-    assert np.array_equal(entropy_decode(payload, len(values)), values)
+    payload = encode_block(values, ContextSet())
+    assert np.array_equal(decode_block(payload, len(values), ContextSet()), values)
 
 
 def test_entropy_all_zero_compresses():
-    payload = entropy_encode(np.zeros(1000, dtype=np.int64))
+    payload = encode_block(np.zeros(1000, dtype=np.int64), ContextSet())
     assert len(payload) * 8 < 200
-    assert np.array_equal(entropy_decode(payload, 1000), np.zeros(1000))
+    assert np.array_equal(decode_block(payload, 1000, ContextSet()), np.zeros(1000))
 
 
 def test_entropy_empty():
-    assert entropy_encode([]) == b""
-    assert entropy_decode(b"", 0).size == 0
+    assert encode_block([], ContextSet()) == b""
+    assert decode_block(b"", 0, ContextSet()).size == 0
 
 
 def test_entropy_truncated_stream_raises():
     rng = np.random.default_rng(2)
     values = (rng.geometric(0.05, size=100_000) - 1) * rng.choice([-1, 1], 100_000)
-    payload = entropy_encode(values)
+    payload = encode_block(values, ContextSet())
     with pytest.raises(EndOfStreamError, match="unexpected end of stream"):
-        entropy_decode(payload[: len(payload) // 2], len(values))
+        decode_block(payload[: len(payload) // 2], len(values), ContextSet())
 
 
 def test_contexts_persist_across_blocks():
@@ -95,7 +103,7 @@ def test_contexts_persist_across_blocks():
     skewed = [np.zeros(500, dtype=np.int64) for _ in range(6)]
     shared = ContextSet()
     adaptive_bits = sum(len(encode_block(b, shared)) for b in skewed)
-    fresh_bits = sum(len(entropy_encode(b)) for b in skewed)
+    fresh_bits = sum(len(encode_block(b, ContextSet())) for b in skewed)
     assert adaptive_bits <= fresh_bits
 
 

@@ -65,6 +65,41 @@ def test_non_finite_positions_rejected(bad):
         RawPointCloud(positions, np.zeros((3, 3), dtype=np.uint8))
 
 
+BAD_COLORS = [
+    pytest.param("nan", "finite", id="nan"),
+    pytest.param("12.7", "integers", id="fractional"),
+    pytest.param("256", r"\[0, 255\]", id="above-range"),
+    pytest.param("-1", r"\[0, 255\]", id="below-range"),
+]
+
+
+@pytest.mark.parametrize("value, message", BAD_COLORS)
+def test_bad_colors_rejected(value, message):
+    colors = [[12.0, 0.0, 254.0], [1.0, 2.0, float(value)]]
+    with pytest.raises(ValueError, match=message):
+        RawPointCloud(np.zeros((2, 3)), colors)
+
+
+@pytest.mark.parametrize("ctype", ["uchar", "float"])
+@pytest.mark.parametrize("value, message", BAD_COLORS)
+def test_read_ply_bad_colors_rejected(tmp_path, ctype, value, message):
+    path = tmp_path / "bad_color.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        f"property {ctype} red\nproperty {ctype} green\n"
+        f"property {ctype} blue\nend_header\n"
+        f"0 0 0 12 0 254\n1 1 1 1 2 {value}\n")
+    with pytest.raises(ValueError, match=message):
+        read_ply(path)
+
+
+def test_integral_float_colors_accepted():
+    raw = RawPointCloud(np.zeros((2, 3)), [[12.0, 0.0, 254.0], [1.0, 2.0, 255.0]])
+    assert raw.colors.dtype == np.uint8
+    assert raw.colors.tolist() == [[12, 0, 254], [1, 2, 255]]
+
+
 def test_rgb_to_yuv_gray_fixed_point():
     assert np.allclose(rgb_to_yuv([128, 128, 128]), [128, 128, 128])
 
