@@ -25,6 +25,7 @@ equality of those hashes is the bit-exactness check.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -128,6 +129,12 @@ def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
     return _ClusterPlan(members=members, basis=basis, ref_index=ref_index)
 
 
+def _check_threads(threads):
+    if (isinstance(threads, bool) or not isinstance(threads, numbers.Integral)
+            or threads < 1):
+        raise ValueError(f"threads={threads!r} must be an integer >= 1")
+
+
 def _plans(frame, partition, config, prev_coords, need_inter, threads: int):
     """Yield every cluster's plan in cluster order, lazily, so the caller
     can drop each plan once its cluster is coded.  `need_inter[cid]`
@@ -208,6 +215,7 @@ def _frame_stats(t: int, record: FrameRecord, raw: RawPointCloud,
 def encode_sequence(raw_frames, config: SequenceConfig,
                     threads: int = 1) -> EncodeResult:
     """Encode an ordered list of RawPointCloud frames."""
+    _check_threads(threads)
     if not raw_frames:
         raise ValueError("need at least one frame")
     config.validate()
@@ -291,12 +299,16 @@ def config_from_header(header: StreamHeader) -> SequenceConfig:
 def decode_sequence(data: bytes, geometry_frames,
                     threads: int = 1) -> DecodeResult:
     """Decode a stream given the same geometry files used at encoding."""
+    _check_threads(threads)
     header, records = bitstream.read_bitstream(data)
+    try:
+        config = config_from_header(header).validate()
+    except ValueError as exc:
+        raise BitstreamError(f"invalid stream header: {exc}") from exc
     if len(geometry_frames) != header.frame_count:
         raise BitstreamError(
             f"stream has {header.frame_count} frames but "
             f"{len(geometry_frames)} geometry frames were supplied")
-    config = config_from_header(header)
     box = sequence_bounding_box(geometry_frames[0])
 
     recon_frames = []

@@ -36,12 +36,6 @@ class SpatialGraph:
     def edge_count(self) -> int:
         return self.edges_i.shape[0]
 
-    def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        np.add.at(d, self.edges_i, self.weights)
-        np.add.at(d, self.edges_j, self.weights)
-        return d
-
 
 @dataclass(frozen=True)
 class GeneralizedLaplacian:
@@ -87,15 +81,26 @@ def estimate_normals(points: np.ndarray, k: int) -> np.ndarray:
 
 def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,
                         epsilon_sq: float, sigma_sq: float) -> SpatialGraph:
-    """Connect point pairs with squared distance <= epsilon_sq."""
+    """Connect point pairs with squared distance <= epsilon_sq.
+
+    An edge (i, j), i < j, exists when the exact squared distance
+    np.sum((p_i - p_j) ** 2) is <= epsilon_sq.  A KD-tree pair search
+    with a slightly larger radius proposes the candidates; that exact
+    test decides each one, so rounding inside the tree cannot add or
+    drop an edge.  Edges come out sorted by (i, j), and memory grows
+    with the edge count, not with n^2.
+    """
     points = np.asarray(points, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
     if points.shape[0] != normals.shape[0]:
         raise ValueError("points and normals must have equal length")
     n = points.shape[0]
 
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    ii, jj = np.where(np.triu(d2 <= epsilon_sq, k=1))
+    radius = np.sqrt(max(epsilon_sq, 0.0)) * (1.0 + 1e-9) + 1e-12
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    d2 = np.sum((points[pairs[:, 0]] - points[pairs[:, 1]]) ** 2, axis=1)
+    pairs = pairs[d2 <= epsilon_sq]
+    ii, jj = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
 
     cross = np.cross(normals[ii], normals[jj])
     sin_sq = np.sum(cross * cross, axis=1)

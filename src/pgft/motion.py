@@ -78,22 +78,24 @@ def _nearest_lowest_index(tree: cKDTree, tree_points: np.ndarray,
                           queries: np.ndarray):
     """Nearest neighbor with deterministic lowest-index tie-break.
 
-    cKDTree does not document its tie behavior, so candidates within the
-    winning radius are re-ranked by exact squared distance (computed the
-    same way a brute-force search would) and then by index.
+    Returns (d2, idx): for each query, the exact squared distance
+    sum((tree_points[i] - q) ** 2) to the point i of least d2, the lowest
+    index among equals.  cKDTree does not document its tie behavior, so
+    every point within a tie radius of the nearest distance is a
+    candidate.  One k=2 search finds the queries whose second-nearest
+    point lies clearly beyond that radius; their nearest point is the
+    only candidate.  The rest (ties, near-ties) get a ball search, and
+    their candidates are re-ranked by exact d2, then by index.
     """
-    dist, idx = tree.query(queries, k=1)
-    radius = dist * (1.0 + 1e-9) + 1e-12
-    groups = tree.query_ball_point(queries, radius)
-    out_idx = np.asarray(idx, dtype=np.int64)
-    out_d2 = dist * dist
-    for qi, cand in enumerate(groups):
-        if len(cand) <= 1:
-            if len(cand) == 1:
-                c = cand[0]
-                out_idx[qi] = c
-                out_d2[qi] = float(np.sum((tree_points[c] - queries[qi]) ** 2))
-            continue
+    dist, idx = tree.query(queries, k=2)
+    radius = dist[:, 0] * (1.0 + 1e-9) + 1e-12
+    out_idx = np.asarray(idx[:, 0], dtype=np.int64)
+    out_d2 = np.sum((tree_points[out_idx] - queries) ** 2, axis=1)
+    # The margin keeps the k=2 distance and the ball search's own
+    # rounding from disagreeing about a point on the radius.
+    ambiguous = np.flatnonzero(dist[:, 1] <= radius * (1.0 + 1e-6))
+    groups = tree.query_ball_point(queries[ambiguous], radius[ambiguous])
+    for qi, cand in zip(ambiguous, groups):
         cand = np.sort(np.asarray(cand, dtype=np.int64))
         d2 = np.sum((tree_points[cand] - queries[qi]) ** 2, axis=1)
         best = int(np.argmin(d2))  # first occurrence -> lowest index

@@ -8,6 +8,7 @@ the grid dimension, which lets the decoder rebuild it exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -100,8 +101,9 @@ class SequenceConfig:
         for name in ("grid_dim", "target_cluster_size", "epsilon_sq",
                      "sigma_sq", "normal_k", "box_expand", "gop_size",
                      "qstep", "lambda_alpha", "lambda_beta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name}={value!r} must be finite and positive")
         if self.gop_size < 1:
             raise ValueError("gop_size must be >= 1")
         return self

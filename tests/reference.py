@@ -1,14 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: brute-force
-nearest neighbors, a plain cyclic Jacobi eigensolver, a Cholesky solve
-of the temporal predictor, a numerically-integrated Bjontegaard metric,
-and the k-means objective.
+nearest neighbors, a per-query nearest-neighbor loop and a dense
+epsilon graph (the library's earlier searches, kept for exact
+comparison), a plain cyclic Jacobi eigensolver, a Cholesky solve of the
+temporal predictor, a numerically-integrated Bjontegaard metric, and
+the k-means objective.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 
 def brute_force_nearest(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -18,6 +21,44 @@ def brute_force_nearest(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         d2 = np.sum((points - q) ** 2, axis=1)
         out[qi] = int(np.argmin(d2))  # first occurrence = lowest index
     return out
+
+
+def nearest_lowest_index_loop(tree_points: np.ndarray, queries: np.ndarray):
+    """(d2, idx) of each query's nearest point, lowest index among
+    equals: a k=1 search, then every ball of the tie radius re-ranked
+    one query at a time by exact d2 and index."""
+    tree = cKDTree(tree_points)
+    dist, idx = tree.query(queries, k=1)
+    radius = dist * (1.0 + 1e-9) + 1e-12
+    groups = tree.query_ball_point(queries, radius)
+    out_idx = np.asarray(idx, dtype=np.int64)
+    out_d2 = dist * dist
+    for qi, cand in enumerate(groups):
+        if len(cand) <= 1:
+            if len(cand) == 1:
+                c = cand[0]
+                out_idx[qi] = c
+                out_d2[qi] = float(np.sum((tree_points[c] - queries[qi]) ** 2))
+            continue
+        cand = np.sort(np.asarray(cand, dtype=np.int64))
+        d2 = np.sum((tree_points[cand] - queries[qi]) ** 2, axis=1)
+        best = int(np.argmin(d2))  # first occurrence -> lowest index
+        out_idx[qi] = cand[best]
+        out_d2[qi] = d2[best]
+    return out_d2, out_idx
+
+
+def dense_epsilon_graph(points: np.ndarray, normals: np.ndarray,
+                        epsilon_sq: float, sigma_sq: float):
+    """(edges_i, edges_j, weights) from the full n x n squared-distance
+    array, in np.where(np.triu(...)) order."""
+    points = np.asarray(points, dtype=np.float64)
+    normals = np.asarray(normals, dtype=np.float64)
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    ii, jj = np.where(np.triu(d2 <= epsilon_sq, k=1))
+    cross = np.cross(normals[ii], normals[jj])
+    sin_sq = np.sum(cross * cross, axis=1)
+    return ii.astype(np.int64), jj.astype(np.int64), np.exp(-sin_sq / sigma_sq)
 
 
 def jacobi_eigh(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-14):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pgft import codec
+from pgft import bitstream
 from pgft.bitstream import BitstreamError
 from pgft.codec import decode_sequence, encode_sequence
 from pgft.pointcloud import RawPointCloud, SequenceConfig
@@ -80,6 +81,42 @@ def test_header_field_overflow_rejected_before_coding(monkeypatch, field, value)
     frames = synthetic_sequence("wave", 2, point_count=200, seed=13)
     with pytest.raises(ValueError, match=field):
         encode_sequence(frames, _cfg(**{field: value}))
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the decoder voxelized before rejecting its input")
+
+
+@pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2", None])
+def test_bad_threads_rejected_before_work(monkeypatch, threads):
+    frames = synthetic_sequence("wave", 2, point_count=200, seed=13)
+    data = encode_sequence(frames, _cfg()).data
+    monkeypatch.setattr(codec, "voxelize", _never)
+    with pytest.raises(ValueError, match="threads"):
+        encode_sequence(frames, _cfg(), threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        decode_sequence(data, frames, threads=threads)
+
+
+# bitstream._HEADER's fields, in order
+_HEADER_FIELDS = ("magic", "version", "grid_dim", "qstep", "gop_size",
+                  "target_cluster_size", "epsilon_sq", "sigma_sq",
+                  "normal_k", "box_expand", "frame_count")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("target_cluster_size", 0), ("epsilon_sq", float("nan")),
+    ("sigma_sq", 0.0), ("qstep", float("nan")), ("qstep", float("inf")),
+    ("box_expand", -1.0), ("grid_dim", 0), ("gop_size", 0), ("normal_k", 0)])
+def test_invalid_header_rejected_before_voxelizing(monkeypatch, field, value):
+    frames = synthetic_sequence("wave", 2, point_count=200, seed=13)
+    data = bytearray(encode_sequence(frames, _cfg()).data)
+    values = list(bitstream._HEADER.unpack_from(data, 0))
+    values[_HEADER_FIELDS.index(field)] = value
+    bitstream._HEADER.pack_into(data, 0, *values)
+    monkeypatch.setattr(codec, "voxelize", _never)
+    with pytest.raises(BitstreamError, match=f"invalid stream header: {field}="):
+        decode_sequence(bytes(data), frames)
 
 
 def test_single_frame_is_intra_only():

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgft.graph import (GENERALIZED, build_epsilon_graph,
                         combinatorial_laplacian, estimate_normals,
                         generalized_laplacian)
-from reference import random_spatial_graph
+from reference import dense_epsilon_graph, random_spatial_graph
 
 
 def test_normals_coplanar():
@@ -89,6 +92,66 @@ def test_weight_invariant_to_normal_sign():
     flip = rng.choice([-1.0, 1.0], size=(40, 1))
     g2 = build_epsilon_graph(pts, normals * flip, 9.0, 0.4)
     assert np.allclose(g1.weights, g2.weights)
+
+
+def _assert_same_graph(pts, epsilon_sq):
+    normals = np.random.default_rng(len(pts)).normal(size=(len(pts), 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    g = build_epsilon_graph(pts, normals, epsilon_sq, 0.4)
+    ii, jj, weights = dense_epsilon_graph(pts, normals, epsilon_sq, 0.4)
+    assert g.edges_i.dtype == g.edges_j.dtype == np.int64
+    assert np.array_equal(g.edges_i, ii)
+    assert np.array_equal(g.edges_j, jj)
+    assert g.weights.tobytes() == weights.tobytes()
+
+
+@given(coords=st.lists(st.tuples(*[st.integers(0, 10)] * 3), max_size=40),
+       copies=st.lists(st.integers(0, 10**6), max_size=8),
+       scale=st.sampled_from([1.0, 0.1, 0.7]),
+       epsilon_sq=st.sampled_from([49.0, 50.0, 2.0, 0.0, 0.5, 0.49, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_epsilon_graph_matches_dense(coords, copies, scale, epsilon_sq):
+    """Lattice distances land exactly on epsilon_sq (50 = 5^2 + 5^2,
+    49 = 7^2); scaled lattices give non-integer coordinates whose
+    squared distances round to either side of it; copies add
+    duplicate points."""
+    pts = np.array(coords, dtype=np.float64).reshape(-1, 3) * scale
+    if len(pts):
+        pts = np.vstack([pts, pts[[c % len(pts) for c in copies]]])
+    _assert_same_graph(pts, epsilon_sq)
+
+
+@given(coords=st.lists(st.tuples(*[st.floats(-20, 20)] * 3), max_size=30),
+       epsilon_sq=st.floats(0.0, 200.0))
+@settings(max_examples=100, deadline=None)
+def test_epsilon_graph_matches_dense_floats(coords, epsilon_sq):
+    _assert_same_graph(np.array(coords, dtype=np.float64).reshape(-1, 3),
+                       epsilon_sq)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_epsilon_graph_tiny(n):
+    pts = np.arange(3 * n, dtype=np.float64).reshape(n, 3)
+    _assert_same_graph(pts, 50.0)
+    g = build_epsilon_graph(pts, np.ones((n, 3)), 50.0, 0.4)
+    assert g.n == n
+    assert g.edge_count == (1 if n == 2 else 0)
+
+
+def test_epsilon_graph_memory_grows_with_edges():
+    # 2000 points 1 apart on a line: ~14k edges, while a dense
+    # (n, n, 3) float64 distance array alone would take ~96 MB
+    pts = np.zeros((2000, 3))
+    pts[:, 0] = np.arange(2000)
+    normals = np.tile([0.0, 0.0, 1.0], (2000, 1))
+    tracemalloc.start()
+    try:
+        g = build_epsilon_graph(pts, normals, 50.0, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 2000 * 7 - 28
+    assert peak < 16 * 2**20
 
 
 def test_combinatorial_laplacian_two_nodes():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from pgft.motion import (BoundingBox, expand_box, find_correspondence,
-                         icp_register)
-from reference import brute_force_nearest
+from pgft.motion import (BoundingBox, _nearest_lowest_index, expand_box,
+                         find_correspondence, icp_register)
+from reference import brute_force_nearest, nearest_lowest_index_loop
 
 
 def _rotation_z(angle):
@@ -132,3 +135,57 @@ def test_correspondence_tie_break_lowest_index():
 def test_correspondence_empty_reference():
     with pytest.raises(ValueError, match="no reference candidates"):
         find_correspondence(np.ones((3, 3)), np.empty((0, 3)))
+
+
+def _assert_same_nearest(tree_pts, queries):
+    d2, idx = _nearest_lowest_index(cKDTree(tree_pts), tree_pts, queries)
+    ref_d2, ref_idx = nearest_lowest_index_loop(tree_pts, queries)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, ref_idx)
+    assert d2.dtype == np.float64
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
+_grid_points = st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=40)
+
+
+@given(tree=_grid_points.filter(len), queries=_grid_points,
+       copies=st.lists(st.integers(0, 10**6), max_size=10),
+       angle=st.sampled_from([0.0, 1e-3, 0.3]))
+@settings(max_examples=150, deadline=None)
+def test_nearest_lowest_index_matches_loop(tree, queries, copies, angle):
+    """Integer grids force ties and duplicates; a rotated tree gives
+    non-integer coordinates and near-ties, as in ICP's registered
+    points; some queries coincide with tree points."""
+    tree_pts = np.array(tree, dtype=np.float64) @ _rotation_z(angle).T
+    queries = np.array(queries, dtype=np.float64).reshape(-1, 3)
+    queries = np.vstack([queries, tree_pts[[c % len(tree) for c in copies]]])
+    _assert_same_nearest(tree_pts, queries)
+
+
+@given(tree=st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 3), min_size=1,
+                     max_size=30),
+       queries=st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 3), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_nearest_lowest_index_matches_loop_floats(tree, queries):
+    _assert_same_nearest(np.array(tree, dtype=np.float64),
+                         np.array(queries, dtype=np.float64).reshape(-1, 3))
+
+
+def test_nearest_lowest_index_single_point_tree():
+    # k=2 on a 1-point tree reports the missing neighbour as (inf, n)
+    tree_pts = np.array([[0.5, 1.0, 2.0]])
+    queries = np.array([[0.5, 1.0, 2.0], [3.0, -1.0, 0.0], [0.5, 1.0, 2.5]])
+    _assert_same_nearest(tree_pts, queries)
+    d2, idx = _nearest_lowest_index(cKDTree(tree_pts), tree_pts, queries)
+    assert np.array_equal(idx, [0, 0, 0])
+    assert np.array_equal(d2, [0.0, 14.25, 0.25])
+
+
+def test_nearest_lowest_index_duplicates_pick_lowest():
+    tree_pts = np.array([[1.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    queries = np.array([[1.0, 0, 0], [2.0, 0, 0], [1.5, 0, 0], [9.0, 0, 0]])
+    d2, idx = _nearest_lowest_index(cKDTree(tree_pts), tree_pts, queries)
+    assert np.array_equal(idx, [0, 1, 0, 1])
+    assert np.array_equal(d2, [0.0, 0.0, 0.25, 49.0])
+    _assert_same_nearest(tree_pts, queries)

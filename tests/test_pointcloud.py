@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pgft.pointcloud import (RawPointCloud, devoxelize, read_ply, rgb_to_yuv,
-                             sequence_bounding_box, voxelize, write_ply,
-                             yuv_to_rgb)
+from pgft.pointcloud import (RawPointCloud, SequenceConfig, devoxelize,
+                             read_ply, rgb_to_yuv, sequence_bounding_box,
+                             voxelize, write_ply, yuv_to_rgb)
 
 
 def test_read_ply_minimal_ascii(tmp_path):
@@ -63,6 +63,20 @@ def test_non_finite_positions_rejected(bad):
     positions[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         RawPointCloud(positions, np.zeros((3, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("field", [
+    "grid_dim", "target_cluster_size", "epsilon_sq", "sigma_sq", "normal_k",
+    "box_expand", "gop_size", "qstep", "lambda_alpha", "lambda_beta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0, -1])
+def test_config_requires_finite_positive_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field}=.* finite and positive"):
+        SequenceConfig(**{field: value}).validate()
+
+
+def test_default_config_valid():
+    config = SequenceConfig()
+    assert config.validate() is config
 
 
 BAD_COLORS = [
