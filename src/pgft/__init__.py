@@ -12,7 +12,7 @@ from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
                          devoxelize, read_ply, rgb_to_yuv, voxelize,
                          write_ply, yuv_to_rgb)
 from .clustering import ClusterPartition, kmeans_geometry
-from .motion import (BoundingBox, Correspondence, RigidTransform, expand_box,
+from .motion import (BoundingBox, RigidTransform, expand_box,
                      find_correspondence, icp_register)
 from .graph import (GeneralizedLaplacian, SpatialGraph, build_epsilon_graph,
                     combinatorial_laplacian, estimate_normals,

@@ -55,14 +55,14 @@ def _add_input_flags(parser, name="--input"):
     parser.add_argument("--synthetic-dir", metavar="DIR",
                         help="where to write the generated PLYs (default: "
                              "next to --output)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="synthetic sequence seed")
 
 
 def _threads_flag(parser):
-    default = int(os.environ.get("PGFT_THREADS", "1"))
-    parser.add_argument("--threads", type=int, default=default,
+    parser.add_argument("--threads", type=int, default=1,
                         help="parallel cluster analysis (output is "
                              "independent of this)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _config_from_args(args) -> SequenceConfig:
@@ -247,8 +247,8 @@ def _aligned_patch_samples(paths, args):
             continue
         region_pts = other.voxel_coords[region].astype(np.float64)
         transform = icp_register(region_pts, pts)
-        corr = find_correspondence(pts, transform.apply(region_pts))
-        samples.append(other.attributes[region[corr.ref_index]][:, 0])
+        ref_index = find_correspondence(pts, transform.apply(region_pts))
+        samples.append(other.attributes[region[ref_index]][:, 0])
     return lap, np.asarray(samples)
 
 

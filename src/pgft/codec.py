@@ -124,8 +124,7 @@ def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
         if region.size:
             region_pts = prev_coords[region].astype(np.float64)
             transform = icp_register(region_pts, pts)
-            corr = find_correspondence(pts, transform.apply(region_pts))
-            ref_index = region[corr.ref_index]
+            ref_index = region[find_correspondence(pts, transform.apply(region_pts))]
     return _ClusterPlan(members=members, basis=basis, ref_index=ref_index)
 
 

@@ -3,8 +3,14 @@
 Coefficient indices are binarized as an exponential-Golomb magnitude
 (the prefix doubles as a unary length code) plus a sign bit.  Prefix
 bins use adaptive per-depth contexts; suffix and sign bins are coded as
-bypass (fixed half probability).  The range coder follows the classic
-integer low/high scheme with underflow-bit carry.
+bypass (fixed half probability).  A context is a `[zeros, ones]` count
+pair, and a bin's probability of 0 is zeros / (zeros + ones).
+
+The coder is two functions, `encode_block` and `decode_block`.  Each
+keeps the classic integer low/high range state (with underflow-bit
+carry) in local ints and runs the one binarization, `_binarize`, over
+its own per-bin step: the encoder's step codes the bin it is given, the
+decoder's step reads it from the payload.
 """
 
 from __future__ import annotations
@@ -12,11 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 STATE_SIZE = 32
-_FULL = 1 << STATE_SIZE
-_MASK = _FULL - 1
-_TOP = _FULL >> 1
-_SECOND = _FULL >> 2
-_MIN_RANGE = (_FULL >> 2) + 2
+_MASK = (1 << STATE_SIZE) - 1
+_HALF_MASK = _MASK >> 1
+_TOP = 1 << (STATE_SIZE - 1)
+_SECOND = _TOP >> 1
 
 _CONTEXT_CAP = 1 << 12     # halve counts past this total to stay adaptive
 _NUM_PREFIX_CONTEXTS = 16
@@ -30,204 +35,45 @@ class EndOfStreamError(Exception):
     """Raised when a decoder runs past the end of its payload."""
 
 
-class _BitWriter:
-    def __init__(self):
-        self._bytes = bytearray()
-        self._current = 0
-        self._filled = 0
-        self.bit_count = 0
-
-    def write(self, bit: int):
-        self._current = (self._current << 1) | bit
-        self._filled += 1
-        self.bit_count += 1
-        if self._filled == 8:
-            self._bytes.append(self._current)
-            self._current = 0
-            self._filled = 0
-
-    def getvalue(self) -> bytes:
-        out = bytearray(self._bytes)
-        if self._filled:
-            out.append(self._current << (8 - self._filled))
-        return bytes(out)
-
-
-class _BitReader:
-    """MSB-first bit reader allowing a bounded number of phantom zero
-    bits past the end (the encoder's final flush is minimal)."""
-
-    def __init__(self, data: bytes, phantom_limit: int = _PHANTOM_LIMIT):
-        self._data = data
-        self._pos = 0
-        self._current = 0
-        self._remaining = 0
-        self._phantom = 0
-        self._phantom_limit = phantom_limit
-
-    def read(self) -> int:
-        if self._remaining == 0:
-            if self._pos < len(self._data):
-                self._current = self._data[self._pos]
-                self._pos += 1
-                self._remaining = 8
-            else:
-                self._phantom += 1
-                if self._phantom > self._phantom_limit:
-                    raise EndOfStreamError("unexpected end of stream")
-                return 0
-        self._remaining -= 1
-        return (self._current >> self._remaining) & 1
-
-
-class AdaptiveBit:
-    """Binary probability model: counts of observed zeros and ones."""
-
-    __slots__ = ("c0", "c1")
-
-    def __init__(self, c0: int = 1, c1: int = 1):
-        self.c0 = c0
-        self.c1 = c1
-
-    def update(self, bit: int):
-        if bit:
-            self.c1 += 1
-        else:
-            self.c0 += 1
-        if self.c0 + self.c1 >= _CONTEXT_CAP:
-            self.c0 = (self.c0 + 1) >> 1
-            self.c1 = (self.c1 + 1) >> 1
-
-    def copy(self) -> "AdaptiveBit":
-        return AdaptiveBit(self.c0, self.c1)
-
-
-_BYPASS = AdaptiveBit()  # fixed (1, 1); never updated
-
-
 class ContextSet:
-    """Adaptive contexts for one coefficient channel."""
+    """Adaptive contexts for one coefficient channel: one `[zeros, ones]`
+    count pair per prefix depth."""
 
     def __init__(self, prefix=None):
-        self.prefix = prefix or [AdaptiveBit() for _ in range(_NUM_PREFIX_CONTEXTS)]
+        self.prefix = prefix or [[1, 1] for _ in range(_NUM_PREFIX_CONTEXTS)]
 
     def copy(self) -> "ContextSet":
-        return ContextSet([c.copy() for c in self.prefix])
+        return ContextSet([pair[:] for pair in self.prefix])
 
 
-class _CoderBase:
-    def __init__(self):
-        self.low = 0
-        self.high = _MASK
-
-    def _renormalize(self):
-        while ((self.low ^ self.high) & _TOP) == 0:
-            self._shift()
-            self.low = (self.low << 1) & _MASK
-            self.high = ((self.high << 1) & _MASK) | 1
-        while (self.low & ~self.high & _SECOND) != 0:
-            self._underflow()
-            self.low = (self.low << 1) & (_MASK >> 1)
-            self.high = ((self.high << 1) & (_MASK >> 1)) | _TOP | 1
-
-    @staticmethod
-    def _split(low: int, high: int, model: AdaptiveBit) -> int:
-        # First value of the "1" region; the "0" region is [low, split-1].
-        span = high - low + 1
-        return low + span * model.c0 // (model.c0 + model.c1)
-
-
-class BinaryArithmeticEncoder(_CoderBase):
-    def __init__(self, writer: _BitWriter):
-        super().__init__()
-        self._writer = writer
-        self._pending = 0
-
-    def encode(self, model: AdaptiveBit, bit: int):
-        split = self._split(self.low, self.high, model)
-        if bit:
-            self.low = split
-        else:
-            self.high = split - 1
-        self._renormalize()
-        if model is not _BYPASS:
-            model.update(bit)
-
-    def encode_bypass(self, bit: int):
-        self.encode(_BYPASS, bit)
-
-    def finish(self):
-        # One disambiguating bit; the decoder treats missing trailing bits
-        # as zeros.
-        self._writer.write(1)
-
-    def _shift(self):
-        bit = self.low >> (STATE_SIZE - 1)
-        self._writer.write(bit)
-        for _ in range(self._pending):
-            self._writer.write(bit ^ 1)
-        self._pending = 0
-
-    def _underflow(self):
-        self._pending += 1
-
-
-class BinaryArithmeticDecoder(_CoderBase):
-    def __init__(self, reader: _BitReader):
-        super().__init__()
-        self._reader = reader
-        self.code = 0
-        for _ in range(STATE_SIZE):
-            self.code = (self.code << 1) | self._reader.read()
-
-    def decode(self, model: AdaptiveBit) -> int:
-        split = self._split(self.low, self.high, model)
-        if self.code >= split:
-            bit = 1
-            self.low = split
-        else:
-            bit = 0
-            self.high = split - 1
-        self._renormalize()
-        if model is not _BYPASS:
-            model.update(bit)
-        return bit
-
-    def decode_bypass(self) -> int:
-        return self.decode(_BYPASS)
-
-    def _shift(self):
-        self.code = ((self.code << 1) & _MASK) | self._reader.read()
-
-    def _underflow(self):
-        self.code = ((self.code & _TOP) | ((self.code << 1) & (_MASK >> 1))
-                     | self._reader.read())
-
-
-def _encode_value(enc: BinaryArithmeticEncoder, ctx: ContextSet, value: int):
+def _binarize(code_bin, prefix, value: int = 0) -> int:
+    """Code one index as bins through `code_bin(zeros, ones, bit) -> bit`,
+    which codes a bin whose probability of 0 is zeros / (zeros + ones).
+    The encoder passes the index and its step returns the bit it is
+    given; the decoder's step ignores `bit` and returns the bit it reads.
+    Prefix contexts are updated here; bypass bins are coded as (1, 1).
+    Returns the index the bins spell."""
     magnitude = -value if value < 0 else value
     x = magnitude + 1
-    nbits = x.bit_length()
-    for depth in range(nbits - 1):
-        enc.encode(ctx.prefix[min(depth, _NUM_PREFIX_CONTEXTS - 1)], 0)
-    enc.encode(ctx.prefix[min(nbits - 1, _NUM_PREFIX_CONTEXTS - 1)], 1)
-    for i in range(nbits - 2, -1, -1):
-        enc.encode_bypass((x >> i) & 1)
-    if magnitude:
-        enc.encode_bypass(1 if value < 0 else 0)
-
-
-def _decode_value(dec: BinaryArithmeticDecoder, ctx: ContextSet) -> int:
+    last = x.bit_length() - 1
     depth = 0
-    while dec.decode(ctx.prefix[min(depth, _NUM_PREFIX_CONTEXTS - 1)]) == 0:
+    while True:
+        pair = prefix[min(depth, _NUM_PREFIX_CONTEXTS - 1)]
+        bit = code_bin(pair[0], pair[1], depth == last)
+        pair[bit] += 1
+        if pair[0] + pair[1] >= _CONTEXT_CAP:
+            pair[0] = (pair[0] + 1) >> 1
+            pair[1] = (pair[1] + 1) >> 1
+        if bit:
+            break
         depth += 1
         if depth > _MAX_MAGNITUDE_BITS:
             raise EndOfStreamError("unexpected end of stream")
-    x = 1
-    for _ in range(depth):
-        x = (x << 1) | dec.decode_bypass()
-    magnitude = x - 1
-    if magnitude and dec.decode_bypass():
+    coded = 1
+    for i in range(depth - 1, -1, -1):
+        coded = (coded << 1) | code_bin(1, 1, (x >> i) & 1)
+    magnitude = coded - 1
+    if magnitude and code_bin(1, 1, value < 0):
         return -magnitude
     return magnitude
 
@@ -235,25 +81,78 @@ def _decode_value(dec: BinaryArithmeticDecoder, ctx: ContextSet) -> int:
 def encode_block(indices, contexts: ContextSet) -> bytes:
     """Code one integer block into a standalone payload; contexts are
     updated in place (they persist across the blocks of a frame)."""
-    values = [int(v) for v in np.asarray(indices, dtype=np.int64)]
+    values = np.asarray(indices, dtype=np.int64).tolist()
     if not values:
         return b""
-    writer = _BitWriter()
-    enc = BinaryArithmeticEncoder(writer)
+    bits = []
+    low, high, pending = 0, _MASK, 0
+
+    def code_bin(zeros, ones, bit):
+        nonlocal low, high, pending
+        split = low + (high - low + 1) * zeros // (zeros + ones)
+        if bit:
+            low = split
+        else:
+            high = split - 1
+        while not (low ^ high) & _TOP:
+            top = low >> (STATE_SIZE - 1)
+            bits.append(top)
+            if pending:
+                bits.extend([top ^ 1] * pending)
+                pending = 0
+            low = (low << 1) & _MASK
+            high = ((high << 1) & _MASK) | 1
+        while low & ~high & _SECOND:
+            pending += 1
+            low = (low << 1) & _HALF_MASK
+            high = ((high << 1) & _HALF_MASK) | _TOP | 1
+        return bit
+
     for v in values:
-        _encode_value(enc, contexts, v)
-    enc.finish()
-    return writer.getvalue()
+        _binarize(code_bin, contexts.prefix, v)
+    bits.append(1)  # disambiguates; the decoder reads missing bits as 0
+    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
 
 
 def decode_block(payload: bytes, count: int, contexts: ContextSet) -> np.ndarray:
     """Inverse of encode_block for a known symbol count."""
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    dec = BinaryArithmeticDecoder(_BitReader(payload))
+    # Bits past the payload read as zeros; reading more than
+    # _PHANTOM_LIMIT of them (bits[pos] raising IndexError) means the
+    # payload was truncated.
+    bits = (np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).tolist()
+            + [0] * _PHANTOM_LIMIT)
+    low, high, pos = 0, _MASK, STATE_SIZE
+    code = int("".join(map(str, bits[:STATE_SIZE])), 2)
+
+    def code_bin(zeros, ones, _):
+        nonlocal low, high, code, pos
+        split = low + (high - low + 1) * zeros // (zeros + ones)
+        if code >= split:
+            bit = 1
+            low = split
+        else:
+            bit = 0
+            high = split - 1
+        while not (low ^ high) & _TOP:
+            code = ((code << 1) & _MASK) | bits[pos]
+            pos += 1
+            low = (low << 1) & _MASK
+            high = ((high << 1) & _MASK) | 1
+        while low & ~high & _SECOND:
+            code = (code & _TOP) | ((code << 1) & _HALF_MASK) | bits[pos]
+            pos += 1
+            low = (low << 1) & _HALF_MASK
+            high = ((high << 1) & _HALF_MASK) | _TOP | 1
+        return bit
+
     out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        out[i] = _decode_value(dec, contexts)
+    try:
+        for i in range(count):
+            out[i] = _binarize(code_bin, contexts.prefix)
+    except IndexError:
+        raise EndOfStreamError("unexpected end of stream") from None
     return out
 
 

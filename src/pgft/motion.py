@@ -58,13 +58,6 @@ class RigidTransform:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """For each target point, the index of its reference point."""
-
-    ref_index: np.ndarray  # (n_k,) int64
-
-
 def expand_box(box: BoundingBox, delta: float) -> BoundingBox:
     """Grow each side by a factor (1 + delta) about the box center."""
     if delta < 0:
@@ -128,8 +121,8 @@ def _rank_at_least_2(points: np.ndarray) -> bool:
 
 
 def icp_register(source: np.ndarray, target: np.ndarray,
-                 max_iter: int = ICP_MAX_ITER, tol: float = ICP_TOL,
-                 return_history: bool = False):
+                 max_iter: int = ICP_MAX_ITER,
+                 tol: float = ICP_TOL) -> RigidTransform:
     """Point-to-point ICP aligning source onto target.
 
     Correspondences are seeded from the target side: each target point
@@ -149,18 +142,15 @@ def icp_register(source: np.ndarray, target: np.ndarray,
 
     if not (_rank_at_least_2(source) and _rank_at_least_2(target)):
         log.debug("ICP degenerate input (collinear or tiny); using identity")
-        transform = RigidTransform.identity()
-        return (transform, [float("nan")]) if return_history else transform
+        return RigidTransform.identity()
 
     transform = RigidTransform.identity()
-    history = []
     prev_mse = np.inf
     for _ in range(max_iter):
         registered = transform.apply(source)
         tree = cKDTree(registered)
         d2, idx = _nearest_lowest_index(tree, registered, target)
         mse = float(np.mean(d2))
-        history.append(mse)
         if prev_mse - mse < tol:
             break
         prev_mse = mse
@@ -169,15 +159,16 @@ def icp_register(source: np.ndarray, target: np.ndarray,
         # which keeps the residual non-increasing.
         transform = _rigid_fit(source[idx], target)
 
-    return (transform, history) if return_history else transform
+    return transform
 
 
-def find_correspondence(cluster: np.ndarray, registered_ref: np.ndarray) -> Correspondence:
-    """Nearest registered reference point for each cluster point."""
+def find_correspondence(cluster: np.ndarray, registered_ref: np.ndarray) -> np.ndarray:
+    """For each cluster point, the int64 index of its nearest registered
+    reference point (lowest index among equals)."""
     cluster = np.asarray(cluster, dtype=np.float64)
     registered_ref = np.asarray(registered_ref, dtype=np.float64)
     if registered_ref.shape[0] == 0:
         raise ValueError("no reference candidates")
     tree = cKDTree(registered_ref)
     _, idx = _nearest_lowest_index(tree, registered_ref, cluster)
-    return Correspondence(ref_index=idx)
+    return idx

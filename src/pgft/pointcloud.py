@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rdo import DEFAULT_ALPHA, DEFAULT_BETA
+
 MID_LEVEL = 128.0
 
 # Full-range BT.601 (Kr=0.299, Kg=0.587, Kb=0.114).
@@ -94,8 +96,8 @@ class SequenceConfig:
     box_expand: float = 3.0
     gop_size: int = 8
     qstep: float = 8.0
-    lambda_alpha: float = 0.0624
-    lambda_beta: float = 1.6238
+    lambda_alpha: float = DEFAULT_ALPHA
+    lambda_beta: float = DEFAULT_BETA
 
     def validate(self):
         for name in ("grid_dim", "target_cluster_size", "epsilon_sq",

@@ -240,8 +240,8 @@ def test_criterion_08_motion_oracle():
         else:
             cluster = rng.uniform(0, 20, size=(n_c, 3))
             ref = rng.uniform(0, 20, size=(n_r, 3))
-        corr = find_correspondence(cluster, ref)
-        if not np.array_equal(corr.ref_index, brute_force_nearest(cluster, ref)):
+        ref_index = find_correspondence(cluster, ref)
+        if not np.array_equal(ref_index, brute_force_nearest(cluster, ref)):
             mismatches += 1
     assert mismatches == 0
     _report(8, "ICP translation/rotation within tolerance; correspondence "

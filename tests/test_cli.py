@@ -26,6 +26,24 @@ def test_encode_synthetic_smoke(tmp_path, capsys):
     assert len(rows) == 2
 
 
+def test_encode_ignores_threads_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("PGFT_THREADS", "abc")
+    rc = main(["encode", "--synthetic", "wave", "--frames", "1",
+               "--points", "400", "--q", "8", "--grid-dim", "32",
+               "--output", str(tmp_path / "seq.bin"),
+               "--synthetic-dir", str(tmp_path / "frames")])
+    assert rc == 0
+
+
+def test_decode_has_no_seed_flag(tmp_path):
+    write_synthetic_sequence(tmp_path / "frames", "wave", 1, 200, seed=0)
+    with pytest.raises(SystemExit) as info:
+        main(["decode", "--bitstream", str(tmp_path / "x.bin"),
+              "--geometry", str(tmp_path / "frames"),
+              "--output", str(tmp_path / "out"), "--seed", "1"])
+    assert info.value.code == 2
+
+
 def test_encode_missing_q_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["encode", "--synthetic", "wave",

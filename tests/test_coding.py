@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,53 @@ def test_context_copy_isolated():
     encode_block(np.arange(-100, 100), ctx)
     clone = ctx.copy()
     encode_block(np.arange(200), clone)
-    before = [(c.c0, c.c1) for c in ctx.prefix]
+    before = [list(pair) for pair in ctx.prefix]
     encode_block(np.arange(200), clone)
-    assert [(c.c0, c.c1) for c in ctx.prefix] == before
+    assert ctx.prefix == before
+    assert clone.prefix != before
+
+
+def _golden_blocks():
+    rng = np.random.default_rng(2024)
+    signs = lambda n: rng.choice([-1, 1], size=n)
+    blocks = [np.empty(0, dtype=np.int64), np.array([-3], dtype=np.int64),
+              np.zeros(5000, dtype=np.int64)]
+    for p in (0.02, 0.3, 0.9):
+        blocks.append((rng.geometric(p, size=2000) - 1) * signs(2000))
+    big = rng.integers(-2**40, 2**40 + 1, size=300)
+    blocks.append(np.concatenate([[2**40, -2**40], big]).astype(np.int64))
+    return blocks
+
+
+# sha256 of each payload of _golden_blocks() coded in order with one
+# shared ContextSet: the coder's bitstream, pinned byte for byte.
+_GOLDEN_DIGESTS = [
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "951dcee3a7a4f3aac67ec76a2ce4469cc76df650f134bf2572bf60a65c982338",
+    "5ae7e6a42304dc6e4176210b83c43024f99a0bce9a870c3b6d2c95fc8ebfb74c",
+    "b451168518ce324b2ec91d647a07ce662f7ea72f25f0c1ab126c088539142ffc",
+    "397ead4de529358e6d01dbff14318a9c4cf6d0f6f9f3254b20586e780c68cc66",
+    "9e1f61df61c8afb2ddbb3ecf962699f45d46f955999fa70cb431c795ca5c9922",
+    "50c8a09db03800ed510a2c4fdd800778bf4013c2b0db3e0e7b11e5e9cbb5d25d",
+]
+
+
+def test_golden_payload_digests():
+    blocks = _golden_blocks()
+    ctx = ContextSet()
+    payloads = [encode_block(b, ctx) for b in blocks]
+    assert [hashlib.sha256(p).hexdigest() for p in payloads] == _GOLDEN_DIGESTS
+    dec = ContextSet()
+    for block, payload in zip(blocks, payloads):
+        before = dec.copy()
+        assert np.array_equal(decode_block(payload, len(block), dec), block)
+        if len(payload) >= 64:
+            with pytest.raises(EndOfStreamError, match="unexpected end of stream"):
+                decode_block(payload[: len(payload) // 2], len(block), before)
+
+
+def test_corrupted_payload_raises():
+    # An all-zero payload keeps choosing the "0" prefix bin, so the
+    # magnitude prefix runs past its 62-bit limit.
+    with pytest.raises(EndOfStreamError, match="unexpected end of stream"):
+        decode_block(bytes(64), 10, ContextSet())
