@@ -1,9 +1,12 @@
 """Bit-exact serialized representation of a coded sequence.
 
 Geometry travels out of band (the original PLY files); the stream holds
-only the header parameters, per-frame geometry/reconstruction hashes,
-per-cluster mode flags (P-frames) and the entropy-coded payloads.  All
-fixed-width fields are little-endian; payload lengths use LEB128.
+only the header, per-frame geometry/reconstruction hashes, per-cluster
+mode flags (P-frames) and the entropy-coded payloads.  The header is a
+`SequenceConfig`: every field the decoder needs, in `_HEADER_FIELDS`
+order, followed by the frame count; the encoder-only `lambda_alpha` and
+`lambda_beta` are not coded.  All fixed-width fields are little-endian;
+payload lengths use LEB128.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pointcloud import SequenceConfig
+
 MAGIC = b"PGFT"
 # 2: inter clusters reconstruct through the spectral predictor and the
 # residual basis of L (not L + I); a version 1 stream would not decode.
@@ -22,34 +27,18 @@ VERSION = 2
 FRAME_I = 0
 FRAME_P = 1
 
-_HEADER = struct.Struct("<4sBIdHIddHdI")
-# Bit width of each unsigned integer field in _HEADER.
-_HEADER_UINT_BITS = {"grid_dim": 32, "gop_size": 16,
-                     "target_cluster_size": 32, "normal_k": 16,
-                     "frame_count": 32}
+# (SequenceConfig field, struct code) of each coded parameter, in stream
+# order.  The header is magic, version, these fields, then the frame count.
+_HEADER_FIELDS = (("grid_dim", "I"), ("qstep", "d"), ("gop_size", "H"),
+                  ("target_cluster_size", "I"), ("epsilon_sq", "d"),
+                  ("sigma_sq", "d"), ("normal_k", "H"), ("box_expand", "d"))
+_HEADER = struct.Struct("<4sB" + "".join(code for _, code in _HEADER_FIELDS)
+                        + "I")
 _FRAME_FIXED = struct.Struct("<BIQQ")
 
 
 class BitstreamError(Exception):
     """Malformed, truncated, or inconsistent bitstream."""
-
-
-@dataclass(frozen=True)
-class StreamHeader:
-    grid_dim: int
-    qstep: float
-    gop_size: int
-    target_cluster_size: int
-    epsilon_sq: float
-    sigma_sq: float
-    normal_k: int
-    box_expand: float
-    frame_count: int
-
-
-@dataclass(frozen=True)
-class ClusterRecord:
-    payloads: tuple  # (bytes, bytes, bytes) for Y, U, V
 
 
 @dataclass
@@ -58,7 +47,7 @@ class FrameRecord:
     geometry_hash: int
     recon_checksum: int
     inter_flags: np.ndarray      # (k,) bool; empty for I-frames
-    clusters: list = field(default_factory=list)
+    clusters: list = field(default_factory=list)  # (Y, U, V) payload bytes
 
     @property
     def cluster_count(self) -> int:
@@ -108,51 +97,52 @@ def frame_record_bytes(frame: FrameRecord) -> bytes:
                              frame.geometry_hash, frame.recon_checksum)
     if frame.frame_type == FRAME_P:
         out += _pack_flags(np.asarray(frame.inter_flags, dtype=bool))
-    for cluster in frame.clusters:
-        for payload in cluster.payloads:
+    for payloads in frame.clusters:
+        for payload in payloads:
             _write_varint(out, len(payload))
             out += payload
     return bytes(out)
 
 
-def check_header(header: StreamHeader):
-    """Raise ValueError naming the first integer field of `header` that
+def check_header(config: SequenceConfig):
+    """Raise ValueError naming the first integer field of `config` that
     does not fit its fixed-width slot in the stream header."""
-    for name, bits in _HEADER_UINT_BITS.items():
-        value = getattr(header, name)
-        if not (isinstance(value, numbers.Integral) and 0 <= value < 1 << bits):
+    for name, code in _HEADER_FIELDS:
+        value, bits = getattr(config, name), 8 * struct.calcsize(code)
+        if code != "d" and not (isinstance(value, numbers.Integral)
+                                and 0 <= value < 1 << bits):
             raise ValueError(f"{name}={value!r} does not fit the stream "
                              f"header's uint{bits} field")
 
 
-def write_bitstream(header: StreamHeader, frames) -> bytes:
-    """Serialize frame records, each holding its clusters in canonical
-    cluster order."""
-    check_header(header)
-    out = bytearray()
-    out += _HEADER.pack(MAGIC, VERSION, header.grid_dim, header.qstep,
-                        header.gop_size, header.target_cluster_size,
-                        header.epsilon_sq, header.sigma_sq, header.normal_k,
-                        header.box_expand, header.frame_count)
+def write_bitstream(config: SequenceConfig, frames) -> bytes:
+    """Serialize the header of `config` and the frame records, each
+    holding its clusters in canonical cluster order."""
+    check_header(config)
+    out = bytearray(_HEADER.pack(
+        MAGIC, VERSION, *(getattr(config, name) for name, _ in _HEADER_FIELDS),
+        len(frames)))
     for frame in frames:
         out += frame_record_bytes(frame)
     return bytes(out)
 
 
 def read_bitstream(data: bytes):
-    """Parse a stream back into (StreamHeader, [FrameRecord])."""
+    """Parse a stream back into (SequenceConfig, [FrameRecord]).  The
+    config carries the coded fields and the default `lambda_*`."""
     if len(data) < _HEADER.size:
         raise BitstreamError("truncated stream (header)")
-    (magic, version, grid_dim, qstep, gop_size, target, eps_sq, sigma_sq,
-     normal_k, box_expand, frame_count) = _HEADER.unpack_from(data, 0)
+    magic, version, *values, frame_count = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise BitstreamError("bad magic; not a PGFT stream")
     if version != VERSION:
         raise BitstreamError(f"unsupported stream version {version}")
-    header = StreamHeader(grid_dim=grid_dim, qstep=qstep, gop_size=gop_size,
-                          target_cluster_size=target, epsilon_sq=eps_sq,
-                          sigma_sq=sigma_sq, normal_k=normal_k,
-                          box_expand=box_expand, frame_count=frame_count)
+    config = SequenceConfig(**{name: value for (name, _), value
+                               in zip(_HEADER_FIELDS, values)})
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise BitstreamError(f"invalid stream header: {exc}") from exc
     pos = _HEADER.size
     frames = []
     for _ in range(frame_count):
@@ -179,10 +169,10 @@ def read_bitstream(data: bytes):
                     raise BitstreamError("truncated stream (payload)")
                 payloads.append(data[pos:pos + length])
                 pos += length
-            clusters.append(ClusterRecord(payloads=tuple(payloads)))
+            clusters.append(tuple(payloads))
         frames.append(FrameRecord(frame_type=ftype, geometry_hash=geo_hash,
                                   recon_checksum=recon_sum, inter_flags=flags,
                                   clusters=clusters))
     if pos != len(data):
         raise BitstreamError("trailing bytes after last frame")
-    return header, frames
+    return config, frames

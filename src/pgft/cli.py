@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import math
 import os
@@ -15,26 +16,31 @@ import sys
 import numpy as np
 
 from . import codec, gmrf, metrics, rdo, synth
-from .graph import (build_epsilon_graph, combinatorial_laplacian,
-                    estimate_normals, generalized_laplacian)
-from .pointcloud import (SequenceConfig, read_ply, write_ply, yuv_to_rgb)
+from .clustering import kmeans_geometry
+from .graph import generalized_laplacian
+from .pointcloud import (SequenceConfig, read_ply, sequence_bounding_box,
+                         voxelize, write_ply, yuv_to_rgb)
 
 DEFAULT_SEED = 0
 
 
 def _add_config_flags(parser, with_q=True):
+    """One flag per SequenceConfig field, each storing into that field."""
     cfg = SequenceConfig()
     if with_q:
-        parser.add_argument("--q", type=float, required=True,
+        parser.add_argument("--q", dest="qstep", type=float, required=True,
                             help="quantization step (quality factor)")
     else:
-        parser.set_defaults(q=1.0)  # rd-sweep takes its q values from --q-list
-    parser.add_argument("--gop", type=int, default=cfg.gop_size)
-    parser.add_argument("--epsilon2", type=float, default=cfg.epsilon_sq,
+        parser.set_defaults(qstep=cfg.qstep)  # rd-sweep's come from --q-list
+    parser.add_argument("--gop", dest="gop_size", type=int, default=cfg.gop_size)
+    parser.add_argument("--epsilon2", dest="epsilon_sq", type=float,
+                        default=cfg.epsilon_sq,
                         help="squared neighborhood radius (50 for dense, "
                              "300 for sparse content)")
-    parser.add_argument("--cluster-size", type=int, default=cfg.target_cluster_size)
-    parser.add_argument("--sigma2", type=float, default=cfg.sigma_sq)
+    parser.add_argument("--cluster-size", dest="target_cluster_size", type=int,
+                        default=cfg.target_cluster_size)
+    parser.add_argument("--sigma2", dest="sigma_sq", type=float,
+                        default=cfg.sigma_sq)
     parser.add_argument("--normal-k", type=int, default=cfg.normal_k)
     parser.add_argument("--box-expand", type=float, default=cfg.box_expand)
     parser.add_argument("--grid-dim", type=int, default=cfg.grid_dim)
@@ -66,12 +72,8 @@ def _threads_flag(parser):
 
 
 def _config_from_args(args) -> SequenceConfig:
-    return SequenceConfig(grid_dim=args.grid_dim, target_cluster_size=args.cluster_size,
-                          epsilon_sq=args.epsilon2, sigma_sq=args.sigma2,
-                          normal_k=args.normal_k, box_expand=args.box_expand,
-                          gop_size=args.gop, qstep=args.q,
-                          lambda_alpha=args.lambda_alpha,
-                          lambda_beta=args.lambda_beta)
+    return SequenceConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(SequenceConfig)})
 
 
 def _resolve_ply_paths(paths, parser):
@@ -171,8 +173,7 @@ def _cmd_rd_sweep(args, parser):
 
     rows = []
     for q in deduped:
-        config = _config_from_args(args)
-        config.qstep = q
+        config = dataclasses.replace(_config_from_args(args), qstep=q)
         result = codec.encode_sequence(frames, config, threads=args.threads)
         decoded = codec.decode_sequence(result.data, frames, threads=args.threads)
         rate = metrics.bpip(result.total_bits, total_points)
@@ -197,9 +198,8 @@ def _cmd_validate_gmrf(args, parser):
         n = args.synthetic_nodes
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0, math.sqrt(n) * 3.0, size=(n, 3))
-        normals = estimate_normals(pts, k=min(15, n))
-        g = build_epsilon_graph(pts, normals, epsilon_sq=25.0, sigma_sq=0.4)
-        lap = generalized_laplacian(combinatorial_laplacian(g))
+        lap = generalized_laplacian(
+            codec.cluster_laplacian(pts, SequenceConfig(epsilon_sq=25.0)))
         samples = gmrf.sample_gmrf(lap.matrix, (args.patches + 1), rng=rng)
     else:
         if not args.frames_in:
@@ -224,10 +224,6 @@ def _aligned_patch_samples(paths, args):
     """Dataset mode: the first cluster of frame 1 is tracked through the
     following frames via motion correspondence; its correspondence-ordered
     attribute vectors are the patch observations."""
-    from .clustering import kmeans_geometry
-    from .motion import BoundingBox, expand_box, find_correspondence, icp_register
-    from .pointcloud import sequence_bounding_box, voxelize
-
     config = SequenceConfig()
     frames = [read_ply(p) for p in paths]
     box = sequence_bounding_box(frames[0])
@@ -235,20 +231,14 @@ def _aligned_patch_samples(paths, args):
     partition = kmeans_geometry(vox[0], config.target_cluster_size)
     members = partition.members(0)
     pts = vox[0].voxel_coords[members].astype(np.float64)
-    normals = estimate_normals(pts, config.normal_k)
-    g = build_epsilon_graph(pts, normals, config.epsilon_sq, config.sigma_sq)
-    lap = generalized_laplacian(combinatorial_laplacian(g))
+    lap = generalized_laplacian(codec.cluster_laplacian(pts, config))
 
     samples = [vox[0].attributes[members][:, 0]]  # Y channel
     for other in vox[1:args.patches + 1]:
-        bbox = expand_box(BoundingBox.of(pts), config.box_expand)
-        region = np.flatnonzero(bbox.contains(other.voxel_coords))
-        if region.size == 0:
-            continue
-        region_pts = other.voxel_coords[region].astype(np.float64)
-        transform = icp_register(region_pts, pts)
-        ref_index = find_correspondence(pts, transform.apply(region_pts))
-        samples.append(other.attributes[region[ref_index]][:, 0])
+        ref_index = codec.reference_index(pts, other.voxel_coords,
+                                          config.box_expand)
+        if ref_index is not None:
+            samples.append(other.attributes[ref_index][:, 0])
     return lap, np.asarray(samples)
 
 
@@ -323,7 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if getattr(args, "q", None) is not None and args.q <= 0:
+    if getattr(args, "qstep", None) is not None and args.qstep <= 0:
         parser.error("--q must be positive")
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")

@@ -93,24 +93,23 @@ def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterP
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for cid in range(k):
-            centroids[cid] = pts[labels == cid].mean(axis=0)
+        # Coordinates are integers, so these sums are exact in any order
+        # and each centroid equals its members' mean bit for bit.
+        centroids = np.stack([np.bincount(labels, weights=pts[:, j], minlength=k)
+                              for j in range(3)], axis=1) / sizes[:, None]
 
     # Canonical relabeling: clusters ordered by lexicographically smallest
     # member (pts is lex-sorted, so that member is the first occurrence).
+    # The centroids and sizes above belong to the final labels.
     first_member = np.full(k, n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        first_member[labels[i]] = i
+    np.minimum.at(first_member, labels, np.arange(n))
+    canonical = np.argsort(first_member)  # old id of each canonical cluster
     relabel = np.empty(k, dtype=np.int64)
-    relabel[np.argsort(first_member)] = np.arange(k)
-    labels = relabel[labels]
+    relabel[canonical] = np.arange(k)
 
     out_labels = np.empty(n, dtype=np.int32)
-    out_labels[order] = labels.astype(np.int32)
-    sizes = np.bincount(out_labels, minlength=k).astype(np.int64)
-    centroids = np.zeros((k, 3))
-    for cid in range(k):
-        centroids[cid] = coords[out_labels == cid].mean(axis=0)
-    return ClusterPartition(labels=out_labels, k=k, cluster_sizes=sizes,
-                            centroids=centroids)
+    out_labels[order] = relabel[labels].astype(np.int32)
+    return ClusterPartition(labels=out_labels, k=k,
+                            cluster_sizes=sizes[canonical].astype(np.int64),
+                            centroids=centroids[canonical])
 

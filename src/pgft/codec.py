@@ -11,12 +11,14 @@ of each GOP is intra-only; every P-frame predicts from the immediately
 previous reconstructed frame (low-delay).
 
 The decoder recomputes every geometry-derived quantity (clusters,
-normals, graphs, bases, motion) from the shared point positions, so the
-bitstream carries only mode flags and coefficient payloads.  Both
-directions share one per-cluster path: `_plans` derives each cluster's
-basis and reference one cluster at a time, in cluster order, and a plan
-is dropped once its cluster is coded, so at most a couple of dense
-bases are alive at once.  `_reconstruct` is the only reconstruction
+normals, graphs, bases, motion) from the shared point positions and the
+`SequenceConfig` the stream header carries, so the bitstream holds only
+that header, mode flags and coefficient payloads.  `cluster_laplacian`
+and `reference_index` are one cluster's graph and motion steps; the
+GMRF study in `cli` calls them too.  Both directions share one
+per-cluster path: `_plans` derives each cluster's basis and reference
+one cluster at a time, in cluster order, and a plan is dropped once its
+cluster is coded, so at most a couple of dense bases are alive at once.  `_reconstruct` is the only reconstruction
 arithmetic; the encoder's mode trials and the decoder both call it.
 Both paths fold their derived state into a per-frame mirror hash;
 equality of those hashes is the bit-exactness check.
@@ -32,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitstream, graph
-from .bitstream import (BitstreamError, ClusterRecord, FrameRecord,
-                        StreamHeader, FRAME_I, FRAME_P)
+from .bitstream import BitstreamError, FrameRecord, FRAME_I, FRAME_P
 from .clustering import kmeans_geometry
-from .coding import ContextSet, decode_block, dequantize, encode_block, quantize
+from .coding import (ContextSet, EndOfStreamError, decode_block, dequantize,
+                     encode_block, quantize)
 from .metrics import psnr
 from .motion import BoundingBox, expand_box, find_correspondence, icp_register
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
@@ -109,22 +111,37 @@ class _ClusterPlan:
     ref_index: np.ndarray = None      # reference voxel indices in frame t-1
 
 
+def cluster_laplacian(pts: np.ndarray, config: SequenceConfig):
+    """Combinatorial Laplacian of the normal-weighted epsilon-graph on a
+    cluster's (n, 3) float64 voxel coordinates."""
+    normals = graph.estimate_normals(pts, config.normal_k)
+    g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq,
+                                  config.sigma_sq)
+    return graph.combinatorial_laplacian(g)
+
+
+def reference_index(pts: np.ndarray, ref_coords: np.ndarray,
+                    box_expand: float):
+    """Index into `ref_coords` of each cluster point's temporal reference:
+    ICP against the reference points inside the cluster's expanded
+    bounding box, then nearest neighbour.  None if that box is empty."""
+    box = expand_box(BoundingBox.of(pts), box_expand)
+    region = np.flatnonzero(box.contains(ref_coords))
+    if not region.size:
+        return None
+    region_pts = ref_coords[region].astype(np.float64)
+    transform = icp_register(region_pts, pts)
+    return region[find_correspondence(pts, transform.apply(region_pts))]
+
+
 def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
                      config: SequenceConfig, prev_coords,
                      need_inter: bool) -> _ClusterPlan:
     pts = frame.voxel_coords[members].astype(np.float64)
-    normals = graph.estimate_normals(pts, config.normal_k)
-    g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq,
-                                  config.sigma_sq)
-    basis = eigendecompose(graph.combinatorial_laplacian(g))
+    basis = eigendecompose(cluster_laplacian(pts, config))
     ref_index = None
     if need_inter and prev_coords is not None:
-        box = expand_box(BoundingBox.of(pts), config.box_expand)
-        region = np.flatnonzero(box.contains(prev_coords))
-        if region.size:
-            region_pts = prev_coords[region].astype(np.float64)
-            transform = icp_register(region_pts, pts)
-            ref_index = region[find_correspondence(pts, transform.apply(region_pts))]
+        ref_index = reference_index(pts, prev_coords, config.box_expand)
     return _ClusterPlan(members=members, basis=basis, ref_index=ref_index)
 
 
@@ -218,14 +235,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     if not raw_frames:
         raise ValueError("need at least one frame")
     config.validate()
-    header = StreamHeader(grid_dim=config.grid_dim, qstep=config.qstep,
-                          gop_size=config.gop_size,
-                          target_cluster_size=config.target_cluster_size,
-                          epsilon_sq=config.epsilon_sq,
-                          sigma_sq=config.sigma_sq, normal_k=config.normal_k,
-                          box_expand=config.box_expand,
-                          frame_count=len(raw_frames))
-    bitstream.check_header(header)
+    bitstream.check_header(config)
     lam = lambda_from_q(config.qstep,
                         LambdaModel(config.lambda_alpha, config.lambda_beta))
     box = sequence_bounding_box(raw_frames[0])
@@ -266,7 +276,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
             contexts = trial_ctx
             flags[cid] = prediction is not None
             recon_attrs[plan.members] = recon
-            clusters.append(ClusterRecord(payloads=payloads))
+            clusters.append(payloads)
             mirror.add_cluster(plan, prediction, recon)
 
         record = FrameRecord(
@@ -282,31 +292,18 @@ def encode_sequence(raw_frames, config: SequenceConfig,
         stats.append(_frame_stats(t, record, raw, _decoded_points(raw, prev),
                                   mirror))
 
-    data = bitstream.write_bitstream(header, records)
+    data = bitstream.write_bitstream(config, records)
     return EncodeResult(data=data, stats=stats, recon=recon_frames)
-
-
-def config_from_header(header: StreamHeader) -> SequenceConfig:
-    return SequenceConfig(grid_dim=header.grid_dim, qstep=header.qstep,
-                          gop_size=header.gop_size,
-                          target_cluster_size=header.target_cluster_size,
-                          epsilon_sq=header.epsilon_sq,
-                          sigma_sq=header.sigma_sq, normal_k=header.normal_k,
-                          box_expand=header.box_expand)
 
 
 def decode_sequence(data: bytes, geometry_frames,
                     threads: int = 1) -> DecodeResult:
     """Decode a stream given the same geometry files used at encoding."""
     _check_threads(threads)
-    header, records = bitstream.read_bitstream(data)
-    try:
-        config = config_from_header(header).validate()
-    except ValueError as exc:
-        raise BitstreamError(f"invalid stream header: {exc}") from exc
-    if len(geometry_frames) != header.frame_count:
+    config, records = bitstream.read_bitstream(data)
+    if len(geometry_frames) != len(records):
         raise BitstreamError(
-            f"stream has {header.frame_count} frames but "
+            f"stream has {len(records)} frames but "
             f"{len(geometry_frames)} geometry frames were supplied")
     box = sequence_bounding_box(geometry_frames[0])
 
@@ -334,10 +331,13 @@ def decode_sequence(data: bytes, geometry_frames,
         recon_attrs = np.zeros_like(frame.attributes)
         for cid, plan in enumerate(_plans(frame, partition, config, prev_coords,
                                           flags, threads)):
-            n_k = plan.members.shape[0]
-            payloads = record.clusters[cid].payloads
-            indices = np.stack([decode_block(payloads[c], n_k, contexts[c])
-                                for c in range(CHANNELS)], axis=1)
+            indices = np.empty((plan.members.shape[0], CHANNELS), dtype=np.int64)
+            for c, payload in enumerate(record.clusters[cid]):
+                try:
+                    indices[:, c] = decode_block(payload, len(indices), contexts[c])
+                except EndOfStreamError as exc:
+                    raise BitstreamError(f"frame {t} cluster {cid} channel "
+                                         f"{'YUV'[c]}: {exc}") from exc
             prediction = None
             if flags[cid]:
                 if plan.ref_index is None:

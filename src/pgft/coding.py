@@ -32,7 +32,8 @@ _PHANTOM_LIMIT = 2 * STATE_SIZE
 
 
 class EndOfStreamError(Exception):
-    """Raised when a decoder runs past the end of its payload."""
+    """Raised when a decoder runs past the end of its payload or stops
+    short of it."""
 
 
 class ContextSet:
@@ -115,8 +116,13 @@ def encode_block(indices, contexts: ContextSet) -> bytes:
 
 
 def decode_block(payload: bytes, count: int, contexts: ContextSet) -> np.ndarray:
-    """Inverse of encode_block for a known symbol count."""
+    """Inverse of encode_block for a known symbol count.  A valid block
+    leaves the reader at least STATE_SIZE - 8 bits past its payload's end
+    (STATE_SIZE - 1 bits of lookahead past the stop bit, less up to 7 pad
+    bits); a reader that stops short raises EndOfStreamError."""
     if count == 0:
+        if payload:
+            raise EndOfStreamError("payload longer than its block")
         return np.empty(0, dtype=np.int64)
     # Bits past the payload read as zeros; reading more than
     # _PHANTOM_LIMIT of them (bits[pos] raising IndexError) means the
@@ -153,6 +159,8 @@ def decode_block(payload: bytes, count: int, contexts: ContextSet) -> np.ndarray
             out[i] = _binarize(code_bin, contexts.prefix)
     except IndexError:
         raise EndOfStreamError("unexpected end of stream") from None
+    if pos < 8 * len(payload) + STATE_SIZE - 8:
+        raise EndOfStreamError("payload longer than its block")
     return out
 
 

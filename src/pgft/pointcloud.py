@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,10 +82,13 @@ class VoxelizedFrame:
 
 @dataclass
 class SequenceConfig:
-    """Coding parameters shared by the encoder and decoder.
+    """Coding parameters, and the stream header.
 
-    qstep is the uniform quantization step and doubles as the quality
-    factor driving the Lagrange multiplier model.
+    Every field but the encoder-only `lambda_alpha` and `lambda_beta` is
+    written to the stream header (`bitstream._HEADER_FIELDS`), so the
+    decoder rebuilds the config from the stream alone.  qstep is the
+    uniform quantization step and doubles as the quality factor driving
+    the Lagrange multiplier model.
     """
 
     grid_dim: int = 4096
@@ -100,12 +103,10 @@ class SequenceConfig:
     lambda_beta: float = DEFAULT_BETA
 
     def validate(self):
-        for name in ("grid_dim", "target_cluster_size", "epsilon_sq",
-                     "sigma_sq", "normal_k", "box_expand", "gop_size",
-                     "qstep", "lambda_alpha", "lambda_beta"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name}={value!r} must be finite and positive")
+                raise ValueError(f"{f.name}={value!r} must be finite and positive")
         if self.gop_size < 1:
             raise ValueError("gop_size must be >= 1")
         return self

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: brute-force
 nearest neighbors, a per-query nearest-neighbor loop and a dense
 epsilon graph (the library's earlier searches, kept for exact
 comparison), a plain cyclic Jacobi eigensolver, a Cholesky solve of the
-temporal predictor, a numerically-integrated Bjontegaard metric, and
-the k-means objective.
+temporal predictor, a numerically-integrated Bjontegaard metric, the
+k-means objective, and k-means with per-cluster and per-point loops
+(the library's earlier bookkeeping, kept for exact comparison).
 """
 
 import numpy as np
@@ -109,6 +110,48 @@ def within_cluster_cost(points: np.ndarray, labels: np.ndarray,
                         centroids: np.ndarray) -> float:
     """Total squared distance of points to their assigned centroids."""
     return float(np.sum((points - centroids[labels]) ** 2))
+
+
+def kmeans_loops(coords: np.ndarray, target_cluster_size: int,
+                 max_iterations: int = 100):
+    """(labels, cluster sizes, centroids) of the library's k-means, with
+    per-cluster mean centroids and a per-point first-member scan."""
+    from pgft.clustering import _farthest_point_seeds, _lexicographic_order
+
+    coords = np.asarray(coords, dtype=np.float64)
+    n = coords.shape[0]
+    k = -(-n // target_cluster_size)
+    order = _lexicographic_order(coords)
+    pts = coords[order]
+    centroids = pts[_farthest_point_seeds(pts, k)].copy()
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iterations):
+        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        sizes = np.bincount(new_labels, minlength=k)
+        if np.any(sizes == 0):
+            dist_to_own = d2[np.arange(n), new_labels]
+            for cid in np.flatnonzero(sizes == 0):
+                far = int(np.argmax(dist_to_own))
+                new_labels[far] = cid
+                dist_to_own[far] = -1.0
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for cid in range(k):
+            centroids[cid] = pts[labels == cid].mean(axis=0)
+    first_member = np.full(k, n, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        first_member[labels[i]] = i
+    relabel = np.empty(k, dtype=np.int64)
+    relabel[np.argsort(first_member)] = np.arange(k)
+    out_labels = np.empty(n, dtype=np.int32)
+    out_labels[order] = relabel[labels]
+    sizes = np.bincount(out_labels, minlength=k).astype(np.int64)
+    centroids = np.zeros((k, 3))
+    for cid in range(k):
+        centroids[cid] = coords[out_labels == cid].mean(axis=0)
+    return out_labels, sizes, centroids
 
 
 def bd_rate_numeric(curve_a, curve_b) -> float:

@@ -1,9 +1,15 @@
+import argparse
+import dataclasses
+import hashlib
 import math
 import os
 
+import numpy as np
 import pytest
 
+from pgft import cli
 from pgft.cli import main
+from pgft.pointcloud import SequenceConfig
 from pgft.synth import write_synthetic_sequence
 
 
@@ -159,6 +165,35 @@ def test_validate_gmrf_dataset_mode(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "support correlation" in out
+
+
+def test_aligned_patch_samples_digest(tmp_path):
+    """The dataset mode's Laplacian and patch samples on
+    test_validate_gmrf_dataset_mode's input, pinned byte for byte."""
+    frames_dir = tmp_path / "frames"
+    write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
+    paths = sorted(str(p) for p in frames_dir.glob("*.ply"))
+    lap, samples = cli._aligned_patch_samples(paths,
+                                              argparse.Namespace(patches=3))
+    assert lap.kind == "generalized"
+    assert lap.matrix.shape == (406, 406)
+    assert samples.shape == (4, 406)
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(lap.matrix, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
+    assert digest.hexdigest() == (
+        "fed0cb618f40a28281ec842f3dbaba63eb9f4789ba5d0ed73b9efe12270d9fc7")
+
+
+def test_encode_flags_set_every_config_field():
+    args = cli.build_parser().parse_args([
+        "encode", "--synthetic", "wave", "--output", "x.bin", "--q", "7",
+        "--gop", "7", "--epsilon2", "7", "--cluster-size", "7",
+        "--sigma2", "7", "--normal-k", "7", "--box-expand", "7",
+        "--grid-dim", "7", "--lambda-alpha", "7", "--lambda-beta", "7"])
+    config = cli._config_from_args(args)
+    assert dataclasses.asdict(config) == {
+        f.name: 7 for f in dataclasses.fields(SequenceConfig)}
 
 
 def _write_power_law_curve(path, alpha, beta):

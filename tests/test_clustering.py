@@ -4,7 +4,7 @@ import pytest
 import pgft.clustering as clustering
 from pgft.clustering import kmeans_geometry
 from pgft.pointcloud import VoxelizedFrame
-from reference import within_cluster_cost
+from reference import kmeans_loops, within_cluster_cost
 
 
 def _frame(coords):
@@ -88,6 +88,23 @@ def test_lloyd_cost_monotone(monkeypatch):
         part = kmeans_geometry(_frame(coords), 120)
         costs.append(within_cluster_cost(pts, part.labels, part.centroids))
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
+
+
+@pytest.mark.parametrize("grid", [8, 64, 4096])
+def test_matches_loop_reference_exactly(grid):
+    """Integer coordinates make the vectorized centroid sums exact, so
+    labels, sizes and centroids equal the loop version bit for bit."""
+    rng = np.random.default_rng(grid)
+    for _ in range(10):
+        n = int(rng.integers(1, 1500))
+        coords = np.unique(rng.integers(0, grid, size=(n, 3)), axis=0)
+        rng.shuffle(coords)
+        target = int(rng.choice([1, 7, 50, 600]))
+        part = kmeans_geometry(_frame(coords), target)
+        labels, sizes, centroids = kmeans_loops(coords, target)
+        assert np.array_equal(part.labels, labels)
+        assert np.array_equal(part.cluster_sizes, sizes)
+        assert part.centroids.tobytes() == centroids.tobytes()
 
 
 def test_empty_frame():

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pgft
 from pgft import codec
 from pgft import bitstream
 from pgft.bitstream import BitstreamError
@@ -99,9 +104,9 @@ def test_bad_threads_rejected_before_work(monkeypatch, threads):
 
 
 # bitstream._HEADER's fields, in order
-_HEADER_FIELDS = ("magic", "version", "grid_dim", "qstep", "gop_size",
-                  "target_cluster_size", "epsilon_sq", "sigma_sq",
-                  "normal_k", "box_expand", "frame_count")
+_HEADER_FIELDS = (("magic", "version")
+                  + tuple(name for name, _ in bitstream._HEADER_FIELDS)
+                  + ("frame_count",))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -181,11 +186,20 @@ def test_corrupt_payload_byte_detected(threads):
     data = bytearray(result.data)
     data[-40] ^= 0xFF  # inside the last frame's payloads
     before = _pool_workers()
-    with pytest.raises(Exception) as info:
+    with pytest.raises(BitstreamError):
         decode_sequence(bytes(data), frames, threads=threads)
-    assert isinstance(info.value, (BitstreamError,)) or "stream" in str(info.value)
     # the failure comes mid-frame; the plan generator's pool is shut down
     assert _pool_workers() <= before
+
+
+def test_garbage_payload_names_frame_cluster_channel():
+    frames = synthetic_sequence("wave", 2, point_count=800, seed=5)
+    config, records = bitstream.read_bitstream(encode_sequence(frames, _cfg()).data)
+    _, u, v = records[1].clusters[0]
+    records[1].clusters[0] = (b"\xff" * 64, u, v)
+    with pytest.raises(BitstreamError,
+                       match="^frame 1 cluster 0 channel Y: payload longer"):
+        decode_sequence(bitstream.write_bitstream(config, records), frames)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -249,3 +263,41 @@ def test_stats_bits_match_stream_size():
     frame_bits = sum(s.bits for s in result.stats)
     header_bits = result.total_bits - frame_bits
     assert 0 < header_bits <= 64 * 8
+
+
+# One rigid-motion I-frame whose cluster graphs are disconnected, so L
+# has repeated zero eigenvalues.
+_CROSS_BLAS_CODEC = """
+import sys
+from pgft.codec import decode_sequence, encode_sequence
+from pgft.pointcloud import SequenceConfig
+from pgft.synth import synthetic_sequence
+frames = synthetic_sequence("rigid-motion", 1, 3000, seed=0)
+if sys.argv[1] == "encode":
+    config = SequenceConfig(grid_dim=256, qstep=8.0)
+    sys.stdout.buffer.write(encode_sequence(frames, config).data)
+else:
+    decode_sequence(sys.stdin.buffer.read(), frames)
+"""
+
+
+def _run_codec(step, blas_threads, data=b""):
+    src = str(Path(pgft.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", _CROSS_BLAS_CODEC, step],
+                          input=data, capture_output=True, env=env,
+                          timeout=300)
+
+
+@pytest.mark.xfail(strict=False, reason=(
+    "ROADMAP item 1: eigh may return any rotation of a repeated "
+    "eigenvalue's eigenspace, and which one depends on the BLAS thread "
+    "count, so the decoder's reconstruction checksum does not match"))
+@pytest.mark.parametrize("encode_threads, decode_threads", [(1, 2), (2, 1)])
+def test_decode_under_another_blas_thread_count(encode_threads, decode_threads):
+    encoded = _run_codec("encode", encode_threads)
+    assert encoded.returncode == 0, encoded.stderr.decode()
+    decoded = _run_codec("decode", decode_threads, encoded.stdout)
+    assert decoded.returncode == 0, decoded.stderr.decode()[-300:]

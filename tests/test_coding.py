@@ -164,3 +164,21 @@ def test_corrupted_payload_raises():
     # magnitude prefix runs past its 62-bit limit.
     with pytest.raises(EndOfStreamError, match="unexpected end of stream"):
         decode_block(bytes(64), 10, ContextSet())
+
+
+def test_payload_not_used_up_raises():
+    # 0xff bits decode as zeros from the first few bits on, so the reader
+    # stops hundreds of bits short of the payload's end.
+    with pytest.raises(EndOfStreamError, match="longer than its block"):
+        decode_block(b"\xff" * 64, 100, ContextSet())
+    with pytest.raises(EndOfStreamError, match="longer than its block"):
+        decode_block(b"\x00", 0, ContextSet())
+
+
+def test_valid_block_with_extra_byte_raises():
+    rng = np.random.default_rng(7)
+    values = (rng.geometric(0.3, size=500) - 1) * rng.choice([-1, 1], 500)
+    payload = encode_block(values, ContextSet())
+    assert np.array_equal(decode_block(payload, 500, ContextSet()), values)
+    with pytest.raises(EndOfStreamError):
+        decode_block(payload + bytes(8), 500, ContextSet())
