@@ -25,14 +25,14 @@ for i in range(n):
         if rng.uniform() < 0.2:
             ii.append(i), jj.append(j), ww.append(rng.uniform(0.3, 1.0))
 graph = SpatialGraph(n=n, edges_i=np.array(ii), edges_j=np.array(jj),
-                     weights=np.array(ww), epsilon_sq=0.0, sigma_sq=0.4)
+                     weights=np.array(ww))
 lap = combinatorial_laplacian(graph)
 print(f"cluster graph: {graph.edge_count} edges, "
       f"mean degree {2 * graph.edge_count / n:.1f}")
 
 # joint model: current frame block L+I, reference block L+I, coupling -I
 eye = np.eye(n)
-joint = np.block([[lap.matrix + eye, -eye], [-eye, lap.matrix + eye]])
+joint = np.block([[lap + eye, -eye], [-eye, lap + eye]])
 joint += 1e-3 * np.eye(2 * n)  # the shared-DC direction is otherwise free
 samples = sample_gmrf(joint, 20_000, rng=rng)
 current, reference = samples[:, :n], samples[:, n:]

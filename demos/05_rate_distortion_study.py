@@ -9,7 +9,7 @@ measured curve.
 import numpy as np
 
 from pgft import bd_br, decode_sequence, encode_sequence, fit_lambda_model
-from pgft.metrics import RdPoint, bpip
+from pgft.metrics import bpip
 from pgft.pointcloud import SequenceConfig
 from pgft.synth import synthetic_sequence
 
@@ -26,7 +26,7 @@ def sweep(gop_size):
         decoded = decode_sequence(result.data, frames)
         rate = bpip(result.total_bits, points)
         psnr = float(np.mean([s.psnr_y for s in decoded.stats]))
-        curve.append(RdPoint(rate=rate, psnr_y=psnr, psnr_u=psnr, psnr_v=psnr))
+        curve.append((rate, psnr))
     return curve
 
 
@@ -36,9 +36,10 @@ print("sweeping intra-only configuration (GOP 1)...")
 intra_curve = sweep(gop_size=1)
 
 print("\n q     inter bpip/PSNR      intra-only bpip/PSNR")
-for q, a, b in zip(ladder, inter_curve, intra_curve):
-    print(f"{q:4.0f}   {a.rate:6.3f} / {a.psnr_y:5.2f}     "
-          f"{b.rate:6.3f} / {b.psnr_y:5.2f}")
+for q, (rate_a, psnr_a), (rate_b, psnr_b) in zip(ladder, inter_curve,
+                                                 intra_curve):
+    print(f"{q:4.0f}   {rate_a:6.3f} / {psnr_a:5.2f}     "
+          f"{rate_b:6.3f} / {psnr_b:5.2f}")
 
 delta = bd_br(intra_curve, inter_curve)
 print(f"\nBD-BR of inter coding vs intra-only: {delta:+.1f}% "
@@ -46,8 +47,8 @@ print(f"\nBD-BR of inter coding vs intra-only: {delta:+.1f}% "
 
 # refit the Lagrange model from the measured curve
 peak_sq = 255.0 ** 2
-rd_points = [(q, p.rate, peak_sq / (10 ** (p.psnr_y / 10.0)))
-             for q, p in zip(ladder, inter_curve)]
+rd_points = [(q, rate, peak_sq / (10 ** (psnr / 10.0)))
+             for q, (rate, psnr) in zip(ladder, inter_curve)]
 model = fit_lambda_model(rd_points)
 print(f"refit lambda-Q on this content: alpha={model.alpha:.4f} "
       f"beta={model.beta:.4f} (shipped defaults 0.0624 / 1.6238)")

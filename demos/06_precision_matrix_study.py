@@ -20,19 +20,19 @@ for i in range(n):
         if rng.uniform() < 0.1:
             ii.append(i), jj.append(j), ww.append(rng.uniform(0.2, 1.0))
 graph = SpatialGraph(n=n, edges_i=np.array(ii), edges_j=np.array(jj),
-                     weights=np.array(ww), epsilon_sq=0.0, sigma_sq=0.4)
+                     weights=np.array(ww))
 lap = generalized_laplacian(combinatorial_laplacian(graph))
 print(f"ground-truth graph: {graph.edge_count} edges on {n} vertices")
 
 for multiple in (2, 5, 10, 40):
-    samples = sample_gmrf(lap.matrix, multiple * n, rng=rng)
+    samples = sample_gmrf(lap, multiple * n, rng=rng)
     estimate = empirical_precision(samples)
     report = compare_to_laplacian(estimate, lap)
     print(f"K+1 = {multiple * n:4d} patches: support correlation "
           f"{report.support_correlation:.3f}, sign agreement "
           f"{report.sign_agreement:.2f}")
 
-samples = sample_gmrf(lap.matrix, 10 * n, rng=rng)
+samples = sample_gmrf(lap, 10 * n, rng=rng)
 estimate = empirical_precision(samples)
 report = compare_to_laplacian(estimate, lap)
 print(f"\nat the 10n operating point: the Laplacian covers "

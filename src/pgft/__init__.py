@@ -9,14 +9,12 @@ Lagrangian with an offline power-law lambda(Q) model.
 """
 
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
-                         devoxelize, read_ply, rgb_to_yuv, voxelize,
-                         write_ply, yuv_to_rgb)
+                         bounding_box, devoxelize, read_ply, rgb_to_yuv,
+                         voxelize, write_ply, yuv_to_rgb)
 from .clustering import ClusterPartition, kmeans_geometry
-from .motion import (BoundingBox, RigidTransform, expand_box,
-                     find_correspondence, icp_register)
-from .graph import (GeneralizedLaplacian, SpatialGraph, build_epsilon_graph,
-                    combinatorial_laplacian, estimate_normals,
-                    generalized_laplacian)
+from .motion import RigidTransform, find_correspondence, icp_register
+from .graph import (SpatialGraph, build_epsilon_graph, combinatorial_laplacian,
+                    estimate_normals, generalized_laplacian)
 from .transform import (TransformBasis, eigendecompose, gft_forward,
                         gft_inverse, inter_predict)
 from .coding import dequantize, quantize
@@ -25,7 +23,7 @@ from .rdo import (LambdaModel, ModeCost, choose_mode, distortion_yuv,
                   fit_lambda_model, lambda_from_q)
 from .codec import (DecodeResult, EncodeResult, FrameStats,
                     ReconstructedFrame, decode_sequence, encode_sequence)
-from .metrics import RdPoint, bd_br, bpip, psnr
+from .metrics import bd_br, bpip, psnr
 from .gmrf import (PrecisionEstimate, SimilarityReport, compare_to_laplacian,
                    empirical_precision, sample_gmrf)
 from .synth import synthetic_sequence, write_synthetic_sequence

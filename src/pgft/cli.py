@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import codec, gmrf, metrics, rdo, synth
+from . import bitstream, codec, gmrf, metrics, rdo, synth
 from .clustering import kmeans_geometry
 from .graph import generalized_laplacian
 from .pointcloud import (SequenceConfig, read_ply, sequence_bounding_box,
@@ -74,6 +74,15 @@ def _threads_flag(parser):
 def _config_from_args(args) -> SequenceConfig:
     return SequenceConfig(**{f.name: getattr(args, f.name)
                              for f in dataclasses.fields(SequenceConfig)})
+
+
+def _check_config(config, parser) -> SequenceConfig:
+    """A value the codec would refuse is a usage error, before any I/O."""
+    try:
+        bitstream.check_header(config.validate())
+    except ValueError as exc:
+        parser.error(str(exc))
+    return config
 
 
 def _resolve_ply_paths(paths, parser):
@@ -162,18 +171,19 @@ def _cmd_rd_sweep(args, parser):
     try:
         q_values = [float(tok) for tok in args.q_list.split(",") if tok]
     except ValueError:
+        q_values = []
+    if not q_values:
         parser.error("--q-list must be a comma-separated list of numbers")
-    if not q_values or any(q <= 0 for q in q_values):
-        parser.error("--q-list values must be positive")
-    deduped = sorted(set(q_values))
-    if len(deduped) != len(q_values):
+    configs = {q: _check_config(dataclasses.replace(_config_from_args(args),
+                                                    qstep=q), parser)
+               for q in q_values}
+    if len(configs) != len(q_values):
         print("warning: duplicate q values removed", file=sys.stderr)
     frames, _ = _load_frames(args, parser, args.output)
     total_points = sum(f.point_count for f in frames)
 
     rows = []
-    for q in deduped:
-        config = dataclasses.replace(_config_from_args(args), qstep=q)
+    for q, config in sorted(configs.items()):
         result = codec.encode_sequence(frames, config, threads=args.threads)
         decoded = codec.decode_sequence(result.data, frames, threads=args.threads)
         rate = metrics.bpip(result.total_bits, total_points)
@@ -200,7 +210,7 @@ def _cmd_validate_gmrf(args, parser):
         pts = rng.uniform(0, math.sqrt(n) * 3.0, size=(n, 3))
         lap = generalized_laplacian(
             codec.cluster_laplacian(pts, SequenceConfig(epsilon_sq=25.0)))
-        samples = gmrf.sample_gmrf(lap.matrix, (args.patches + 1), rng=rng)
+        samples = gmrf.sample_gmrf(lap, (args.patches + 1), rng=rng)
     else:
         if not args.frames_in:
             parser.error("provide --frames or --synthetic-nodes")
@@ -313,8 +323,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if getattr(args, "qstep", None) is not None and args.qstep <= 0:
-        parser.error("--q must be positive")
+    if getattr(args, "qstep", None) is not None:  # encode and rd-sweep
+        _check_config(_config_from_args(args), parser)
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")
 

@@ -18,8 +18,9 @@ and `reference_index` are one cluster's graph and motion steps; the
 GMRF study in `cli` calls them too.  Both directions share one
 per-cluster path: `_plans` derives each cluster's basis and reference
 one cluster at a time, in cluster order, and a plan is dropped once its
-cluster is coded, so at most a couple of dense bases are alive at once.  `_reconstruct` is the only reconstruction
-arithmetic; the encoder's mode trials and the decoder both call it.
+cluster is coded, so at most a couple of dense bases are alive at once.
+`_reconstruct` is the only reconstruction arithmetic; the encoder's
+mode trials and the decoder both call it.
 Both paths fold their derived state into a per-frame mirror hash;
 equality of those hashes is the bit-exactness check.
 """
@@ -39,10 +40,10 @@ from .clustering import kmeans_geometry
 from .coding import (ContextSet, EndOfStreamError, decode_block, dequantize,
                      encode_block, quantize)
 from .metrics import psnr
-from .motion import BoundingBox, expand_box, find_correspondence, icp_register
+from .motion import find_correspondence, icp_register
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
-                         devoxelize, rgb_to_yuv, sequence_bounding_box,
-                         voxelize)
+                         bounding_box, devoxelize, rgb_to_yuv,
+                         sequence_bounding_box, voxelize)
 from .rdo import (INTER, INTRA, LambdaModel, ModeCost, choose_mode,
                   distortion_yuv, lambda_from_q)
 from .transform import eigendecompose, gft_forward, gft_inverse, inter_predict
@@ -111,9 +112,9 @@ class _ClusterPlan:
     ref_index: np.ndarray = None      # reference voxel indices in frame t-1
 
 
-def cluster_laplacian(pts: np.ndarray, config: SequenceConfig):
-    """Combinatorial Laplacian of the normal-weighted epsilon-graph on a
-    cluster's (n, 3) float64 voxel coordinates."""
+def cluster_laplacian(pts: np.ndarray, config: SequenceConfig) -> np.ndarray:
+    """Dense combinatorial Laplacian of the normal-weighted epsilon-graph
+    on a cluster's (n, 3) float64 voxel coordinates."""
     normals = graph.estimate_normals(pts, config.normal_k)
     g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq,
                                   config.sigma_sq)
@@ -125,8 +126,9 @@ def reference_index(pts: np.ndarray, ref_coords: np.ndarray,
     """Index into `ref_coords` of each cluster point's temporal reference:
     ICP against the reference points inside the cluster's expanded
     bounding box, then nearest neighbour.  None if that box is empty."""
-    box = expand_box(BoundingBox.of(pts), box_expand)
-    region = np.flatnonzero(box.contains(ref_coords))
+    lo, hi = bounding_box(pts, box_expand)
+    region = np.flatnonzero(np.all((ref_coords >= lo) & (ref_coords <= hi),
+                                   axis=1))
     if not region.size:
         return None
     region_pts = ref_coords[region].astype(np.float64)
@@ -209,10 +211,7 @@ class _MirrorHash:
 
 def _decoded_points(raw: RawPointCloud, rec: ReconstructedFrame) -> np.ndarray:
     """The reconstruction spread back onto the frame's points (YUV)."""
-    f = rec.frame
-    return devoxelize(VoxelizedFrame(f.voxel_coords, rec.attributes,
-                                     f.grid_dim, f.point_map),
-                      f.point_map, raw.point_count)
+    return devoxelize(rec.attributes, rec.frame.point_map, raw.point_count)
 
 
 def _frame_stats(t: int, record: FrameRecord, raw: RawPointCloud,
@@ -234,8 +233,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     _check_threads(threads)
     if not raw_frames:
         raise ValueError("need at least one frame")
-    config.validate()
-    bitstream.check_header(config)
+    bitstream.check_header(config.validate())
     lam = lambda_from_q(config.qstep,
                         LambdaModel(config.lambda_alpha, config.lambda_beta))
     box = sequence_bounding_box(raw_frames[0])
@@ -267,8 +265,8 @@ def encode_sequence(raw_frames, config: SequenceConfig,
                     attrs, plan, candidate, config.qstep, contexts)
                 # both rates include the one-bit mode flag
                 mode = choose_mode(
-                    ModeCost(INTRA, distortion_yuv(attrs, recon), bits + 1),
-                    ModeCost(INTER, distortion_yuv(attrs, p_recon), p_bits + 1),
+                    ModeCost(distortion_yuv(attrs, recon), bits + 1),
+                    ModeCost(distortion_yuv(attrs, p_recon), p_bits + 1),
                     lam)
                 if mode == INTER:
                     prediction, payloads, trial_ctx, recon = (
@@ -301,6 +299,8 @@ def decode_sequence(data: bytes, geometry_frames,
     """Decode a stream given the same geometry files used at encoding."""
     _check_threads(threads)
     config, records = bitstream.read_bitstream(data)
+    if not records:
+        raise BitstreamError("stream holds no frames")
     if len(geometry_frames) != len(records):
         raise BitstreamError(
             f"stream has {len(records)} frames but "

@@ -3,6 +3,7 @@
 Used both as the statistical oracle for the predictor/transform claims
 and for the empirical study comparing a cluster's generalized Laplacian
 against the precision matrix estimated from aligned attribute patches.
+Precision matrices and Laplacians are plain (n, n) arrays.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-from .graph import GeneralizedLaplacian
 
 
 @dataclass(frozen=True)
@@ -28,12 +27,6 @@ class SimilarityReport:
     sign_agreement: float      # fraction of support entries negative in both
     support_correlation: float # Pearson corr of matched off-diagonal entries
     sparsity_ratio: float      # Laplacian off-diagonal fill
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def sample_gmrf(precision: np.ndarray, count: int, rng=None) -> np.ndarray:
@@ -53,7 +46,7 @@ def sample_gmrf(precision: np.ndarray, count: int, rng=None) -> np.ndarray:
     n = q.shape[0]
     if count == 0:
         return np.empty((0, n))
-    z = _as_rng(rng).standard_normal((count, n))
+    z = np.random.default_rng(rng).standard_normal((count, n))
     # solve L^T x = z  ->  cov(x) = (L L^T)^{-1} = Q^{-1}
     x = scipy.linalg.solve_triangular(chol.T, z.T, lower=False)
     return x.T
@@ -79,10 +72,10 @@ def empirical_precision(samples: np.ndarray) -> PrecisionEstimate:
 
 
 def compare_to_laplacian(estimate: PrecisionEstimate,
-                         lap: GeneralizedLaplacian) -> SimilarityReport:
-    """How well the empirical precision matches the generalized Laplacian
-    on the Laplacian's off-diagonal support."""
-    l = lap.matrix
+                         lap: np.ndarray) -> SimilarityReport:
+    """How well the empirical precision matches the (n, n) generalized
+    Laplacian on the Laplacian's off-diagonal support."""
+    l = np.asarray(lap, dtype=np.float64)
     q = estimate.matrix
     if l.shape != q.shape:
         raise ValueError("dimension mismatch")

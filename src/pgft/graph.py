@@ -4,9 +4,9 @@ Edges connect points within an epsilon ball; weights come from a
 Gaussian kernel of the sine of the angle between the two point normals,
 w = exp(-(sin(theta)/sigma)^2).  sin(theta) is taken as the norm of the
 cross product of the unit normals, which makes the weight invariant to
-normal sign flips.  The generalized Laplacian L + I adds a unit
-diagonal potential standing in for the unit-weight temporal edges to
-the corresponded reference points.
+normal sign flips.  Laplacians are dense (n, n) arrays: L = D - W and
+L + I, whose unit diagonal potential stands in for the unit-weight
+temporal edges to the corresponded reference points.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from scipy.spatial import cKDTree
 
 log = logging.getLogger(__name__)
 
-COMBINATORIAL = "combinatorial"
-GENERALIZED = "generalized"
-
 
 @dataclass(frozen=True)
 class SpatialGraph:
@@ -29,22 +26,10 @@ class SpatialGraph:
     edges_i: np.ndarray   # (m,) int64, i < j
     edges_j: np.ndarray   # (m,) int64
     weights: np.ndarray   # (m,) float64 in (0, 1]
-    epsilon_sq: float
-    sigma_sq: float
 
     @property
     def edge_count(self) -> int:
         return self.edges_i.shape[0]
-
-
-@dataclass(frozen=True)
-class GeneralizedLaplacian:
-    matrix: np.ndarray  # (n, n) dense symmetric
-    kind: str           # COMBINATORIAL or GENERALIZED
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def estimate_normals(points: np.ndarray, k: int) -> np.ndarray:
@@ -107,22 +92,17 @@ def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,
     weights = np.exp(-sin_sq / sigma_sq)
 
     return SpatialGraph(n=n, edges_i=ii.astype(np.int64),
-                        edges_j=jj.astype(np.int64), weights=weights,
-                        epsilon_sq=float(epsilon_sq), sigma_sq=float(sigma_sq))
+                        edges_j=jj.astype(np.int64), weights=weights)
 
 
-def combinatorial_laplacian(g: SpatialGraph) -> GeneralizedLaplacian:
-    """L = D - W (dense; clusters are small)."""
+def combinatorial_laplacian(g: SpatialGraph) -> np.ndarray:
+    """L = D - W as a dense (n, n) array (clusters are small)."""
     w = np.zeros((g.n, g.n))
     w[g.edges_i, g.edges_j] = g.weights
     w[g.edges_j, g.edges_i] = g.weights
-    lap = np.diag(w.sum(axis=1)) - w
-    return GeneralizedLaplacian(matrix=lap, kind=COMBINATORIAL)
+    return np.diag(w.sum(axis=1)) - w
 
 
-def generalized_laplacian(lap: GeneralizedLaplacian) -> GeneralizedLaplacian:
+def generalized_laplacian(lap: np.ndarray) -> np.ndarray:
     """L + I: unit temporal potential on every vertex; positive definite."""
-    if lap.kind != COMBINATORIAL:
-        raise ValueError("expected a combinatorial Laplacian")
-    return GeneralizedLaplacian(matrix=lap.matrix + np.eye(lap.n),
-                                kind=GENERALIZED)
+    return lap + np.eye(lap.shape[0])

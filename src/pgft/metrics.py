@@ -3,17 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RdPoint:
-    rate: float    # bits per input point
-    psnr_y: float
-    psnr_u: float
-    psnr_v: float
 
 
 def psnr(orig, recon, peak: float = 255.0) -> float:
@@ -40,9 +31,9 @@ def bpip(total_bits: float, input_point_count: int) -> float:
 def bd_br(curve_a, curve_b) -> float:
     """Bjontegaard delta bitrate of curve_b against curve_a, in percent.
 
-    Each curve is a sequence of (rate, psnr) pairs (or RdPoints, using
-    psnr_y).  Cubic fits of log-rate against PSNR are averaged over the
-    overlapping PSNR interval.
+    Each curve is a sequence of (rate, psnr) pairs, rate in bits per
+    input point and psnr in dB.  Cubic fits of log-rate against PSNR are
+    averaged over the overlapping PSNR interval.
     """
     rate_a, psnr_a = _curve_arrays(curve_a)
     rate_b, psnr_b = _curve_arrays(curve_b)
@@ -69,12 +60,8 @@ def _curve_arrays(curve):
     rates = []
     psnrs = []
     for point in curve:
-        if isinstance(point, RdPoint):
-            rates.append(point.rate)
-            psnrs.append(point.psnr_y)
-        else:
-            rates.append(float(point[0]))
-            psnrs.append(float(point[1]))
+        rates.append(float(point[0]))
+        psnrs.append(float(point[1]))
     rates = np.asarray(rates, dtype=np.float64)
     psnrs = np.asarray(psnrs, dtype=np.float64)
     if np.any(rates <= 0):

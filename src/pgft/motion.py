@@ -22,30 +22,6 @@ ICP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class BoundingBox:
-    min_corner: np.ndarray  # (3,)
-    max_corner: np.ndarray  # (3,)
-
-    def __post_init__(self):
-        lo = np.asarray(self.min_corner, dtype=np.float64)
-        hi = np.asarray(self.max_corner, dtype=np.float64)
-        if np.any(lo > hi):
-            raise ValueError("bounding box min exceeds max")
-        object.__setattr__(self, "min_corner", lo)
-        object.__setattr__(self, "max_corner", hi)
-
-    @classmethod
-    def of(cls, points: np.ndarray) -> "BoundingBox":
-        points = np.asarray(points, dtype=np.float64)
-        return cls(points.min(axis=0), points.max(axis=0))
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        return np.all((points >= self.min_corner) & (points <= self.max_corner),
-                      axis=1)
-
-
-@dataclass(frozen=True)
 class RigidTransform:
     rotation: np.ndarray     # (3, 3)
     translation: np.ndarray  # (3,)
@@ -56,15 +32,6 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
-
-
-def expand_box(box: BoundingBox, delta: float) -> BoundingBox:
-    """Grow each side by a factor (1 + delta) about the box center."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    center = (box.min_corner + box.max_corner) / 2.0
-    half = (box.max_corner - box.min_corner) / 2.0 * (1.0 + delta)
-    return BoundingBox(center - half, center + half)
 
 
 def _nearest_lowest_index(tree: cKDTree, tree_points: np.ndarray,

@@ -135,17 +135,24 @@ def yuv_to_rgb(yuv) -> np.ndarray:
     return np.clip(rgb, 0.0, 255.0)
 
 
+def bounding_box(points: np.ndarray, expand: float):
+    """(min, max) corners of the axis-aligned bounding box of (n, 3)
+    points, each side grown by a factor (1 + expand) about the centre."""
+    points = np.asarray(points, dtype=np.float64)
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    center = (lo + hi) / 2.0
+    half = (hi - lo) / 2.0 * (1.0 + expand)
+    return center - half, center + half
+
+
 def sequence_bounding_box(raw: RawPointCloud, margin: float = 0.05):
-    """Axis-aligned bounding box of a frame, expanded by a relative margin.
+    """Bounding box of a frame, expanded by a relative margin.
 
     Computed once on the first frame of a sequence and reused for every
     frame so voxel coordinates are temporally comparable.
     """
-    lo = raw.positions.min(axis=0)
-    hi = raw.positions.max(axis=0)
-    center = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0 * (1.0 + margin)
-    return center - half, center + half
+    return bounding_box(raw.positions, margin)
 
 
 def voxelize(raw: RawPointCloud, grid_dim: int, box=None) -> VoxelizedFrame:
@@ -183,8 +190,9 @@ def voxelize(raw: RawPointCloud, grid_dim: int, box=None) -> VoxelizedFrame:
                           grid_dim=grid_dim, point_map=point_map)
 
 
-def devoxelize(frame: VoxelizedFrame, point_map: np.ndarray, raw_count: int) -> np.ndarray:
-    """Spread decoded voxel attributes back onto the original points.
+def devoxelize(attributes: np.ndarray, point_map: np.ndarray,
+               raw_count: int) -> np.ndarray:
+    """Spread decoded (v, 3) voxel attributes back onto the original points.
 
     Returns (raw_count, 3) YUV in [0, 255].
     """
@@ -193,9 +201,9 @@ def devoxelize(frame: VoxelizedFrame, point_map: np.ndarray, raw_count: int) -> 
         raise ValueError("point_map does not cover raw_count points")
     if raw_count == 0:
         return np.empty((0, 3))
-    if point_map.min() < 0 or point_map.max() >= frame.voxel_count:
+    if point_map.min() < 0 or point_map.max() >= attributes.shape[0]:
         raise ValueError("point_map index out of range")
-    yuv = frame.attributes[point_map] + MID_LEVEL
+    yuv = attributes[point_map] + MID_LEVEL
     return np.clip(yuv, 0.0, 255.0)
 
 

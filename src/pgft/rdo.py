@@ -30,7 +30,6 @@ class LambdaModel:
 
 @dataclass(frozen=True)
 class ModeCost:
-    mode: str
     distortion: float  # mean YUV MSE over the cluster
     rate: float        # exact payload bits + mode bit
 

@@ -1,10 +1,10 @@
 """Spectral transforms and the temporal predictor.
 
-The encoder and decoder independently eigendecompose identical
-Laplacians and must land on the exact same basis, so the decomposition
-is canonicalized: eigenvalues ascending, every eigenvector's first
-nonzero component positive, and degenerate groups ordered
-lexicographically by entries.
+The encoder and decoder independently eigendecompose identical dense
+Laplacian arrays and must land on the exact same basis, so the
+decomposition is canonicalized: eigenvalues ascending, every
+eigenvector's first nonzero component positive, and degenerate groups
+ordered lexicographically by entries.
 
 One basis per cluster serves every purpose.  The generalized Laplacian
 L + I has the eigenvectors of the combinatorial L with every eigenvalue
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .graph import GeneralizedLaplacian
 
 _SIGN_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9
@@ -64,9 +62,9 @@ def _order_degenerate_groups(values: np.ndarray, vectors: np.ndarray):
     return values[order], vectors[:, order]
 
 
-def eigendecompose(lap: GeneralizedLaplacian) -> TransformBasis:
-    """Full symmetric eigendecomposition with canonical ordering."""
-    m = np.asarray(lap.matrix, dtype=np.float64)
+def eigendecompose(matrix: np.ndarray) -> TransformBasis:
+    """Canonically ordered eigendecomposition of a symmetric (n, n) array."""
+    m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.size and np.max(np.abs(m - m.T)) > 1e-12:

@@ -183,5 +183,4 @@ def random_spatial_graph(n: int, edge_prob: float, rng):
 
     return SpatialGraph(n=n, edges_i=np.array(ii, dtype=np.int64),
                         edges_j=np.array(jj, dtype=np.int64),
-                        weights=np.array(ww, dtype=np.float64),
-                        epsilon_sq=0.0, sigma_sq=0.4)
+                        weights=np.array(ww, dtype=np.float64))

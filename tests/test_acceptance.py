@@ -52,7 +52,7 @@ def test_criterion_01_transform_correctness():
         worst_ortho = max(worst_ortho, np.linalg.norm(
             basis.basis.T @ basis.basis - eye, "fro"))
         worst_spectral = max(worst_spectral, np.linalg.norm(
-            gen.matrix @ basis.basis - basis.basis * basis.eigenvalues, "fro"))
+            gen @ basis.basis - basis.basis * basis.eigenvalues, "fro"))
         f = rng.normal(size=n) * 100.0
         back = gft_inverse(gft_forward(f, basis), basis)
         worst_round = max(worst_round, float(np.max(np.abs(back - f))))
@@ -75,8 +75,8 @@ def test_criterion_02_predictor_optimality():
     checked_deg2 = 0
     for _ in range(50):
         p = rng.uniform(0.05, 0.35)
-        lap = combinatorial_laplacian(random_spatial_graph(n, p, rng)).matrix
-        lap_ref = combinatorial_laplacian(random_spatial_graph(n, p, rng)).matrix
+        lap = combinatorial_laplacian(random_spatial_graph(n, p, rng))
+        lap_ref = combinatorial_laplacian(random_spatial_graph(n, p, rng))
         joint = np.block([[lap + eye, -eye], [-eye, lap_ref + eye]])
         joint += ridge * np.eye(2 * n)
         x = sample_gmrf(joint, count, rng=rng)
@@ -105,7 +105,7 @@ def test_criterion_03_ggft_decorrelation():
     gen = generalized_laplacian(
         combinatorial_laplacian(random_spatial_graph(20, 0.25, rng)))
     basis = eigendecompose(gen)
-    residuals = sample_gmrf(gen.matrix, 10_000, rng=rng)
+    residuals = sample_gmrf(gen, 10_000, rng=rng)
     coeffs = residuals @ basis.basis
     corr = np.corrcoef(coeffs, rowvar=False)
     max_off = float(np.max(np.abs(corr - np.diag(np.diag(corr)))))
@@ -253,7 +253,7 @@ def test_criterion_09_precision_matrix_study():
     n = 20
     lap = generalized_laplacian(
         combinatorial_laplacian(random_spatial_graph(n, 0.12, rng)))
-    samples = sample_gmrf(lap.matrix, 10 * n, rng=rng)
+    samples = sample_gmrf(lap, 10 * n, rng=rng)
     report = compare_to_laplacian(empirical_precision(samples), lap)
     assert report.support_correlation > 0.8
     _report(9, f"support correlation {report.support_correlation:.3f} with "

@@ -90,6 +90,12 @@ def test_empty_sequence_header_only():
     assert config == SequenceConfig()
 
 
+def test_zero_frame_stream_does_not_decode():
+    data = write_bitstream(SequenceConfig(), [])
+    with pytest.raises(BitstreamError, match="no frames"):
+        codec.decode_sequence(data, [])
+
+
 def test_single_iframe_no_mode_flags():
     clusters = [(b"ab", b"", b"c") for _ in range(2)]
     frame = FrameRecord(frame_type=FRAME_I, geometry_hash=1, recon_checksum=2,

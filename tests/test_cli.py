@@ -64,6 +64,23 @@ def test_encode_q_zero_rejected(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "--q", "nan"],
+    ["encode", "--q", "8", "--gop", "0"],
+    ["encode", "--q", "8", "--cluster-size", "0"],
+    ["encode", "--q", "8", "--gop", "70000"],
+    ["encode", "--q", "8", "--epsilon2", "inf"],
+    ["rd-sweep", "--q-list", "4,nan"],
+])
+def test_bad_config_value_is_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--synthetic", "wave", "--frames", "1", "--points", "50",
+                     "--output", str(tmp_path / "out"),
+                     "--synthetic-dir", str(tmp_path / "frames")])
+    assert info.value.code == 2
+    assert not list(tmp_path.rglob("*.ply"))
+
+
 def test_encode_decode_psnr_matches(tmp_path):
     frames_dir = tmp_path / "frames"
     paths = write_synthetic_sequence(frames_dir, "wave", 2, 800, seed=0)
@@ -175,11 +192,10 @@ def test_aligned_patch_samples_digest(tmp_path):
     paths = sorted(str(p) for p in frames_dir.glob("*.ply"))
     lap, samples = cli._aligned_patch_samples(paths,
                                               argparse.Namespace(patches=3))
-    assert lap.kind == "generalized"
-    assert lap.matrix.shape == (406, 406)
+    assert lap.shape == (406, 406)
     assert samples.shape == (4, 406)
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(lap.matrix, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(lap, dtype="<f8").tobytes())
     digest.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
     assert digest.hexdigest() == (
         "fed0cb618f40a28281ec842f3dbaba63eb9f4789ba5d0ed73b9efe12270d9fc7")

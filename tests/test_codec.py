@@ -37,7 +37,7 @@ def test_p_frame_eigendecomposes_each_cluster_once(monkeypatch):
     original = codec.eigendecompose
 
     def counting(lap):
-        calls.append(lap.n)
+        calls.append(len(lap))
         return original(lap)
 
     monkeypatch.setattr(codec, "eigendecompose", counting)

@@ -1,5 +1,7 @@
 """The README promises every demo runs; run them as a user would."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_voxelize_and_cluster.py", "02_graph_transform_basics.py",
          "03_temporal_prediction.py", "04_end_to_end_codec.py",
          "06_precision_matrix_study.py"]
+ALL_DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS)
@@ -27,3 +30,18 @@ def test_demo_runs(script):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("script", ALL_DEMOS)
+def test_demo_imports_resolve(script):
+    """Every name a demo imports from pgft exists, so removing a public
+    name cannot break a demo that test_demo_runs skips."""
+    tree = ast.parse((ROOT / "demos" / script).read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "pgft"
+               for alias in node.names]
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), \
+            f"{script}: {module}.{name}"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pgft.metrics import RdPoint, bd_br, bpip, psnr
+from pgft.metrics import bd_br, bpip, psnr
 from reference import bd_rate_numeric
 
 
@@ -48,8 +48,7 @@ def test_bpip():
 
 
 def _curve(rates, psnrs):
-    return [RdPoint(rate=r, psnr_y=p, psnr_u=p, psnr_v=p)
-            for r, p in zip(rates, psnrs)]
+    return list(zip(rates, psnrs))
 
 
 def test_bd_br_identical_curves():

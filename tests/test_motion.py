@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from pgft import motion
-from pgft.motion import (BoundingBox, _nearest_lowest_index, expand_box,
-                         find_correspondence, icp_register)
+from pgft.motion import (_nearest_lowest_index, find_correspondence,
+                         icp_register)
+from pgft.pointcloud import bounding_box
 from reference import brute_force_nearest, nearest_lowest_index_loop
 
 
@@ -23,23 +24,22 @@ def _assert_rigid(tr):
 
 
 def test_expand_box_identity():
-    box = BoundingBox(np.zeros(3), np.ones(3))
-    out = expand_box(box, 0.0)
-    assert np.allclose(out.min_corner, 0.0)
-    assert np.allclose(out.max_corner, 1.0)
+    lo, hi = bounding_box([np.zeros(3), np.ones(3)], 0.0)
+    assert np.allclose(lo, 0.0)
+    assert np.allclose(hi, 1.0)
 
 
 def test_expand_box_unit_cube_delta_3():
-    out = expand_box(BoundingBox(np.zeros(3), np.ones(3)), 3.0)
-    assert np.allclose(out.min_corner, [-1.5] * 3)
-    assert np.allclose(out.max_corner, [2.5] * 3)
+    lo, hi = bounding_box([np.zeros(3), np.ones(3)], 3.0)
+    assert np.allclose(lo, [-1.5] * 3)
+    assert np.allclose(hi, [2.5] * 3)
 
 
 def test_expand_box_degenerate_point():
     p = np.array([2.0, 3.0, 4.0])
-    out = expand_box(BoundingBox(p, p), 5.0)
-    assert np.allclose(out.min_corner, p)
-    assert np.allclose(out.max_corner, p)
+    lo, hi = bounding_box([p], 5.0)
+    assert np.allclose(lo, p)
+    assert np.allclose(hi, p)
 
 
 def test_icp_already_aligned():

@@ -192,7 +192,7 @@ def test_devoxelize_shared_voxel():
     pos[2, 0] = 5.0
     col = np.array([[100] * 3, [150] * 3, [200] * 3], dtype=np.uint8)
     frame = voxelize(RawPointCloud(pos, col), 16)
-    out = devoxelize(frame, frame.point_map, 3)
+    out = devoxelize(frame.attributes, frame.point_map, 3)
     assert np.allclose(out[0], out[1])
     assert out[0, 0] == pytest.approx(125.0)
 
@@ -201,7 +201,7 @@ def test_devoxelize_empty():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     col = np.array([[10] * 3, [20] * 3], dtype=np.uint8)
     frame = voxelize(RawPointCloud(pos, col), 16)
-    out = devoxelize(frame, np.empty(0, dtype=np.int64), 0)
+    out = devoxelize(frame.attributes, np.empty(0, dtype=np.int64), 0)
     assert out.shape == (0, 3)
 
 
@@ -210,7 +210,7 @@ def test_devoxelize_bad_map():
     col = np.array([[10] * 3, [20] * 3], dtype=np.uint8)
     frame = voxelize(RawPointCloud(pos, col), 16)
     with pytest.raises(ValueError, match="out of range"):
-        devoxelize(frame, np.array([0, 99]), 2)
+        devoxelize(frame.attributes, np.array([0, 99]), 2)
 
 
 def test_projection_idempotence():
@@ -220,7 +220,7 @@ def test_projection_idempotence():
     pos = rng.uniform(0, 4, size=(300, 3))
     col = rng.integers(0, 256, size=(300, 3), dtype=np.uint8)
     frame = voxelize(RawPointCloud(pos, col), 8)
-    per_point = devoxelize(frame, frame.point_map, 300)
+    per_point = devoxelize(frame.attributes, frame.point_map, 300)
     for v in range(frame.voxel_count):
         members = frame.point_map == v
         assert np.allclose(per_point[members].mean(axis=0),

@@ -63,16 +63,16 @@ def test_distortion_length_mismatch():
 
 def test_choose_mode_smaller_j():
     # J_intra = 10, J_inter = 8 at lambda = 1
-    intra = ModeCost(INTRA, distortion=4.0, rate=6.0)
-    inter = ModeCost(INTER, distortion=2.0, rate=6.0)
+    intra = ModeCost(distortion=4.0, rate=6.0)
+    inter = ModeCost(distortion=2.0, rate=6.0)
     assert choose_mode(intra, inter, 1.0) == INTER
     # and the other way around
     assert choose_mode(inter, intra, 1.0) == INTRA
 
 
 def test_choose_mode_tie_goes_intra():
-    a = ModeCost(INTRA, distortion=5.0, rate=10.0)
-    b = ModeCost(INTER, distortion=5.0, rate=10.0)
+    a = ModeCost(distortion=5.0, rate=10.0)
+    b = ModeCost(distortion=5.0, rate=10.0)
     assert choose_mode(a, b, 2.0) == INTRA
 
 
@@ -83,9 +83,9 @@ def test_choose_mode_scale_invariance():
         r1, r2 = rng.uniform(1, 500, 2)
         lam = rng.uniform(0.01, 20)
         scale = rng.uniform(0.1, 10)
-        a = choose_mode(ModeCost(INTRA, d1, r1), ModeCost(INTER, d2, r2), lam)
-        b = choose_mode(ModeCost(INTRA, d1 * scale, r1 * scale),
-                        ModeCost(INTER, d2 * scale, r2 * scale), lam)
+        a = choose_mode(ModeCost(d1, r1), ModeCost(d2, r2), lam)
+        b = choose_mode(ModeCost(d1 * scale, r1 * scale),
+                        ModeCost(d2 * scale, r2 * scale), lam)
         assert a == b
 
 

@@ -6,18 +6,12 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from pgft.gmrf import sample_gmrf
-from pgft.graph import (GeneralizedLaplacian, combinatorial_laplacian,
-                        generalized_laplacian)
+from pgft.graph import combinatorial_laplacian, generalized_laplacian
 from pgft.transform import (eigendecompose, gft_forward, gft_inverse,
                             inter_predict)
 from reference import cholesky_predict, jacobi_eigh, random_spatial_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def _lap(matrix, kind="combinatorial"):
-    return GeneralizedLaplacian(matrix=np.asarray(matrix, dtype=np.float64),
-                                kind=kind)
 
 
 def _random_combinatorial(n, seed, edge_prob=0.15):
@@ -30,14 +24,14 @@ def _random_generalized(n, seed, edge_prob=0.15):
 
 
 def test_eigendecompose_two_node():
-    basis = eigendecompose(_lap([[1, -1], [-1, 1]]))
+    basis = eigendecompose(np.array([[1.0, -1], [-1, 1]]))
     assert np.allclose(basis.eigenvalues, [0.0, 2.0])
     assert np.allclose(basis.basis[:, 0], [INV_SQRT2, INV_SQRT2])
     assert np.allclose(basis.basis[:, 1], [INV_SQRT2, -INV_SQRT2])
 
 
 def test_eigendecompose_shifted():
-    basis = eigendecompose(_lap([[2, -1], [-1, 2]], kind="generalized"))
+    basis = eigendecompose(np.array([[2.0, -1], [-1, 2]]))
     assert np.allclose(basis.eigenvalues, [1.0, 3.0])
     assert np.allclose(basis.basis[:, 0], [INV_SQRT2, INV_SQRT2])
     assert np.allclose(basis.basis[:, 1], [INV_SQRT2, -INV_SQRT2])
@@ -48,7 +42,7 @@ def test_eigendecompose_residuals_random_100():
     basis = eigendecompose(gen)
     ortho = basis.basis.T @ basis.basis - np.eye(100)
     assert np.linalg.norm(ortho, "fro") < 1e-9
-    spectral = gen.matrix @ basis.basis - basis.basis * basis.eigenvalues
+    spectral = gen @ basis.basis - basis.basis * basis.eigenvalues
     assert np.linalg.norm(spectral, "fro") < 1e-8
     assert np.all(np.diff(basis.eigenvalues) >= -1e-12)
 
@@ -56,10 +50,10 @@ def test_eigendecompose_residuals_random_100():
 def test_eigendecompose_matches_jacobi_oracle():
     gen = _random_generalized(12, seed=1, edge_prob=0.3)
     basis = eigendecompose(gen)
-    j_values, j_vectors = jacobi_eigh(gen.matrix)
+    j_values, j_vectors = jacobi_eigh(gen)
     assert np.allclose(basis.eigenvalues, j_values, atol=1e-9)
     # the oracle's basis diagonalizes too, and both agree up to sign
-    diag = j_vectors.T @ gen.matrix @ j_vectors
+    diag = j_vectors.T @ gen @ j_vectors
     assert np.max(np.abs(diag - np.diag(j_values))) < 1e-9
     overlap = np.abs(basis.basis.T @ j_vectors)
     assert np.allclose(np.diag(overlap), 1.0, atol=1e-7)
@@ -83,7 +77,7 @@ def test_eigendecompose_deterministic():
 
 def test_eigendecompose_identity_tie_rule():
     # all eigenvalues equal: columns ordered lexicographically
-    basis = eigendecompose(_lap(np.eye(3), kind="generalized"))
+    basis = eigendecompose(np.eye(3))
     assert np.allclose(basis.eigenvalues, 1.0)
     cols = [tuple(c) for c in basis.basis.T]
     assert cols == sorted(cols)
@@ -91,7 +85,7 @@ def test_eigendecompose_identity_tie_rule():
 
 def test_eigendecompose_rejects_non_symmetric():
     with pytest.raises(ValueError, match="symmetric"):
-        eigendecompose(_lap([[1, 2], [0, 1]]))
+        eigendecompose(np.array([[1.0, 2], [0, 1]]))
 
 
 def test_gft_dc_property():
@@ -105,7 +99,7 @@ def test_gft_dc_property():
 
 
 def test_gft_hand_example():
-    basis = eigendecompose(_lap([[1, -1], [-1, 1]]))
+    basis = eigendecompose(np.array([[1.0, -1], [-1, 1]]))
     coeffs = gft_forward(np.array([3.0, 1.0]), basis)
     assert np.allclose(coeffs, [4.0 * INV_SQRT2, 2.0 * INV_SQRT2])
 
@@ -127,19 +121,19 @@ def test_gft_energy_conservation():
 
 
 def test_gft_dimension_mismatch():
-    basis = eigendecompose(_lap([[1, -1], [-1, 1]]))
+    basis = eigendecompose(np.array([[1.0, -1], [-1, 1]]))
     with pytest.raises(ValueError):
         gft_forward(np.ones(3), basis)
 
 
 def test_inter_predict_edgeless_is_copy():
-    basis = eigendecompose(_lap(np.zeros((5, 5))))
+    basis = eigendecompose(np.zeros((5, 5)))
     ref = np.arange(5, dtype=np.float64)
     assert np.allclose(inter_predict(basis, ref), ref, atol=1e-12)
 
 
 def test_inter_predict_two_node_hand_example():
-    basis = eigendecompose(_lap([[1, -1], [-1, 1]]))
+    basis = eigendecompose(np.array([[1.0, -1], [-1, 1]]))
     pred = inter_predict(basis, np.array([3.0, 0.0]))
     assert np.allclose(pred, [2.0, 1.0])
 
@@ -158,7 +152,7 @@ def test_inter_predict_residual_bound():
     lap = combinatorial_laplacian(g)
     ref = rng.normal(size=(80, 3)) * 60
     pred = inter_predict(eigendecompose(lap), ref)
-    residual = (lap.matrix + np.eye(80)) @ pred - ref
+    residual = (lap + np.eye(80)) @ pred - ref
     assert np.linalg.norm(residual) < 1e-8
 
 
@@ -172,20 +166,20 @@ def test_inter_predict_matches_cholesky_oracle(n, edge_prob, seed):
     lap = combinatorial_laplacian(random_spatial_graph(n, edge_prob, rng))
     ref = rng.normal(size=(n, 3)) * 100
     pred = inter_predict(eigendecompose(lap), ref)
-    assert np.max(np.abs(pred - cholesky_predict(lap.matrix, ref))) < 1e-9
+    assert np.max(np.abs(pred - cholesky_predict(lap, ref))) < 1e-9
 
 
 def test_inter_predict_matches_oracle_on_components_and_isolated_vertices():
     """Two dense components plus isolated vertices: L has a zero eigenvalue
     of multiplicity 6, which eigh may return in any rotation."""
     rng = np.random.default_rng(17)
-    blocks = [combinatorial_laplacian(random_spatial_graph(m, 0.6, rng)).matrix
+    blocks = [combinatorial_laplacian(random_spatial_graph(m, 0.6, rng))
               for m in (12, 9)]
     matrix = scipy.linalg.block_diag(*blocks, np.zeros((4, 4)))
     components, _ = connected_components(matrix != 0, directed=False)
     assert components == 6
     ref = rng.normal(size=(25, 3)) * 100
-    pred = inter_predict(eigendecompose(_lap(matrix)), ref)
+    pred = inter_predict(eigendecompose(matrix), ref)
     assert np.max(np.abs(pred - cholesky_predict(matrix, ref))) < 1e-9
 
 
@@ -207,7 +201,7 @@ def test_ggft_eigenvector_gives_unit_coefficient():
     basis = eigendecompose(lap)
     vec = basis.basis[:, 4]
     # a column of the basis of L is an eigenvector of L + I
-    assert np.allclose(generalized_laplacian(lap).matrix @ vec,
+    assert np.allclose(generalized_laplacian(lap) @ vec,
                        (basis.eigenvalues[4] + 1.0) * vec, atol=1e-12)
     coeffs = gft_forward(vec, basis)
     expected = np.zeros(10)
@@ -218,7 +212,7 @@ def test_ggft_eigenvector_gives_unit_coefficient():
 def test_ggft_decorrelates_gmrf_residuals():
     lap = _random_combinatorial(20, seed=13, edge_prob=0.25)
     basis = eigendecompose(lap)
-    res = sample_gmrf(generalized_laplacian(lap).matrix, 10_000, rng=np.random.default_rng(14))
+    res = sample_gmrf(generalized_laplacian(lap), 10_000, rng=np.random.default_rng(14))
     coeffs = gft_forward(res.T, basis).T                   # (samples, n)
     corr = np.corrcoef(coeffs, rowvar=False)
     off = corr - np.diag(np.diag(corr))
