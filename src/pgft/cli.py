@@ -24,15 +24,18 @@ from .pointcloud import (SequenceConfig, read_ply, sequence_bounding_box,
 DEFAULT_SEED = 0
 
 
-def _add_config_flags(parser, with_q=True):
-    """One flag per SequenceConfig field, each storing into that field."""
+def _add_config_flags(parser, with_q=True, graph_only=False):
+    """One flag per SequenceConfig field, each storing into that field;
+    `graph_only` keeps the flags of the fields the clustering, graph and
+    motion steps read.  A field without a flag keeps its default."""
     cfg = SequenceConfig()
+    parser.set_defaults(**dataclasses.asdict(cfg))
     if with_q:
         parser.add_argument("--q", dest="qstep", type=float, required=True,
                             help="quantization step (quality factor)")
-    else:
-        parser.set_defaults(qstep=cfg.qstep)  # rd-sweep's come from --q-list
-    parser.add_argument("--gop", dest="gop_size", type=int, default=cfg.gop_size)
+    if not graph_only:
+        parser.add_argument("--gop", dest="gop_size", type=int,
+                            default=cfg.gop_size)
     parser.add_argument("--epsilon2", dest="epsilon_sq", type=float,
                         default=cfg.epsilon_sq,
                         help="squared neighborhood radius (50 for dense, "
@@ -44,8 +47,11 @@ def _add_config_flags(parser, with_q=True):
     parser.add_argument("--normal-k", type=int, default=cfg.normal_k)
     parser.add_argument("--box-expand", type=float, default=cfg.box_expand)
     parser.add_argument("--grid-dim", type=int, default=cfg.grid_dim)
-    parser.add_argument("--lambda-alpha", type=float, default=cfg.lambda_alpha)
-    parser.add_argument("--lambda-beta", type=float, default=cfg.lambda_beta)
+    if not graph_only:
+        parser.add_argument("--lambda-alpha", type=float,
+                            default=cfg.lambda_alpha)
+        parser.add_argument("--lambda-beta", type=float,
+                            default=cfg.lambda_beta)
 
 
 def _add_input_flags(parser, name="--input"):
@@ -218,7 +224,11 @@ def _cmd_validate_gmrf(args, parser):
         if len(paths) < args.patches + 1:
             parser.error(f"need at least {args.patches + 1} frames for "
                          f"{args.patches} patches")
-        lap, samples = _aligned_patch_samples(paths, args)
+        lap, samples = _aligned_patch_samples(paths, args,
+                                              _config_from_args(args))
+        if np.count_nonzero(lap) == lap.shape[0]:  # L + I is diagonal
+            print("warning: the tracked cluster's graph has no edges; try a "
+                  "smaller --grid-dim or a larger --epsilon2", file=sys.stderr)
     estimate = gmrf.empirical_precision(samples)
     report = gmrf.compare_to_laplacian(estimate, lap)
     print(f"samples: {estimate.sample_count}  "
@@ -230,11 +240,10 @@ def _cmd_validate_gmrf(args, parser):
     return 0
 
 
-def _aligned_patch_samples(paths, args):
+def _aligned_patch_samples(paths, args, config=SequenceConfig()):
     """Dataset mode: the first cluster of frame 1 is tracked through the
     following frames via motion correspondence; its correspondence-ordered
     attribute vectors are the patch observations."""
-    config = SequenceConfig()
     frames = [read_ply(p) for p in paths]
     box = sequence_bounding_box(frames[0])
     vox = [voxelize(f, config.grid_dim, box) for f in frames]
@@ -309,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--patches", type=int, default=19,
                      help="number of aligned patches K")
     val.add_argument("--synthetic-nodes", type=int, metavar="N",
-                     help="synthetic mode: sample from a random N-node graph")
+                     help="synthetic mode: sample from a random N-node "
+                          "graph (the graph flags below apply to --frames)")
     val.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_config_flags(val, with_q=False, graph_only=True)
 
     fit = sub.add_parser("fit-lambda",
                          help="fit alpha, beta from an rd-sweep curve file")
@@ -323,7 +334,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if getattr(args, "qstep", None) is not None:  # encode and rd-sweep
+    if getattr(args, "qstep", None) is not None:  # all but decode, fit-lambda
         _check_config(_config_from_args(args), parser)
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")

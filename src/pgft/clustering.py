@@ -74,10 +74,15 @@ def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterP
     seeds = _farthest_point_seeds(pts, k)
     centroids = pts[seeds].copy()
 
+    x, y, z = (pts[:, j, None] for j in range(3))
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        # Assignment; argmin takes the lowest cluster id on ties.
-        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        # Assignment; argmin takes the lowest cluster id on ties.  The
+        # (n, k) squared distances add x, y, z in the order a sum over a
+        # length-3 axis does, so no (n, k, 3) array is needed.
+        d2 = (x - centroids[:, 0]) ** 2
+        d2 += (y - centroids[:, 1]) ** 2
+        d2 += (z - centroids[:, 2]) ** 2
         new_labels = np.argmin(d2, axis=1)
 
         # Refill empty clusters with the point farthest from its centroid.

@@ -22,7 +22,11 @@ cluster is coded, so at most a couple of dense bases are alive at once.
 `_reconstruct` is the only reconstruction arithmetic; the encoder's
 mode trials and the decoder both call it.
 Both paths fold their derived state into a per-frame mirror hash;
-equality of those hashes is the bit-exactness check.
+equality of those hashes is the bit-exactness check.  It covers the
+labels and each cluster's mode, eigenvalues, reference indices,
+prediction and reconstruction exactly, and the basis U through a fixed
+seeded probe p: it hashes U^T p, an O(n^2) product, instead of the
+dense n x n basis.
 """
 
 from __future__ import annotations
@@ -90,17 +94,18 @@ class DecodeResult:
     stats: list
 
 
-def _hash64(data: bytes) -> int:
+def _hash64(array: np.ndarray, dtype: str) -> int:
+    data = np.ascontiguousarray(array, dtype=dtype)
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def geometry_hash(voxel_coords: np.ndarray) -> int:
     """64-bit hash over the canonical (sorted) voxel coordinates."""
-    return _hash64(np.ascontiguousarray(voxel_coords, dtype="<i4").tobytes())
+    return _hash64(voxel_coords, "<i4")
 
 
 def recon_checksum(attributes: np.ndarray) -> int:
-    return _hash64(np.ascontiguousarray(attributes, dtype="<f8").tobytes())
+    return _hash64(attributes, "<f8")
 
 
 @dataclass(frozen=True)
@@ -188,22 +193,32 @@ def _trial(attrs, plan: _ClusterPlan, prediction, qstep: float, contexts):
     return payloads, ctx, recon, 8 * sum(len(p) for p in payloads)
 
 
+def _probe(n: int) -> np.ndarray:
+    """The fixed seeded vector a basis is digested through."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 class _MirrorHash:
-    """Accumulates the geometry-derived state both paths must share."""
+    """Accumulates the geometry-derived state both paths must share
+    (the module docstring lists what it covers)."""
 
     def __init__(self, labels: np.ndarray):
         self._h = hashlib.blake2b(digest_size=16)
-        self._h.update(np.ascontiguousarray(labels, dtype="<i4").tobytes())
+        self._update(labels, "<i4")
+
+    def _update(self, array: np.ndarray, dtype: str):
+        self._h.update(np.ascontiguousarray(array, dtype=dtype))
 
     def add_cluster(self, plan: _ClusterPlan, prediction, recon: np.ndarray):
         """Fold in one coded cluster; `prediction` is None for intra."""
+        basis = plan.basis
         self._h.update((INTRA if prediction is None else INTER).encode())
-        self._h.update(np.ascontiguousarray(plan.basis.basis, dtype="<f8").tobytes())
-        self._h.update(np.ascontiguousarray(plan.basis.eigenvalues, dtype="<f8").tobytes())
+        self._update(basis.eigenvalues, "<f8")
+        self._update(basis.basis.T @ _probe(basis.n), "<f8")
         if prediction is not None:
-            self._h.update(np.ascontiguousarray(plan.ref_index, dtype="<i8").tobytes())
-            self._h.update(np.ascontiguousarray(prediction, dtype="<f8").tobytes())
-        self._h.update(np.ascontiguousarray(recon, dtype="<f8").tobytes())
+            self._update(plan.ref_index, "<i8")
+            self._update(prediction, "<f8")
+        self._update(recon, "<f8")
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()

@@ -34,6 +34,13 @@ class RigidTransform:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
 
+def _tree(points: np.ndarray) -> cKDTree:
+    """A KD-tree that is cheap to build: sliding-midpoint splits, no
+    node shrinking.  `_nearest_lowest_index` does not depend on the
+    tree's shape."""
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+
+
 def _nearest_lowest_index(tree: cKDTree, tree_points: np.ndarray,
                           queries: np.ndarray):
     """Nearest neighbor with deterministic lowest-index tie-break.
@@ -115,8 +122,7 @@ def icp_register(source: np.ndarray, target: np.ndarray,
     prev_mse = np.inf
     for _ in range(max_iter):
         registered = transform.apply(source)
-        tree = cKDTree(registered)
-        d2, idx = _nearest_lowest_index(tree, registered, target)
+        d2, idx = _nearest_lowest_index(_tree(registered), registered, target)
         mse = float(np.mean(d2))
         if prev_mse - mse < tol:
             break
@@ -136,6 +142,6 @@ def find_correspondence(cluster: np.ndarray, registered_ref: np.ndarray) -> np.n
     registered_ref = np.asarray(registered_ref, dtype=np.float64)
     if registered_ref.shape[0] == 0:
         raise ValueError("no reference candidates")
-    tree = cKDTree(registered_ref)
-    _, idx = _nearest_lowest_index(tree, registered_ref, cluster)
+    _, idx = _nearest_lowest_index(_tree(registered_ref), registered_ref,
+                                   cluster)
     return idx

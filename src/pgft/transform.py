@@ -35,39 +35,50 @@ class TransformBasis:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip, in place, every column whose first nonzero entry is negative."""
     nonzero = np.abs(vectors) > _SIGN_TOL
     first = np.argmax(nonzero, axis=0)
     cols = np.arange(vectors.shape[1])
     signs = np.sign(vectors[first, cols])
     signs[signs == 0] = 1.0
-    return vectors * signs[None, :]
+    vectors *= signs
+    return vectors
 
 
 def _order_degenerate_groups(values: np.ndarray, vectors: np.ndarray):
     """Within groups of (numerically) equal eigenvalues, order the
-    columns lexicographically by their entries."""
+    columns lexicographically by their entries.  The basis comes back
+    Fortran-ordered whether or not a column moved: `basis.T @ x` rounds
+    differently for C- and F-ordered operands."""
     n = values.shape[0]
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    tol = _DEGENERACY_TOL * scale
-    start = 0
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.diff(values) > _DEGENERACY_TOL * scale) + 1, [n]))
+    groups = np.flatnonzero(np.diff(bounds) > 1)
+    if not groups.size:
+        return values, np.asfortranarray(vectors)
     order = np.arange(n)
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > tol:
-            if i - start > 1:
-                cols = order[start:i]
-                # lexsort: last key is primary, so reverse the rows.
-                sub = np.lexsort(vectors[::-1, cols])
-                order[start:i] = cols[sub]
-            start = i
+    for start, stop in zip(bounds[groups], bounds[groups + 1]):
+        # lexsort: last key is primary, so reverse the rows.
+        order[start:stop] = start + np.lexsort(vectors[::-1, start:stop])
     return values[order], vectors[:, order]
 
 
 def eigendecompose(matrix: np.ndarray) -> TransformBasis:
-    """Canonically ordered eigendecomposition of a symmetric (n, n) array."""
+    """Canonically ordered eigendecomposition of a symmetric (n, n) array
+    of finite entries."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if m.size and np.max(np.abs(m - m.T)) > 1e-12:
+    # Written so that NaN fails the test: a NaN or inf entry makes the
+    # asymmetry NaN or inf.
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.max(np.abs(m - m.T), initial=0.0)
+    if not asymmetry <= 1e-12:
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            raise ValueError(f"matrix has non-finite entries ({len(bad)}), "
+                             f"the first at {tuple(map(int, bad[0]))}")
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh(m)
     vectors = _fix_signs(vectors)

@@ -3,10 +3,12 @@
 These deliberately avoid the library's own code paths: brute-force
 nearest neighbors, a per-query nearest-neighbor loop and a dense
 epsilon graph (the library's earlier searches, kept for exact
-comparison), a plain cyclic Jacobi eigensolver, a Cholesky solve of the
-temporal predictor, a numerically-integrated Bjontegaard metric, the
-k-means objective, and k-means with per-cluster and per-point loops
-(the library's earlier bookkeeping, kept for exact comparison).
+comparison), a plain cyclic Jacobi eigensolver, the per-eigenvalue
+canonicalization loop, a Cholesky solve of the temporal predictor, a
+numerically-integrated Bjontegaard metric, the k-means objective, and
+k-means with a dense (n, k, 3) assignment and per-cluster and
+per-point loops (the library's earlier code, kept for exact
+comparison).
 """
 
 import numpy as np
@@ -99,6 +101,28 @@ def jacobi_eigh(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
     return values[order], v[:, order]
 
 
+def eigendecompose_loop(matrix: np.ndarray):
+    """(eigenvalues, basis) canonicalized as the library's earlier code
+    did: signs fixed on a copy, then one pass over all n eigenvalues that
+    lexsorts each degenerate group, and a column gather at the end."""
+    values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
+    n = values.shape[0]
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    signs = np.sign(vectors[first, np.arange(n)])
+    signs[signs == 0] = 1.0
+    vectors = vectors * signs[None, :]
+    tol = 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
+    start = 0
+    order = np.arange(n)
+    for i in range(1, n + 1):
+        if i == n or values[i] - values[i - 1] > tol:
+            if i - start > 1:
+                cols = order[start:i]
+                order[start:i] = cols[np.lexsort(vectors[::-1, cols])]
+            start = i
+    return values[order], vectors[:, order]
+
+
 def cholesky_predict(laplacian: np.ndarray, ref_attrs: np.ndarray) -> np.ndarray:
     """Temporal prediction by solving (L + I) p = x_ref per channel."""
     a = np.asarray(laplacian, dtype=np.float64) + np.eye(laplacian.shape[0])
@@ -113,9 +137,11 @@ def within_cluster_cost(points: np.ndarray, labels: np.ndarray,
 
 
 def kmeans_loops(coords: np.ndarray, target_cluster_size: int,
-                 max_iterations: int = 100):
+                 max_iterations: int = 100, refilled=None):
     """(labels, cluster sizes, centroids) of the library's k-means, with
-    per-cluster mean centroids and a per-point first-member scan."""
+    the dense (n, k, 3) difference array in the assignment, per-cluster
+    mean centroids and a per-point first-member scan.  The ids of the
+    clusters refilled after emptying are appended to `refilled`."""
     from pgft.clustering import _farthest_point_seeds, _lexicographic_order
 
     coords = np.asarray(coords, dtype=np.float64)
@@ -132,6 +158,8 @@ def kmeans_loops(coords: np.ndarray, target_cluster_size: int,
         if np.any(sizes == 0):
             dist_to_own = d2[np.arange(n), new_labels]
             for cid in np.flatnonzero(sizes == 0):
+                if refilled is not None:
+                    refilled.append(int(cid))
                 far = int(np.argmax(dist_to_own))
                 new_labels[far] = cid
                 dist_to_own[far] = -1.0

@@ -184,6 +184,39 @@ def test_validate_gmrf_dataset_mode(tmp_path, capsys):
     assert "support correlation" in out
 
 
+def _support_size(out):
+    line = next(l for l in out.splitlines() if l.startswith("support size"))
+    return int(line.split()[2])
+
+
+def test_validate_gmrf_dataset_mode_takes_graph_flags(tmp_path, capsys):
+    """At the default grid (4096) the tracked cluster of an 800-point
+    input has no edges; the encoder's --grid-dim brings them back."""
+    frames_dir = tmp_path / "frames"
+    write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
+    argv = ["validate-gmrf", "--frames", str(frames_dir), "--patches", "3"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert _support_size(out) == 0
+    assert "no edges" in err
+    assert main(argv + ["--grid-dim", "128"]) == 0
+    out, err = capsys.readouterr()
+    assert _support_size(out) > 0
+    assert "no edges" not in err
+
+
+@pytest.mark.parametrize("flag,field", [
+    ("--grid-dim", "grid_dim"), ("--epsilon2", "epsilon_sq"),
+    ("--sigma2", "sigma_sq"), ("--normal-k", "normal_k"),
+    ("--cluster-size", "target_cluster_size"), ("--box-expand", "box_expand")])
+def test_validate_gmrf_bad_graph_flag_is_usage_error(tmp_path, capsys, flag,
+                                                     field):
+    with pytest.raises(SystemExit) as info:
+        main(["validate-gmrf", "--frames", str(tmp_path), flag, "0"])
+    assert info.value.code == 2
+    assert f"{field}=0" in capsys.readouterr().err
+
+
 def test_aligned_patch_samples_digest(tmp_path):
     """The dataset mode's Laplacian and patch samples on
     test_validate_gmrf_dataset_mode's input, pinned byte for byte."""

@@ -107,6 +107,31 @@ def test_matches_loop_reference_exactly(grid):
         assert part.centroids.tobytes() == centroids.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_loop_reference_when_clusters_empty(monkeypatch, seed):
+    """Repeated seeds give coinciding centroids; argmin sends every tie to
+    the lowest id, so the others start empty and are refilled."""
+    rng = np.random.default_rng(seed)
+    coords = np.unique(rng.integers(0, 6, size=(300, 3)), axis=0)
+    rng.shuffle(coords)
+    target = int(rng.choice([10, 30, 60]))
+    farthest = clustering._farthest_point_seeds
+
+    def repeated_seeds(points, k):
+        seeds = farthest(points, k)
+        seeds[1::2] = seeds[::2][:len(seeds[1::2])]
+        return seeds
+
+    monkeypatch.setattr(clustering, "_farthest_point_seeds", repeated_seeds)
+    part = kmeans_geometry(_frame(coords), target)
+    refilled = []
+    labels, sizes, centroids = kmeans_loops(coords, target, refilled=refilled)
+    assert refilled
+    assert np.array_equal(part.labels, labels)
+    assert np.array_equal(part.cluster_sizes, sizes)
+    assert part.centroids.tobytes() == centroids.tobytes()
+
+
 def test_empty_frame():
     with pytest.raises(ValueError, match="empty frame"):
         kmeans_geometry(_frame(np.empty((0, 3), dtype=np.int32)), 600)

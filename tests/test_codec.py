@@ -15,6 +15,7 @@ from pgft.bitstream import BitstreamError
 from pgft.codec import decode_sequence, encode_sequence
 from pgft.pointcloud import RawPointCloud, SequenceConfig
 from pgft.synth import synthetic_sequence
+from pgft.transform import TransformBasis, eigendecompose
 
 CFG = dict(grid_dim=64, qstep=8.0)
 
@@ -141,6 +142,50 @@ def test_roundtrip_bit_exact_and_mirror():
         assert enc.psnr_y == dec.psnr_y
     for enc, dec in zip(result.recon, decoded.recon):
         assert np.array_equal(enc.attributes, dec.attributes)
+
+
+def _mirror_digest(basis, ref_index):
+    """One inter cluster's frame digest, everything but `basis` and
+    `ref_index` fixed."""
+    n = basis.n
+    rng = np.random.default_rng(5)
+    mirror = codec._MirrorHash(np.zeros(n, dtype=np.int32))
+    plan = codec._ClusterPlan(members=np.arange(n), basis=basis,
+                              ref_index=ref_index)
+    mirror.add_cluster(plan, rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+    return mirror.hexdigest()
+
+
+def test_mirror_hash_catches_basis_and_reference_divergence():
+    """The basis enters the mirror hash through U^T p only; that still
+    tells apart every basis the canonicalization could get wrong."""
+    path = np.diag([1.0, 2, 2, 1]) - np.eye(4, k=1) - np.eye(4, k=-1)
+    lap = np.kron(np.eye(2), path)  # two equal paths: every eigenvalue twice
+    basis = eigendecompose(lap)
+    u, values = basis.basis, basis.eigenvalues
+    assert values[1] - values[0] < 1e-9  # columns 0 and 1 share an eigenvalue
+    ref_index = np.arange(8, dtype=np.int64) * 3
+
+    def variant(vectors):
+        return TransformBasis(basis=np.asfortranarray(vectors),
+                              eigenvalues=values)
+
+    flipped = u.copy()
+    flipped[:, 5] *= -1
+    swapped = u[:, [1, 0, 2, 3, 4, 5, 6, 7]]
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotated = u.copy()
+    rotated[:, 0], rotated[:, 1] = c * u[:, 0] + s * u[:, 1], c * u[:, 1] - s * u[:, 0]
+    moved = ref_index.copy()
+    moved[3] += 1
+
+    digest = _mirror_digest(basis, ref_index)
+    assert _mirror_digest(variant(u.copy()), ref_index.copy()) == digest
+    others = [_mirror_digest(variant(flipped), ref_index),
+              _mirror_digest(variant(swapped), ref_index),
+              _mirror_digest(variant(rotated), ref_index),
+              _mirror_digest(basis, moved)]
+    assert len({digest, *others}) == 5
 
 
 def test_near_lossless_at_tiny_qstep():

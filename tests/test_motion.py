@@ -147,12 +147,17 @@ def test_correspondence_empty_reference():
 
 
 def _assert_same_nearest(tree_pts, queries):
-    d2, idx = _nearest_lowest_index(cKDTree(tree_pts), tree_pts, queries)
+    """The loop oracle's result on a balanced tree, on ICP's
+    sliding-midpoint tree and on the deepest such tree."""
     ref_d2, ref_idx = nearest_lowest_index_loop(tree_pts, queries)
-    assert idx.dtype == np.int64
-    assert np.array_equal(idx, ref_idx)
-    assert d2.dtype == np.float64
-    assert d2.tobytes() == ref_d2.tobytes()
+    for tree in (cKDTree(tree_pts), motion._tree(tree_pts),
+                 cKDTree(tree_pts, leafsize=1, balanced_tree=False,
+                         compact_nodes=False)):
+        d2, idx = _nearest_lowest_index(tree, tree_pts, queries)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, ref_idx)
+        assert d2.dtype == np.float64
+        assert d2.tobytes() == ref_d2.tobytes()
 
 
 _grid_points = st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=40)

@@ -9,7 +9,8 @@ from pgft.gmrf import sample_gmrf
 from pgft.graph import combinatorial_laplacian, generalized_laplacian
 from pgft.transform import (eigendecompose, gft_forward, gft_inverse,
                             inter_predict)
-from reference import cholesky_predict, jacobi_eigh, random_spatial_graph
+from reference import (cholesky_predict, eigendecompose_loop, jacobi_eigh,
+                       random_spatial_graph)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -86,6 +87,74 @@ def test_eigendecompose_identity_tie_rule():
 def test_eigendecompose_rejects_non_symmetric():
     with pytest.raises(ValueError, match="symmetric"):
         eigendecompose(np.array([[1.0, 2], [0, 1]]))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.full((2, 2), np.nan),
+    np.array([[0.0, np.nan], [1.0, 0.0]]),  # NaN hides the asymmetry
+    np.array([[0.0, np.inf], [np.inf, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -np.inf]]),
+], ids=["all-nan", "nan-asymmetric", "inf-symmetric", "inf-diagonal"])
+def test_eigendecompose_rejects_non_finite(matrix):
+    with pytest.raises(ValueError, match=r"non-finite entries .* at \("):
+        eigendecompose(matrix)
+
+
+def _path_laplacian(m):
+    adj = np.eye(m, k=1) + np.eye(m, k=-1)
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+def _grid_laplacian(rows, cols):
+    """Combinatorial Laplacian of the unweighted rows x cols grid graph;
+    square grids have many repeated eigenvalues."""
+    return (np.kron(_path_laplacian(rows), np.eye(cols))
+            + np.kron(np.eye(rows), _path_laplacian(cols)))
+
+
+def _assert_same_canonical_basis(lap):
+    basis = eigendecompose(lap)
+    values, vectors = eigendecompose_loop(lap)
+    assert basis.eigenvalues.tobytes() == values.tobytes()
+    assert basis.basis.tobytes() == vectors.tobytes()
+    # basis.T @ x rounds differently for C- and F-ordered operands
+    assert basis.basis.flags.f_contiguous == vectors.flags.f_contiguous
+    assert basis.basis.flags.f_contiguous
+    return basis
+
+
+def _degenerate_groups(values):
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    return int(np.count_nonzero(np.diff(values) <= 1e-9 * scale))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonical_basis_matches_loop_on_disconnected_graphs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    lap = combinatorial_laplacian(random_spatial_graph(n, 1.5 / n, rng))
+    assert connected_components(lap != 0, directed=False)[0] > 1
+    basis = _assert_same_canonical_basis(lap)
+    assert _degenerate_groups(basis.eigenvalues) > 0
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (3, 3), (4, 4),
+                                       (5, 5), (4, 6), (6, 6)])
+def test_canonical_basis_matches_loop_on_grids(rows, cols):
+    lap = _grid_laplacian(rows, cols)
+    basis = _assert_same_canonical_basis(lap)
+    if rows == cols > 2:
+        assert _degenerate_groups(basis.eigenvalues) > 0
+    _assert_same_canonical_basis(lap + np.eye(rows * cols))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_basis_matches_loop_without_degenerate_groups(seed):
+    """No group to reorder: the basis must still come back F-ordered."""
+    lap = _random_combinatorial(50, seed, edge_prob=0.5)
+    assert connected_components(lap != 0, directed=False)[0] == 1
+    basis = _assert_same_canonical_basis(lap)
+    assert _degenerate_groups(basis.eigenvalues) == 0
 
 
 def test_gft_dc_property():
