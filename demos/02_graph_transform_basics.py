@@ -19,7 +19,7 @@ points = frame.voxel_coords[members].astype(np.float64)
 print(f"cluster 0: {len(members)} voxels")
 
 normals = estimate_normals(points, k=15)
-graph = build_epsilon_graph(points, normals, epsilon_sq=50.0, sigma_sq=0.4)
+graph = build_epsilon_graph(points, normals, epsilon_sq=50.0)
 print(f"epsilon graph: {graph.edge_count} edges, "
       f"mean degree {2 * graph.edge_count / graph.n:.1f}, "
       f"weights in [{graph.weights.min():.3f}, {graph.weights.max():.3f}]")

@@ -2,18 +2,20 @@
 
 Geometry travels out of band (the original PLY files); the stream holds
 only the header, per-frame geometry/reconstruction hashes, per-cluster
-mode flags (P-frames) and the entropy-coded payloads.  The header is a
-`SequenceConfig`: every field the decoder needs, in `_HEADER_FIELDS`
-order, followed by the frame count; the encoder-only `lambda_alpha` and
-`lambda_beta` are not coded.  All fixed-width fields are little-endian;
-payload lengths use LEB128.
+mode flags (P-frames) and the entropy-coded payloads.  The header is
+magic, version, the `SequenceConfig` fields that carry a "header"
+struct code (grid_dim, target_cluster_size, epsilon_sq, gop_size,
+qstep), in field order, then the frame count; the encoder-only
+`lambda_alpha` and `lambda_beta` are not coded.  A frame record holds
+no type: frame t is a P-frame iff `SequenceConfig.is_p_frame(t)`, and
+only a P-frame carries mode flags, one per cluster.  All fixed-width
+fields are little-endian; payload lengths use LEB128.
 """
 
 from __future__ import annotations
 
-import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,19 +24,17 @@ from .pointcloud import SequenceConfig
 MAGIC = b"PGFT"
 # 2: inter clusters reconstruct through the spectral predictor and the
 # residual basis of L (not L + I); a version 1 stream would not decode.
-VERSION = 2
+# 3: the header drops sigma_sq, normal_k and box_expand (now constants)
+# and frame records drop the frame-type byte (the GOP decides it).
+VERSION = 3
 
-FRAME_I = 0
-FRAME_P = 1
-
-# (SequenceConfig field, struct code) of each coded parameter, in stream
-# order.  The header is magic, version, these fields, then the frame count.
-_HEADER_FIELDS = (("grid_dim", "I"), ("qstep", "d"), ("gop_size", "H"),
-                  ("target_cluster_size", "I"), ("epsilon_sq", "d"),
-                  ("sigma_sq", "d"), ("normal_k", "H"), ("box_expand", "d"))
+# (field name, struct code) of each coded SequenceConfig field, in order.
+_HEADER_FIELDS = tuple((f.name, f.metadata["header"])
+                       for f in fields(SequenceConfig)
+                       if "header" in f.metadata)
 _HEADER = struct.Struct("<4sB" + "".join(code for _, code in _HEADER_FIELDS)
                         + "I")
-_FRAME_FIXED = struct.Struct("<BIQQ")
+_FRAME_FIXED = struct.Struct("<IQQ")
 
 
 class BitstreamError(Exception):
@@ -43,7 +43,6 @@ class BitstreamError(Exception):
 
 @dataclass
 class FrameRecord:
-    frame_type: int              # FRAME_I or FRAME_P
     geometry_hash: int
     recon_checksum: int
     inter_flags: np.ndarray      # (k,) bool; empty for I-frames
@@ -81,22 +80,12 @@ def _read_varint(data: bytes, pos: int):
             raise BitstreamError("varint too long")
 
 
-def _pack_flags(flags: np.ndarray) -> bytes:
-    return np.packbits(flags.astype(np.uint8)).tobytes()
-
-
-def _unpack_flags(data: bytes, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
-    return bits.astype(bool)
-
-
 def frame_record_bytes(frame: FrameRecord) -> bytes:
     """Serialize one frame record (also the unit of per-frame rate stats)."""
     out = bytearray()
-    out += _FRAME_FIXED.pack(frame.frame_type, frame.cluster_count,
-                             frame.geometry_hash, frame.recon_checksum)
-    if frame.frame_type == FRAME_P:
-        out += _pack_flags(np.asarray(frame.inter_flags, dtype=bool))
+    out += _FRAME_FIXED.pack(frame.cluster_count, frame.geometry_hash,
+                             frame.recon_checksum)
+    out += np.packbits(np.asarray(frame.inter_flags, dtype=bool)).tobytes()
     for payloads in frame.clusters:
         for payload in payloads:
             _write_varint(out, len(payload))
@@ -104,21 +93,17 @@ def frame_record_bytes(frame: FrameRecord) -> bytes:
     return bytes(out)
 
 
-def check_header(config: SequenceConfig):
-    """Raise ValueError naming the first integer field of `config` that
-    does not fit its fixed-width slot in the stream header."""
-    for name, code in _HEADER_FIELDS:
-        value, bits = getattr(config, name), 8 * struct.calcsize(code)
-        if code != "d" and not (isinstance(value, numbers.Integral)
-                                and 0 <= value < 1 << bits):
-            raise ValueError(f"{name}={value!r} does not fit the stream "
-                             f"header's uint{bits} field")
-
-
 def write_bitstream(config: SequenceConfig, frames) -> bytes:
     """Serialize the header of `config` and the frame records, each
-    holding its clusters in canonical cluster order."""
-    check_header(config)
+    holding its clusters in canonical cluster order.  Raises ValueError
+    on an invalid config or on a record whose mode flags do not match
+    its GOP position."""
+    config.validate()
+    for t, frame in enumerate(frames):
+        expected = frame.cluster_count if config.is_p_frame(t) else 0
+        if len(frame.inter_flags) != expected:
+            raise ValueError(f"frame {t} has {len(frame.inter_flags)} mode "
+                             f"flags; its GOP position needs {expected}")
     out = bytearray(_HEADER.pack(
         MAGIC, VERSION, *(getattr(config, name) for name, _ in _HEADER_FIELDS),
         len(frames)))
@@ -145,18 +130,17 @@ def read_bitstream(data: bytes):
         raise BitstreamError(f"invalid stream header: {exc}") from exc
     pos = _HEADER.size
     frames = []
-    for _ in range(frame_count):
+    for t in range(frame_count):
         if pos + _FRAME_FIXED.size > len(data):
             raise BitstreamError("truncated stream (frame record)")
-        ftype, k, geo_hash, recon_sum = _FRAME_FIXED.unpack_from(data, pos)
+        k, geo_hash, recon_sum = _FRAME_FIXED.unpack_from(data, pos)
         pos += _FRAME_FIXED.size
-        if ftype not in (FRAME_I, FRAME_P):
-            raise BitstreamError(f"unknown frame type {ftype}")
-        if ftype == FRAME_P:
+        if config.is_p_frame(t):
             nbytes = (k + 7) // 8
             if pos + nbytes > len(data):
                 raise BitstreamError("truncated stream (mode flags)")
-            flags = _unpack_flags(data[pos:pos + nbytes], k)
+            flags = np.unpackbits(np.frombuffer(data, np.uint8, nbytes, pos),
+                                  count=k).astype(bool)
             pos += nbytes
         else:
             flags = np.zeros(0, dtype=bool)
@@ -170,7 +154,7 @@ def read_bitstream(data: bytes):
                 payloads.append(data[pos:pos + length])
                 pos += length
             clusters.append(tuple(payloads))
-        frames.append(FrameRecord(frame_type=ftype, geometry_hash=geo_hash,
+        frames.append(FrameRecord(geometry_hash=geo_hash,
                                   recon_checksum=recon_sum, inter_flags=flags,
                                   clusters=clusters))
     if pos != len(data):

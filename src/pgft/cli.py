@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bitstream, codec, gmrf, metrics, rdo, synth
+from . import codec, gmrf, metrics, rdo, synth
 from .clustering import kmeans_geometry
 from .graph import generalized_laplacian
 from .pointcloud import (SequenceConfig, read_ply, sequence_bounding_box,
@@ -28,30 +28,20 @@ def _add_config_flags(parser, with_q=True, graph_only=False):
     """One flag per SequenceConfig field, each storing into that field;
     `graph_only` keeps the flags of the fields the clustering, graph and
     motion steps read.  A field without a flag keeps its default."""
-    cfg = SequenceConfig()
-    parser.set_defaults(**dataclasses.asdict(cfg))
+    parser.set_defaults(**dataclasses.asdict(SequenceConfig()))
     if with_q:
         parser.add_argument("--q", dest="qstep", type=float, required=True,
                             help="quantization step (quality factor)")
     if not graph_only:
-        parser.add_argument("--gop", dest="gop_size", type=int,
-                            default=cfg.gop_size)
+        parser.add_argument("--gop", dest="gop_size", type=int)
     parser.add_argument("--epsilon2", dest="epsilon_sq", type=float,
-                        default=cfg.epsilon_sq,
                         help="squared neighborhood radius (50 for dense, "
                              "300 for sparse content)")
-    parser.add_argument("--cluster-size", dest="target_cluster_size", type=int,
-                        default=cfg.target_cluster_size)
-    parser.add_argument("--sigma2", dest="sigma_sq", type=float,
-                        default=cfg.sigma_sq)
-    parser.add_argument("--normal-k", type=int, default=cfg.normal_k)
-    parser.add_argument("--box-expand", type=float, default=cfg.box_expand)
-    parser.add_argument("--grid-dim", type=int, default=cfg.grid_dim)
+    parser.add_argument("--cluster-size", dest="target_cluster_size", type=int)
+    parser.add_argument("--grid-dim", type=int)
     if not graph_only:
-        parser.add_argument("--lambda-alpha", type=float,
-                            default=cfg.lambda_alpha)
-        parser.add_argument("--lambda-beta", type=float,
-                            default=cfg.lambda_beta)
+        parser.add_argument("--lambda-alpha", type=float)
+        parser.add_argument("--lambda-beta", type=float)
 
 
 def _add_input_flags(parser, name="--input"):
@@ -85,10 +75,9 @@ def _config_from_args(args) -> SequenceConfig:
 def _check_config(config, parser) -> SequenceConfig:
     """A value the codec would refuse is a usage error, before any I/O."""
     try:
-        bitstream.check_header(config.validate())
+        return config.validate()
     except ValueError as exc:
         parser.error(str(exc))
-    return config
 
 
 def _resolve_ply_paths(paths, parser):
@@ -215,7 +204,7 @@ def _cmd_validate_gmrf(args, parser):
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0, math.sqrt(n) * 3.0, size=(n, 3))
         lap = generalized_laplacian(
-            codec.cluster_laplacian(pts, SequenceConfig(epsilon_sq=25.0)))
+            codec.cluster_laplacian(pts, _config_from_args(args)))
         samples = gmrf.sample_gmrf(lap, (args.patches + 1), rng=rng)
     else:
         if not args.frames_in:
@@ -254,8 +243,7 @@ def _aligned_patch_samples(paths, args, config=SequenceConfig()):
 
     samples = [vox[0].attributes[members][:, 0]]  # Y channel
     for other in vox[1:args.patches + 1]:
-        ref_index = codec.reference_index(pts, other.voxel_coords,
-                                          config.box_expand)
+        ref_index = codec.reference_index(pts, other.voxel_coords)
         if ref_index is not None:
             samples.append(other.attributes[ref_index][:, 0])
     return lap, np.asarray(samples)
@@ -319,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of aligned patches K")
     val.add_argument("--synthetic-nodes", type=int, metavar="N",
                      help="synthetic mode: sample from a random N-node "
-                          "graph (the graph flags below apply to --frames)")
+                          "graph built with --epsilon2 (--grid-dim and "
+                          "--cluster-size apply to --frames only)")
     val.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_config_flags(val, with_q=False, graph_only=True)
 

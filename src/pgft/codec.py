@@ -7,18 +7,21 @@ the residual).  Each cluster is eigendecomposed once: the eigenbasis of
 its combinatorial Laplacian L is the intra transform, and, because
 L + I shares its eigenvectors, also the residual transform (GGFT) and
 the spectral form of the predictor (L + I)^{-1} x_ref.  The first frame
-of each GOP is intra-only; every P-frame predicts from the immediately
-previous reconstructed frame (low-delay).
+of each GOP is intra-only (`SequenceConfig.is_p_frame`); every P-frame
+predicts from the immediately previous reconstructed frame (low-delay).
 
 The decoder recomputes every geometry-derived quantity (clusters,
 normals, graphs, bases, motion) from the shared point positions and the
 `SequenceConfig` the stream header carries, so the bitstream holds only
 that header, mode flags and coefficient payloads.  `cluster_laplacian`
 and `reference_index` are one cluster's graph and motion steps; the
-GMRF study in `cli` calls them too.  Both directions share one
-per-cluster path: `_plans` derives each cluster's basis and reference
-one cluster at a time, in cluster order, and a plan is dropped once its
-cluster is coded, so at most a couple of dense bases are alive at once.
+GMRF study in `cli` calls them too; the normal neighbourhood
+(`graph.NORMAL_K`), edge kernel (`graph.SIGMA_SQ`) and motion search
+region (`BOX_EXPAND`) they use are constants, not coded parameters.
+Both directions share one per-cluster path: `_plans` derives each
+cluster's basis and reference one cluster at a time, in cluster order,
+and a plan is dropped once its cluster is coded, so at most a couple of
+dense bases are alive at once.
 `_reconstruct` is the only reconstruction arithmetic; the encoder's
 mode trials and the decoder both call it.
 Both paths fold their derived state into a per-frame mirror hash;
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitstream, graph
-from .bitstream import BitstreamError, FrameRecord, FRAME_I, FRAME_P
+from .bitstream import BitstreamError, FrameRecord
 from .clustering import kmeans_geometry
 from .coding import (ContextSet, EndOfStreamError, decode_block, dequantize,
                      encode_block, quantize)
@@ -53,6 +56,7 @@ from .rdo import (INTER, INTRA, LambdaModel, ModeCost, choose_mode,
 from .transform import eigendecompose, gft_forward, gft_inverse, inter_predict
 
 CHANNELS = 3
+BOX_EXPAND = 3.0  # growth of a cluster's box into the motion search region
 
 
 @dataclass(frozen=True)
@@ -120,18 +124,17 @@ class _ClusterPlan:
 def cluster_laplacian(pts: np.ndarray, config: SequenceConfig) -> np.ndarray:
     """Dense combinatorial Laplacian of the normal-weighted epsilon-graph
     on a cluster's (n, 3) float64 voxel coordinates."""
-    normals = graph.estimate_normals(pts, config.normal_k)
-    g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq,
-                                  config.sigma_sq)
+    normals = graph.estimate_normals(pts, graph.NORMAL_K)
+    g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq)
     return graph.combinatorial_laplacian(g)
 
 
-def reference_index(pts: np.ndarray, ref_coords: np.ndarray,
-                    box_expand: float):
+def reference_index(pts: np.ndarray, ref_coords: np.ndarray):
     """Index into `ref_coords` of each cluster point's temporal reference:
-    ICP against the reference points inside the cluster's expanded
-    bounding box, then nearest neighbour.  None if that box is empty."""
-    lo, hi = bounding_box(pts, box_expand)
+    ICP against the reference points inside the cluster's bounding box
+    expanded by BOX_EXPAND, then nearest neighbour.  None if that box is
+    empty."""
+    lo, hi = bounding_box(pts, BOX_EXPAND)
     region = np.flatnonzero(np.all((ref_coords >= lo) & (ref_coords <= hi),
                                    axis=1))
     if not region.size:
@@ -148,7 +151,7 @@ def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
     basis = eigendecompose(cluster_laplacian(pts, config))
     ref_index = None
     if need_inter and prev_coords is not None:
-        ref_index = reference_index(pts, prev_coords, config.box_expand)
+        ref_index = reference_index(pts, prev_coords)
     return _ClusterPlan(members=members, basis=basis, ref_index=ref_index)
 
 
@@ -229,13 +232,14 @@ def _decoded_points(raw: RawPointCloud, rec: ReconstructedFrame) -> np.ndarray:
     return devoxelize(rec.attributes, rec.frame.point_map, raw.point_count)
 
 
-def _frame_stats(t: int, record: FrameRecord, raw: RawPointCloud,
-                 decoded: np.ndarray, mirror: _MirrorHash) -> FrameStats:
+def _frame_stats(t: int, is_p: bool, record: FrameRecord,
+                 raw: RawPointCloud, decoded: np.ndarray,
+                 mirror: _MirrorHash) -> FrameStats:
     orig = rgb_to_yuv(raw.colors)
     py, pu, pv = (psnr(orig[:, c], decoded[:, c]) for c in range(CHANNELS))
     n_inter = int(np.count_nonzero(record.inter_flags))
     return FrameStats(
-        index=t, frame_type="P" if record.frame_type == FRAME_P else "I",
+        index=t, frame_type="P" if is_p else "I",
         bits=len(bitstream.frame_record_bytes(record)) * 8,
         psnr_y=py, psnr_u=pu, psnr_v=pv,
         intra_clusters=record.cluster_count - n_inter, inter_clusters=n_inter,
@@ -248,7 +252,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     _check_threads(threads)
     if not raw_frames:
         raise ValueError("need at least one frame")
-    bitstream.check_header(config.validate())
+    config.validate()
     lam = lambda_from_q(config.qstep,
                         LambdaModel(config.lambda_alpha, config.lambda_beta))
     box = sequence_bounding_box(raw_frames[0])
@@ -260,7 +264,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     for t, raw in enumerate(raw_frames):
         frame = voxelize(raw, config.grid_dim, box)
         partition = kmeans_geometry(frame, config.target_cluster_size)
-        is_p = t % config.gop_size != 0
+        is_p = config.is_p_frame(t)
         prev_coords = prev.frame.voxel_coords if is_p else None
 
         contexts = [ContextSet() for _ in range(CHANNELS)]
@@ -293,7 +297,6 @@ def encode_sequence(raw_frames, config: SequenceConfig,
             mirror.add_cluster(plan, prediction, recon)
 
         record = FrameRecord(
-            frame_type=FRAME_P if is_p else FRAME_I,
             geometry_hash=geometry_hash(frame.voxel_coords),
             recon_checksum=recon_checksum(recon_attrs),
             inter_flags=flags if is_p else np.zeros(0, dtype=bool),
@@ -302,8 +305,8 @@ def encode_sequence(raw_frames, config: SequenceConfig,
 
         prev = ReconstructedFrame(frame=frame, attributes=recon_attrs)
         recon_frames.append(prev)
-        stats.append(_frame_stats(t, record, raw, _decoded_points(raw, prev),
-                                  mirror))
+        stats.append(_frame_stats(t, is_p, record, raw,
+                                  _decoded_points(raw, prev), mirror))
 
     data = bitstream.write_bitstream(config, records)
     return EncodeResult(data=data, stats=stats, recon=recon_frames)
@@ -330,9 +333,7 @@ def decode_sequence(data: bytes, geometry_frames,
         frame = voxelize(raw, config.grid_dim, box)
         if geometry_hash(frame.voxel_coords) != record.geometry_hash:
             raise BitstreamError(f"reference geometry mismatch in frame {t}")
-        is_p = record.frame_type == FRAME_P
-        if is_p and prev is None:
-            raise BitstreamError("first frame of the stream is not an I-frame")
+        is_p = config.is_p_frame(t)
         partition = kmeans_geometry(frame, config.target_cluster_size)
         if partition.k != record.cluster_count:
             raise BitstreamError(
@@ -370,7 +371,8 @@ def decode_sequence(data: bytes, geometry_frames,
         prev = ReconstructedFrame(frame=frame, attributes=recon_attrs)
         recon_frames.append(prev)
         point_attrs.append(_decoded_points(raw, prev))
-        stats.append(_frame_stats(t, record, raw, point_attrs[-1], mirror))
+        stats.append(_frame_stats(t, is_p, record, raw, point_attrs[-1],
+                                  mirror))
 
     return DecodeResult(recon=recon_frames, point_attributes=point_attrs,
                         stats=stats)

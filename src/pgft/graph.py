@@ -2,11 +2,13 @@
 
 Edges connect points within an epsilon ball; weights come from a
 Gaussian kernel of the sine of the angle between the two point normals,
-w = exp(-(sin(theta)/sigma)^2).  sin(theta) is taken as the norm of the
-cross product of the unit normals, which makes the weight invariant to
-normal sign flips.  Laplacians are dense (n, n) arrays: L = D - W and
-L + I, whose unit diagonal potential stands in for the unit-weight
-temporal edges to the corresponded reference points.
+w = exp(-sin(theta)^2 / SIGMA_SQ).  sin(theta) is taken as the norm of
+the cross product of the unit normals, which makes the weight invariant
+to normal sign flips.  SIGMA_SQ and the codec's normal neighbourhood
+NORMAL_K are fixed; only epsilon varies with the content.  Laplacians
+are dense (n, n) arrays: L = D - W and L + I, whose unit diagonal
+potential stands in for the unit-weight temporal edges to the
+corresponded reference points.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 log = logging.getLogger(__name__)
+
+SIGMA_SQ = 0.4   # edge kernel width on sin^2 of the normal angle
+NORMAL_K = 15    # neighbours per normal estimate in the codec
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ def estimate_normals(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,
-                        epsilon_sq: float, sigma_sq: float) -> SpatialGraph:
+                        epsilon_sq: float) -> SpatialGraph:
     """Connect point pairs with squared distance <= epsilon_sq.
 
     An edge (i, j), i < j, exists when the exact squared distance
@@ -73,7 +78,7 @@ def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,
     with a slightly larger radius proposes the candidates; that exact
     test decides each one, so rounding inside the tree cannot add or
     drop an edge.  Edges come out sorted by (i, j), and memory grows
-    with the edge count, not with n^2.
+    with the edge count, not with n^2.  Weights use SIGMA_SQ.
     """
     points = np.asarray(points, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
@@ -89,7 +94,7 @@ def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,
 
     cross = np.cross(normals[ii], normals[jj])
     sin_sq = np.sum(cross * cross, axis=1)
-    weights = np.exp(-sin_sq / sigma_sq)
+    weights = np.exp(-sin_sq / SIGMA_SQ)
 
     return SpatialGraph(n=n, edges_i=ii.astype(np.int64),
                         edges_j=jj.astype(np.int64), weights=weights)

@@ -94,9 +94,7 @@ def _rank_at_least_2(points: np.ndarray) -> bool:
     return s[1] > 1e-9 * max(s[0], 1.0)
 
 
-def icp_register(source: np.ndarray, target: np.ndarray,
-                 max_iter: int = ICP_MAX_ITER,
-                 tol: float = ICP_TOL) -> RigidTransform:
+def icp_register(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     """Point-to-point ICP aligning source onto target.
 
     Correspondences are seeded from the target side: each target point
@@ -105,8 +103,8 @@ def icp_register(source: np.ndarray, target: np.ndarray,
     target cluster, and pairing the other way around would let the
     unmatched bulk of the region drag the fit off a perfectly aligned
     overlap.  Iterates matching and a closed-form rigid fit until the
-    mean-squared residual improves by less than tol or max_iter is
-    reached.  Degenerate inputs (fewer than 3 non-collinear points on
+    mean-squared residual improves by less than ICP_TOL or ICP_MAX_ITER
+    is reached.  Degenerate inputs (fewer than 3 non-collinear points on
     either side) fall back to the identity transform.
     """
     source = np.asarray(source, dtype=np.float64)
@@ -120,11 +118,11 @@ def icp_register(source: np.ndarray, target: np.ndarray,
 
     transform = RigidTransform.identity()
     prev_mse = np.inf
-    for _ in range(max_iter):
+    for _ in range(ICP_MAX_ITER):
         registered = transform.apply(source)
         d2, idx = _nearest_lowest_index(_tree(registered), registered, target)
         mse = float(np.mean(d2))
-        if prev_mse - mse < tol:
+        if prev_mse - mse < ICP_TOL:
             break
         prev_mse = mse
         # Full refit from the original source points at the matched

@@ -9,8 +9,11 @@ the grid dimension, which lets the decoder rebuild it exactly.
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import struct
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -84,32 +87,41 @@ class VoxelizedFrame:
 class SequenceConfig:
     """Coding parameters, and the stream header.
 
-    Every field but the encoder-only `lambda_alpha` and `lambda_beta` is
-    written to the stream header (`bitstream._HEADER_FIELDS`), so the
-    decoder rebuilds the config from the stream alone.  qstep is the
-    uniform quantization step and doubles as the quality factor driving
-    the Lagrange multiplier model.
+    Each field whose metadata names a struct code under "header" is
+    written to the stream header in field order (`bitstream._HEADER`),
+    so the decoder rebuilds the config from the stream alone; the
+    encoder-only `lambda_alpha` and `lambda_beta` are not coded.  qstep
+    is the uniform quantization step and doubles as the quality factor
+    driving the Lagrange multiplier model.  Frame t is a P-frame iff
+    `is_p_frame(t)`: every GOP opens with an I-frame.
     """
 
-    grid_dim: int = 4096
-    target_cluster_size: int = 600
-    epsilon_sq: float = 50.0
-    sigma_sq: float = 0.4
-    normal_k: int = 15
-    box_expand: float = 3.0
-    gop_size: int = 8
-    qstep: float = 8.0
+    grid_dim: int = field(default=4096, metadata={"header": "I"})
+    target_cluster_size: int = field(default=600, metadata={"header": "I"})
+    epsilon_sq: float = field(default=50.0, metadata={"header": "d"})
+    gop_size: int = field(default=8, metadata={"header": "H"})
+    qstep: float = field(default=8.0, metadata={"header": "d"})
     lambda_alpha: float = DEFAULT_ALPHA
     lambda_beta: float = DEFAULT_BETA
 
     def validate(self):
+        """Raise ValueError naming the first field that is not finite and
+        positive, or is coded as an integer that overflows its slot."""
         for f in fields(self):
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{f.name}={value!r} must be finite and positive")
-        if self.gop_size < 1:
-            raise ValueError("gop_size must be >= 1")
+            code = f.metadata.get("header", "d")
+            bits = 8 * struct.calcsize(code)
+            if code != "d" and not (isinstance(value, numbers.Integral)
+                                    and value < 1 << bits):
+                raise ValueError(f"{f.name}={value!r} does not fit the stream "
+                                 f"header's uint{bits} field")
         return self
+
+    def is_p_frame(self, t: int) -> bool:
+        """Whether frame t predicts from frame t - 1 (else an I-frame)."""
+        return t % self.gop_size != 0
 
 
 def rgb_to_yuv(rgb) -> np.ndarray:
@@ -246,6 +258,9 @@ def _parse_ply_header(fh):
             else:
                 raise ValueError(f"unsupported PLY format {tokens[1]!r}")
         elif tokens[0] == "element":
+            if int(tokens[2]) < 0:
+                raise ValueError("malformed PLY header: negative count "
+                                 + tokens[2])
             elements.append((tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
             if not elements:
@@ -296,10 +311,11 @@ def read_ply(path) -> RawPointCloud:
 
         dtype = np.dtype([(n, "<" + t) for n, t in props])
         if fmt == "binary":
-            data = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype,
-                                 count=count)
-            if data.shape[0] != count:
+            nbytes = count * dtype.itemsize
+            # Checked before reading, so a huge count allocates nothing.
+            if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError("truncated PLY vertex data")
+            data = np.frombuffer(fh.read(nbytes), dtype=dtype, count=count)
         else:
             rows = []
             for _ in range(count):

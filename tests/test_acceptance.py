@@ -36,7 +36,7 @@ def _random_cluster_laplacian(n, rng):
     pts = rng.uniform(0.0, side, size=(n, 3))
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    g = build_epsilon_graph(pts, normals, epsilon_sq=9.0, sigma_sq=0.4)
+    g = build_epsilon_graph(pts, normals, epsilon_sq=9.0)
     return combinatorial_laplacian(g)
 
 
@@ -157,7 +157,7 @@ def test_criterion_05_codec_roundtrip():
     members = part.members(0)
     pts = frame.voxel_coords[members].astype(np.float64)
     normals = estimate_normals(pts, 15)
-    lap = combinatorial_laplacian(build_epsilon_graph(pts, normals, 50.0, 0.4))
+    lap = combinatorial_laplacian(build_epsilon_graph(pts, normals, 50.0))
     basis = eigendecompose(lap)
     coeffs = gft_forward(frame.attributes[members], basis)
     for qstep in (1e-6, 0.5, 8.0, 32.0):

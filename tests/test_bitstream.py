@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pgft import codec
-from pgft.bitstream import (BitstreamError, FrameRecord, FRAME_I, FRAME_P,
-                            read_bitstream, write_bitstream)
+from pgft.bitstream import (BitstreamError, FrameRecord, read_bitstream,
+                            write_bitstream)
 from pgft.pointcloud import SequenceConfig
 from pgft.synth import synthetic_sequence
 
@@ -15,12 +15,11 @@ def _random_frames(rng, count):
     frames = []
     for t in range(count):
         k = int(rng.integers(1, 5))
-        is_p = t % 2 == 1
+        is_p = SequenceConfig().is_p_frame(t)
         clusters = [tuple(
             bytes(rng.integers(0, 256, size=rng.integers(0, 60), dtype=np.uint8))
             for _ in range(3)) for _ in range(k)]
         frames.append(FrameRecord(
-            frame_type=FRAME_P if is_p else FRAME_I,
             geometry_hash=int(rng.integers(0, 2**63)),
             recon_checksum=int(rng.integers(0, 2**63)),
             inter_flags=rng.integers(0, 2, size=k).astype(bool) if is_p
@@ -31,31 +30,33 @@ def _random_frames(rng, count):
 
 def _fixed_frames():
     return [
-        FrameRecord(FRAME_I, 0x0123456789ABCDEF, 0xFEDCBA9876543210,
+        FrameRecord(0x0123456789ABCDEF, 0xFEDCBA9876543210,
                     np.zeros(0, dtype=bool),
                     [(b"\x01\x02", b"", b"\xff" * 3), (b"abc", b"d", b"")]),
-        FrameRecord(FRAME_P, 7, 2**64 - 1, np.array([True, False, True]),
+        FrameRecord(7, 2**64 - 1, np.array([True, False, True]),
                     [(b"", b"", b""), (bytes(range(200)), b"x", b"yz"),
                      (b"\x00", b"\x80" * 130, b"\x7f")]),
     ]
 
 
 _OTHER_CONFIG = SequenceConfig(
-    grid_dim=1024, target_cluster_size=300, epsilon_sq=300.0, sigma_sq=0.25,
-    normal_k=10, box_expand=2.5, gop_size=4, qstep=0.5, lambda_alpha=1.0,
-    lambda_beta=2.0)
+    grid_dim=1024, target_cluster_size=300, epsilon_sq=300.0, gop_size=4,
+    qstep=0.5, lambda_alpha=1.0, lambda_beta=2.0)
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# before the header became a SequenceConfig: the layout is unchanged.
+# for stream version 3: the header lost sigma_sq, normal_k and
+# box_expand (18 B) and took the coded fields in SequenceConfig order,
+# and each frame record lost its type byte, so these differ from the
+# version 2 digests.
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "a060366ce4c7166168b7abdc68339e53a6df144b88699f4dad9f7c76e095f2af"),
+     "0b499937304cc479fd1e040fe9af08005c69adacbe2f6c5512ec460353286bf7"),
     (_OTHER_CONFIG,
-     "f147dbe0997be7db4ae7329c283f653abd427034ca0610379a27949aea0c780c")])
+     "308b2efff63dc051c31243f63862fd5988a6804aa9e8e8c636e36b94a663d601")])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
-    assert len(data) == 457
+    assert len(data) == 437
     assert hashlib.sha256(data).hexdigest() == digest
     parsed_config, parsed = read_bitstream(data)
     assert write_bitstream(parsed_config, parsed) == data
@@ -83,6 +84,30 @@ def test_header_carries_every_field_but_lambda():
             assert value == getattr(config, f.name) != f.default, f.name
 
 
+def test_gop_decides_which_frames_carry_flags():
+    """7 frames at GOP 3: frames 0, 3 and 6 are I-frames with no mode
+    flags; every other frame has one flag per cluster."""
+    frames = synthetic_sequence("rigid-motion", 7, point_count=300, seed=3)
+    result = codec.encode_sequence(frames, SequenceConfig(
+        grid_dim=64, target_cluster_size=100, gop_size=3))
+    _, records = read_bitstream(result.data)
+    assert [s.frame_type for s in result.stats] == list("IPPIPPI")
+    for t, record in enumerate(records):
+        expected = 0 if t % 3 == 0 else record.cluster_count
+        assert record.cluster_count > 1
+        assert record.inter_flags.shape == (expected,), t
+
+
+@pytest.mark.parametrize("t, count", [(0, 2), (1, 0), (1, 2)])
+def test_flags_must_match_gop_position(t, count):
+    """An I-frame carries no mode flags and a P-frame one per cluster;
+    the reader would misparse a record that breaks this."""
+    frames = _fixed_frames()
+    frames[t].inter_flags = np.ones(count, dtype=bool)
+    with pytest.raises(ValueError, match=f"frame {t} has {count} mode flags"):
+        write_bitstream(SequenceConfig(), frames)
+
+
 def test_empty_sequence_header_only():
     data = write_bitstream(SequenceConfig(), [])
     config, frames = read_bitstream(data)
@@ -98,7 +123,7 @@ def test_zero_frame_stream_does_not_decode():
 
 def test_single_iframe_no_mode_flags():
     clusters = [(b"ab", b"", b"c") for _ in range(2)]
-    frame = FrameRecord(frame_type=FRAME_I, geometry_hash=1, recon_checksum=2,
+    frame = FrameRecord(geometry_hash=1, recon_checksum=2,
                         inter_flags=np.zeros(0, dtype=bool), clusters=clusters)
     _, frames = read_bitstream(write_bitstream(SequenceConfig(), [frame]))
     assert frames[0].cluster_count == 2
@@ -139,9 +164,11 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    data[4] = 1
-    with pytest.raises(BitstreamError, match="unsupported stream version 1$"):
-        read_bitstream(bytes(data))
+    for version in (1, 2):
+        data[4] = version
+        with pytest.raises(BitstreamError,
+                           match=f"unsupported stream version {version}$"):
+            read_bitstream(bytes(data))
 
 
 def test_header_field_width_checked():

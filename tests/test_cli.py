@@ -189,6 +189,17 @@ def _support_size(out):
     return int(line.split()[2])
 
 
+def test_validate_gmrf_synthetic_mode_takes_epsilon(capsys):
+    """The synthetic graph is built with --epsilon2, not a fixed radius."""
+    argv = ["validate-gmrf", "--synthetic-nodes", "40", "--patches", "99",
+            "--seed", "11"]
+    sizes = []
+    for epsilon_sq in ("50", "300"):
+        assert main(argv + ["--epsilon2", epsilon_sq]) == 0
+        sizes.append(_support_size(capsys.readouterr().out))
+    assert sizes[0] < sizes[1]
+
+
 def test_validate_gmrf_dataset_mode_takes_graph_flags(tmp_path, capsys):
     """At the default grid (4096) the tracked cluster of an 800-point
     input has no edges; the encoder's --grid-dim brings them back."""
@@ -207,8 +218,7 @@ def test_validate_gmrf_dataset_mode_takes_graph_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,field", [
     ("--grid-dim", "grid_dim"), ("--epsilon2", "epsilon_sq"),
-    ("--sigma2", "sigma_sq"), ("--normal-k", "normal_k"),
-    ("--cluster-size", "target_cluster_size"), ("--box-expand", "box_expand")])
+    ("--cluster-size", "target_cluster_size")])
 def test_validate_gmrf_bad_graph_flag_is_usage_error(tmp_path, capsys, flag,
                                                      field):
     with pytest.raises(SystemExit) as info:
@@ -238,7 +248,6 @@ def test_encode_flags_set_every_config_field():
     args = cli.build_parser().parse_args([
         "encode", "--synthetic", "wave", "--output", "x.bin", "--q", "7",
         "--gop", "7", "--epsilon2", "7", "--cluster-size", "7",
-        "--sigma2", "7", "--normal-k", "7", "--box-expand", "7",
         "--grid-dim", "7", "--lambda-alpha", "7", "--lambda-beta", "7"])
     config = cli._config_from_args(args)
     assert dataclasses.asdict(config) == {

@@ -77,7 +77,7 @@ def test_at_most_two_bases_alive(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("gop_size", 70_000), ("gop_size", 8.5), ("normal_k", 1 << 16),
+    ("gop_size", 70_000), ("gop_size", 8.5),
     ("target_cluster_size", 1 << 32), ("grid_dim", 1 << 32)])
 def test_header_field_overflow_rejected_before_coding(monkeypatch, field, value):
     def never(*args, **kwargs):
@@ -112,8 +112,8 @@ _HEADER_FIELDS = (("magic", "version")
 
 @pytest.mark.parametrize("field, value", [
     ("target_cluster_size", 0), ("epsilon_sq", float("nan")),
-    ("sigma_sq", 0.0), ("qstep", float("nan")), ("qstep", float("inf")),
-    ("box_expand", -1.0), ("grid_dim", 0), ("gop_size", 0), ("normal_k", 0)])
+    ("qstep", float("nan")), ("qstep", float("inf")), ("grid_dim", 0),
+    ("gop_size", 0)])
 def test_invalid_header_rejected_before_voxelizing(monkeypatch, field, value):
     frames = synthetic_sequence("wave", 2, point_count=200, seed=13)
     data = bytearray(encode_sequence(frames, _cfg()).data)

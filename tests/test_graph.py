@@ -61,12 +61,12 @@ def test_normals_collinear_deterministic():
 def test_epsilon_graph_weights():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
     parallel = np.array([[0, 0, 1.0]] * 3)
-    g = build_epsilon_graph(pts, parallel, epsilon_sq=4.0, sigma_sq=0.4)
+    g = build_epsilon_graph(pts, parallel, epsilon_sq=4.0)
     assert g.edge_count == 1
     assert g.weights[0] == pytest.approx(1.0)
 
     perp = np.array([[0, 0, 1.0], [1.0, 0, 0], [0, 0, 1.0]])
-    g = build_epsilon_graph(pts, perp, epsilon_sq=4.0, sigma_sq=0.4)
+    g = build_epsilon_graph(pts, perp, epsilon_sq=4.0)
     assert g.weights[0] == pytest.approx(math.exp(-2.5))
 
 
@@ -75,10 +75,10 @@ def test_epsilon_graph_threshold():
     eps_sq = 50.0
     normals = np.array([[0, 0, 1.0]] * 2)
     at = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 0.0]])       # d^2 = 50
-    g = build_epsilon_graph(at, normals, eps_sq, 0.4)
+    g = build_epsilon_graph(at, normals, eps_sq)
     assert g.edge_count == 1
     above = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 1.0]])    # d^2 = 51
-    g = build_epsilon_graph(above, normals, eps_sq, 0.4)
+    g = build_epsilon_graph(above, normals, eps_sq)
     assert g.edge_count == 0
 
 
@@ -87,16 +87,16 @@ def test_weight_invariant_to_normal_sign():
     pts = rng.uniform(0, 5, size=(40, 3))
     normals = rng.normal(size=(40, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    g1 = build_epsilon_graph(pts, normals, 9.0, 0.4)
+    g1 = build_epsilon_graph(pts, normals, 9.0)
     flip = rng.choice([-1.0, 1.0], size=(40, 1))
-    g2 = build_epsilon_graph(pts, normals * flip, 9.0, 0.4)
+    g2 = build_epsilon_graph(pts, normals * flip, 9.0)
     assert np.allclose(g1.weights, g2.weights)
 
 
 def _assert_same_graph(pts, epsilon_sq):
     normals = np.random.default_rng(len(pts)).normal(size=(len(pts), 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    g = build_epsilon_graph(pts, normals, epsilon_sq, 0.4)
+    g = build_epsilon_graph(pts, normals, epsilon_sq)
     ii, jj, weights = dense_epsilon_graph(pts, normals, epsilon_sq, 0.4)
     assert g.edges_i.dtype == g.edges_j.dtype == np.int64
     assert np.array_equal(g.edges_i, ii)
@@ -132,7 +132,7 @@ def test_epsilon_graph_matches_dense_floats(coords, epsilon_sq):
 def test_epsilon_graph_tiny(n):
     pts = np.arange(3 * n, dtype=np.float64).reshape(n, 3)
     _assert_same_graph(pts, 50.0)
-    g = build_epsilon_graph(pts, np.ones((n, 3)), 50.0, 0.4)
+    g = build_epsilon_graph(pts, np.ones((n, 3)), 50.0)
     assert g.n == n
     assert g.edge_count == (1 if n == 2 else 0)
 
@@ -145,7 +145,7 @@ def test_epsilon_graph_memory_grows_with_edges():
     normals = np.tile([0.0, 0.0, 1.0], (2000, 1))
     tracemalloc.start()
     try:
-        g = build_epsilon_graph(pts, normals, 50.0, 0.4)
+        g = build_epsilon_graph(pts, normals, 50.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -156,7 +156,7 @@ def test_epsilon_graph_memory_grows_with_edges():
 def test_combinatorial_laplacian_two_nodes():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     normals = np.array([[0, 0, 1.0]] * 2)
-    g = build_epsilon_graph(pts, normals, 4.0, 0.4)
+    g = build_epsilon_graph(pts, normals, 4.0)
     lap = combinatorial_laplacian(g)
     assert np.allclose(lap, [[1, -1], [-1, 1]])
 
@@ -164,7 +164,7 @@ def test_combinatorial_laplacian_two_nodes():
 def test_combinatorial_laplacian_edgeless():
     pts = np.array([[0.0, 0.0, 0.0], [50.0, 0, 0], [0, 50.0, 0]])
     normals = np.array([[0, 0, 1.0]] * 3)
-    g = build_epsilon_graph(pts, normals, 1.0, 0.4)
+    g = build_epsilon_graph(pts, normals, 1.0)
     lap = combinatorial_laplacian(g)
     assert np.array_equal(lap, np.zeros((3, 3)))
 
@@ -184,7 +184,7 @@ def test_laplacian_psd_and_zero_row_sum():
 def test_generalized_laplacian():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     normals = np.array([[0, 0, 1.0]] * 2)
-    lap = combinatorial_laplacian(build_epsilon_graph(pts, normals, 4.0, 0.4))
+    lap = combinatorial_laplacian(build_epsilon_graph(pts, normals, 4.0))
     gen = generalized_laplacian(lap)
     assert np.allclose(gen, [[2, -1], [-1, 2]])
 

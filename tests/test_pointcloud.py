@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,44 @@ def test_read_ply_bad_magic(tmp_path):
         read_ply(path)
 
 
+def _ply_claiming(tmp_path, count, binary=True, cut=0):
+    """A 3-vertex PLY whose header claims `count` vertices, with the last
+    `cut` bytes of its vertex data removed."""
+    path = tmp_path / "cloud.ply"
+    write_ply(path, np.arange(9.0).reshape(3, 3), np.full((3, 3), 7),
+              binary=binary)
+    data = path.read_bytes().replace(b"element vertex 3\n",
+                                     f"element vertex {count}\n".encode())
+    path.write_bytes(data[:len(data) - cut])
+    return path
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_read_ply_negative_count_rejected(tmp_path, binary):
+    with pytest.raises(ValueError, match="negative count -1"):
+        read_ply(_ply_claiming(tmp_path, -1, binary))
+
+
+@pytest.mark.parametrize("count, cut", [
+    pytest.param(4, 0, id="count-above-data"),
+    pytest.param(3, 1, id="cut-mid-vertex")])
+def test_read_ply_binary_short_data_rejected(tmp_path, count, cut):
+    with pytest.raises(ValueError, match="truncated PLY vertex data"):
+        read_ply(_ply_claiming(tmp_path, count, cut=cut))
+
+
+def test_read_ply_huge_count_rejected_before_allocating(tmp_path):
+    path = _ply_claiming(tmp_path, 10**12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated PLY vertex data"):
+            read_ply(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_ply_binary_roundtrip_1000(tmp_path):
     rng = np.random.default_rng(0)
     pos = rng.uniform(-50, 50, size=(1000, 3)).astype(np.float32)
@@ -66,8 +106,8 @@ def test_non_finite_positions_rejected(bad):
 
 
 @pytest.mark.parametrize("field", [
-    "grid_dim", "target_cluster_size", "epsilon_sq", "sigma_sq", "normal_k",
-    "box_expand", "gop_size", "qstep", "lambda_alpha", "lambda_beta"])
+    "grid_dim", "target_cluster_size", "epsilon_sq", "gop_size", "qstep",
+    "lambda_alpha", "lambda_beta"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0, -1])
 def test_config_requires_finite_positive_fields(field, value):
     with pytest.raises(ValueError, match=f"{field}=.* finite and positive"):
