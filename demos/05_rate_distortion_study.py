@@ -3,7 +3,8 @@
 Encodes the same content over a quantization ladder, compares the
 inter-enabled codec against an intra-only configuration via the
 Bjontegaard metric, and refits the power-law Lagrange model from the
-measured curve.
+measured curve.  The codec keeps its shipped constants `rdo.ALPHA` and
+`rdo.BETA`; adopting a refit means editing them.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from pgft import bd_br, decode_sequence, encode_sequence, fit_lambda_model
 from pgft.metrics import bpip
 from pgft.pointcloud import SequenceConfig
+from pgft.rdo import ALPHA, BETA
 from pgft.synth import synthetic_sequence
 
 frames = synthetic_sequence("rigid-motion", 4, point_count=2000, seed=3)
@@ -49,6 +51,6 @@ print(f"\nBD-BR of inter coding vs intra-only: {delta:+.1f}% "
 peak_sq = 255.0 ** 2
 rd_points = [(q, rate, peak_sq / (10 ** (psnr / 10.0)))
              for q, (rate, psnr) in zip(ladder, inter_curve)]
-model = fit_lambda_model(rd_points)
-print(f"refit lambda-Q on this content: alpha={model.alpha:.4f} "
-      f"beta={model.beta:.4f} (shipped defaults 0.0624 / 1.6238)")
+alpha, beta = fit_lambda_model(rd_points)
+print(f"refit lambda-Q on this content: alpha={alpha:.4f} "
+      f"beta={beta:.4f} (shipped defaults {ALPHA} / {BETA})")

@@ -3,13 +3,13 @@
 Geometry travels out of band (the original PLY files); the stream holds
 only the header, per-frame geometry/reconstruction hashes, per-cluster
 mode flags (P-frames) and the entropy-coded payloads.  The header is
-magic, version, the `SequenceConfig` fields that carry a "header"
-struct code (grid_dim, target_cluster_size, epsilon_sq, gop_size,
-qstep), in field order, then the frame count; the encoder-only
-`lambda_alpha` and `lambda_beta` are not coded.  A frame record holds
-no type: frame t is a P-frame iff `SequenceConfig.is_p_frame(t)`, and
-only a P-frame carries mode flags, one per cluster.  All fixed-width
-fields are little-endian; payload lengths use LEB128.
+magic, version, every `SequenceConfig` field (grid_dim,
+target_cluster_size, epsilon_sq, gop_size, qstep) in field order, each
+packed with the struct code its "header" metadata names, then the frame
+count.  A frame record holds no type: frame t is a P-frame iff
+`SequenceConfig.is_p_frame(t)`, and only a P-frame carries mode flags,
+one per cluster.  All fixed-width fields are little-endian; payload
+lengths use LEB128.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ MAGIC = b"PGFT"
 # and frame records drop the frame-type byte (the GOP decides it).
 VERSION = 3
 
-# (field name, struct code) of each coded SequenceConfig field, in order.
+# (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])
-                       for f in fields(SequenceConfig)
-                       if "header" in f.metadata)
+                       for f in fields(SequenceConfig))
 _HEADER = struct.Struct("<4sB" + "".join(code for _, code in _HEADER_FIELDS)
                         + "I")
 _FRAME_FIXED = struct.Struct("<IQQ")
@@ -113,8 +112,7 @@ def write_bitstream(config: SequenceConfig, frames) -> bytes:
 
 
 def read_bitstream(data: bytes):
-    """Parse a stream back into (SequenceConfig, [FrameRecord]).  The
-    config carries the coded fields and the default `lambda_*`."""
+    """Parse a stream back into (SequenceConfig, [FrameRecord])."""
     if len(data) < _HEADER.size:
         raise BitstreamError("truncated stream (header)")
     magic, version, *values, frame_count = _HEADER.unpack_from(data, 0)

@@ -39,9 +39,6 @@ def _add_config_flags(parser, with_q=True, graph_only=False):
                              "300 for sparse content)")
     parser.add_argument("--cluster-size", dest="target_cluster_size", type=int)
     parser.add_argument("--grid-dim", type=int)
-    if not graph_only:
-        parser.add_argument("--lambda-alpha", type=float)
-        parser.add_argument("--lambda-beta", type=float)
 
 
 def _add_input_flags(parser, name="--input"):
@@ -266,9 +263,9 @@ def _cmd_fit_lambda(args, parser):
     for q, rate, py, pu, pv in rows:
         mses = [peak * peak / (10 ** (p / 10.0)) for p in (py, pu, pv)]
         points.append((q, rate, sum(mses) / 3.0))
-    model = rdo.fit_lambda_model(points)
-    print(f"alpha = {model.alpha:.6g}")
-    print(f"beta = {model.beta:.6g}")
+    alpha, beta = rdo.fit_lambda_model(points)
+    print(f"alpha = {alpha:.6g}")
+    print(f"beta = {beta:.6g}")
     return 0
 
 

@@ -51,8 +51,7 @@ from .motion import find_correspondence, icp_register
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
                          bounding_box, devoxelize, rgb_to_yuv,
                          sequence_bounding_box, voxelize)
-from .rdo import (INTER, INTRA, LambdaModel, ModeCost, choose_mode,
-                  distortion_yuv, lambda_from_q)
+from .rdo import INTER, INTRA, choose_mode, distortion_yuv, lambda_from_q
 from .transform import eigendecompose, gft_forward, gft_inverse, inter_predict
 
 CHANNELS = 3
@@ -140,8 +139,9 @@ def reference_index(pts: np.ndarray, ref_coords: np.ndarray):
     if not region.size:
         return None
     region_pts = ref_coords[region].astype(np.float64)
-    transform = icp_register(region_pts, pts)
-    return region[find_correspondence(pts, transform.apply(region_pts))]
+    rotation, translation = icp_register(region_pts, pts)
+    return region[find_correspondence(pts, region_pts @ rotation.T
+                                      + translation)]
 
 
 def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
@@ -253,8 +253,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     if not raw_frames:
         raise ValueError("need at least one frame")
     config.validate()
-    lam = lambda_from_q(config.qstep,
-                        LambdaModel(config.lambda_alpha, config.lambda_beta))
+    lam = lambda_from_q(config.qstep)
     box = sequence_bounding_box(raw_frames[0])
 
     records = []
@@ -282,11 +281,10 @@ def encode_sequence(raw_frames, config: SequenceConfig,
                 candidate = inter_predict(plan.basis, prev.attributes[plan.ref_index])
                 p_pay, p_ctx, p_recon, p_bits = _trial(
                     attrs, plan, candidate, config.qstep, contexts)
-                # both rates include the one-bit mode flag
-                mode = choose_mode(
-                    ModeCost(distortion_yuv(attrs, recon), bits + 1),
-                    ModeCost(distortion_yuv(attrs, p_recon), p_bits + 1),
-                    lam)
+                # (distortion, rate); both rates include the mode flag
+                mode = choose_mode((distortion_yuv(attrs, recon), bits + 1),
+                                   (distortion_yuv(attrs, p_recon), p_bits + 1),
+                                   lam)
                 if mode == INTER:
                     prediction, payloads, trial_ctx, recon = (
                         candidate, p_pay, p_ctx, p_recon)

@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 
-def psnr(orig, recon, peak: float = 255.0) -> float:
-    """10*log10(peak^2 / MSE) for one channel; inf when MSE is zero."""
+def psnr(orig, recon) -> float:
+    """10*log10(255^2 / MSE) for one 8-bit channel; inf when MSE is zero."""
     orig = np.asarray(orig, dtype=np.float64)
     recon = np.asarray(recon, dtype=np.float64)
     if orig.size == 0:
@@ -18,7 +18,7 @@ def psnr(orig, recon, peak: float = 255.0) -> float:
     mse = float(np.mean((orig - recon) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(255.0 * 255.0 / mse)
 
 
 def bpip(total_bits: float, input_point_count: int) -> float:

@@ -3,14 +3,15 @@
 Each target cluster is registered against an expanded collocated region
 of the previous frame with point-to-point ICP, then every target point
 gets a temporal reference by nearest neighbor among the registered
-points.  Only geometry is touched, so the decoder recomputes the whole
-stage bit for bit.
+points.  A rigid transform is a (rotation (3, 3), translation (3,))
+pair of arrays; it maps points p to p @ rotation.T + translation.  Only
+geometry is touched, so the decoder recomputes the whole stage bit for
+bit.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,19 +20,6 @@ log = logging.getLogger(__name__)
 
 ICP_MAX_ITER = 30
 ICP_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    rotation: np.ndarray     # (3, 3)
-    translation: np.ndarray  # (3,)
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
 
 def _tree(points: np.ndarray) -> cKDTree:
@@ -71,8 +59,8 @@ def _nearest_lowest_index(tree: cKDTree, tree_points: np.ndarray,
     return out_d2, out_idx
 
 
-def _rigid_fit(source: np.ndarray, target: np.ndarray) -> RigidTransform:
-    """Least-squares rotation+translation mapping source onto target
+def _rigid_fit(source: np.ndarray, target: np.ndarray):
+    """Least-squares (rotation, translation) mapping source onto target
     via SVD of the cross-covariance (reflection corrected)."""
     src_mean = source.mean(axis=0)
     dst_mean = target.mean(axis=0)
@@ -83,7 +71,7 @@ def _rigid_fit(source: np.ndarray, target: np.ndarray) -> RigidTransform:
         d = 1.0
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     t = dst_mean - r @ src_mean
-    return RigidTransform(r, t)
+    return r, t
 
 
 def _rank_at_least_2(points: np.ndarray) -> bool:
@@ -94,8 +82,9 @@ def _rank_at_least_2(points: np.ndarray) -> bool:
     return s[1] > 1e-9 * max(s[0], 1.0)
 
 
-def icp_register(source: np.ndarray, target: np.ndarray) -> RigidTransform:
-    """Point-to-point ICP aligning source onto target.
+def icp_register(source: np.ndarray, target: np.ndarray):
+    """Point-to-point ICP aligning source onto target; returns
+    (rotation, translation).
 
     Correspondences are seeded from the target side: each target point
     is paired with its nearest registered source point (lowest-index
@@ -114,12 +103,12 @@ def icp_register(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 
     if not (_rank_at_least_2(source) and _rank_at_least_2(target)):
         log.debug("ICP degenerate input (collinear or tiny); using identity")
-        return RigidTransform.identity()
+        return np.eye(3), np.zeros(3)
 
-    transform = RigidTransform.identity()
+    rotation, translation = np.eye(3), np.zeros(3)
     prev_mse = np.inf
     for _ in range(ICP_MAX_ITER):
-        registered = transform.apply(source)
+        registered = source @ rotation.T + translation
         d2, idx = _nearest_lowest_index(_tree(registered), registered, target)
         mse = float(np.mean(d2))
         if prev_mse - mse < ICP_TOL:
@@ -128,9 +117,9 @@ def icp_register(source: np.ndarray, target: np.ndarray) -> RigidTransform:
         # Full refit from the original source points at the matched
         # indices: the global optimum for the current correspondences,
         # which keeps the residual non-increasing.
-        transform = _rigid_fit(source[idx], target)
+        rotation, translation = _rigid_fit(source[idx], target)
 
-    return transform
+    return rotation, translation
 
 
 def find_correspondence(cluster: np.ndarray, registered_ref: np.ndarray) -> np.ndarray:

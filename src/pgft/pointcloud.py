@@ -12,14 +12,14 @@ import math
 import numbers
 import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .rdo import DEFAULT_ALPHA, DEFAULT_BETA
-
 MID_LEVEL = 128.0
+BOX_MARGIN = 0.05  # relative growth of the sequence bounding box
 
 # Full-range BT.601 (Kr=0.299, Kg=0.587, Kb=0.114).
 _RGB_TO_YUV = np.array([
@@ -87,13 +87,13 @@ class VoxelizedFrame:
 class SequenceConfig:
     """Coding parameters, and the stream header.
 
-    Each field whose metadata names a struct code under "header" is
-    written to the stream header in field order (`bitstream._HEADER`),
-    so the decoder rebuilds the config from the stream alone; the
-    encoder-only `lambda_alpha` and `lambda_beta` are not coded.  qstep
-    is the uniform quantization step and doubles as the quality factor
-    driving the Lagrange multiplier model.  Frame t is a P-frame iff
-    `is_p_frame(t)`: every GOP opens with an I-frame.
+    Every field names its struct code under the "header" metadata key
+    and is written to the stream header in field order
+    (`bitstream._HEADER`), so the decoder rebuilds the config from the
+    stream alone.  qstep is the uniform quantization step and doubles as
+    the quality factor Q of the fixed lambda-Q model (`rdo.ALPHA`,
+    `rdo.BETA`).  Frame t is a P-frame iff `is_p_frame(t)`: every GOP
+    opens with an I-frame.
     """
 
     grid_dim: int = field(default=4096, metadata={"header": "I"})
@@ -101,22 +101,30 @@ class SequenceConfig:
     epsilon_sq: float = field(default=50.0, metadata={"header": "d"})
     gop_size: int = field(default=8, metadata={"header": "H"})
     qstep: float = field(default=8.0, metadata={"header": "d"})
-    lambda_alpha: float = DEFAULT_ALPHA
-    lambda_beta: float = DEFAULT_BETA
 
     def validate(self):
-        """Raise ValueError naming the first field that is not finite and
-        positive, or is coded as an integer that overflows its slot."""
+        """Raise ValueError naming the first field that is not a real
+        number, is not finite and positive, or does not fit its header
+        slot (an integer slot takes only integers)."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
+            code = f.metadata["header"]
+            # bool is an Integral; math.isfinite raises on a non-number
+            # and overflows on a huge int, so it sees only non-integers.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name}={value!r} must be a real number")
+            integral = isinstance(value, numbers.Integral)
+            if not (value > 0 and (integral or math.isfinite(value))):
                 raise ValueError(f"{f.name}={value!r} must be finite and positive")
-            code = f.metadata.get("header", "d")
-            bits = 8 * struct.calcsize(code)
-            if code != "d" and not (isinstance(value, numbers.Integral)
-                                    and value < 1 << bits):
+            if code == "d":
+                slot = "float64"
+                fits = not integral or value <= sys.float_info.max
+            else:
+                bits = 8 * struct.calcsize(code)
+                slot, fits = f"uint{bits}", integral and value < 1 << bits
+            if not fits:
                 raise ValueError(f"{f.name}={value!r} does not fit the stream "
-                                 f"header's uint{bits} field")
+                                 f"header's {slot} field")
         return self
 
     def is_p_frame(self, t: int) -> bool:
@@ -158,13 +166,13 @@ def bounding_box(points: np.ndarray, expand: float):
     return center - half, center + half
 
 
-def sequence_bounding_box(raw: RawPointCloud, margin: float = 0.05):
-    """Bounding box of a frame, expanded by a relative margin.
+def sequence_bounding_box(raw: RawPointCloud):
+    """Bounding box of a frame, each side grown by BOX_MARGIN.
 
     Computed once on the first frame of a sequence and reused for every
     frame so voxel coordinates are temporally comparable.
     """
-    return bounding_box(raw.positions, margin)
+    return bounding_box(raw.positions, BOX_MARGIN)
 
 
 def voxelize(raw: RawPointCloud, grid_dim: int, box=None) -> VoxelizedFrame:
@@ -233,11 +241,14 @@ _PLY_SCALARS = {
     "float": "f4", "float32": "f4",
     "double": "f8", "float64": "f8",
 }
+# Fewest tokens a header line of each keyword can have.
+_PLY_MIN_TOKENS = {"format": 2, "element": 3, "property": 3}
 
 
 def _parse_ply_header(fh):
     """Returns (format, elements) where elements is a list of
-    (name, count, [(prop_name, np_type), ...])."""
+    (name, count, [(prop_name, np_type), ...]).  A line missing a value
+    raises ValueError naming the line."""
     magic = fh.readline().strip()
     if magic != b"ply":
         raise ValueError("not a PLY file (bad magic)")
@@ -250,6 +261,9 @@ def _parse_ply_header(fh):
         tokens = line.decode("ascii", "replace").split()
         if not tokens or tokens[0] == "comment":
             continue
+        malformed = f"malformed PLY header: {' '.join(tokens)!r}"
+        if len(tokens) < _PLY_MIN_TOKENS.get(tokens[0], 1):
+            raise ValueError(malformed)
         if tokens[0] == "format":
             if tokens[1] == "ascii":
                 fmt = "ascii"
@@ -258,10 +272,14 @@ def _parse_ply_header(fh):
             else:
                 raise ValueError(f"unsupported PLY format {tokens[1]!r}")
         elif tokens[0] == "element":
-            if int(tokens[2]) < 0:
+            try:
+                count = int(tokens[2])
+            except ValueError:
+                raise ValueError(malformed) from None
+            if count < 0:
                 raise ValueError("malformed PLY header: negative count "
                                  + tokens[2])
-            elements.append((tokens[1], int(tokens[2]), []))
+            elements.append((tokens[1], count, []))
         elif tokens[0] == "property":
             if not elements:
                 raise ValueError("malformed PLY header: property before element")

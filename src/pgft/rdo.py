@@ -2,45 +2,27 @@
 
 Each P-frame cluster is trial-encoded in both modes and the one with
 the smaller Lagrangian cost J = D + lambda * R wins; lambda follows the
-offline power model lambda(Q) = alpha * Q^beta.
+offline-trained power model lambda(Q) = ALPHA * Q^BETA.  The model is
+fixed, as in the H.264/HEVC reference encoders: a refit with
+`fit_lambda_model` (or `pgft fit-lambda`) means editing the two
+constants.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 INTRA = "intra"
 INTER = "inter"
 
-DEFAULT_ALPHA = 0.0624
-DEFAULT_BETA = 1.6238
+ALPHA = 0.0624
+BETA = 1.6238
 
 
-@dataclass(frozen=True)
-class LambdaModel:
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-
-
-@dataclass(frozen=True)
-class ModeCost:
-    distortion: float  # mean YUV MSE over the cluster
-    rate: float        # exact payload bits + mode bit
-
-    def cost(self, lambda_: float) -> float:
-        return self.distortion + lambda_ * self.rate
-
-
-def lambda_from_q(q: float, model: LambdaModel = LambdaModel()) -> float:
+def lambda_from_q(q: float) -> float:
     if q <= 0:
         raise ValueError("quality factor must be positive")
-    return model.alpha * q ** model.beta
+    return ALPHA * q ** BETA
 
 
 def distortion_yuv(orig: np.ndarray, recon: np.ndarray) -> float:
@@ -52,19 +34,23 @@ def distortion_yuv(orig: np.ndarray, recon: np.ndarray) -> float:
     return float(np.mean((orig - recon) ** 2))
 
 
-def choose_mode(intra: ModeCost, inter: ModeCost, lambda_: float) -> str:
-    """Smaller J wins; ties go to intra (error containment)."""
-    j_intra = intra.cost(lambda_)
-    j_inter = inter.cost(lambda_)
+def choose_mode(intra, inter, lambda_: float) -> str:
+    """Each mode's cost is a (distortion, rate) pair: the mean YUV MSE
+    over the cluster and its exact payload bits plus the mode bit.
+    Smaller J = D + lambda * R wins; ties go to intra (error
+    containment)."""
+    j_intra = intra[0] + lambda_ * intra[1]
+    j_inter = inter[0] + lambda_ * inter[1]
     return INTER if j_inter < j_intra else INTRA
 
 
-def fit_lambda_model(rd_points) -> LambdaModel:
+def fit_lambda_model(rd_points):
     """Recover (alpha, beta) from measured (Q, R_Q, D_Q) triples.
 
     The RD-curve slope between adjacent quality factors gives
     lambda_Q = -(D_next - D) / (R_next - R); a least-squares power fit
-    in log-log space yields the model.
+    in log-log space yields the model.  Returns (alpha, beta); a curve
+    whose lambda does not grow with Q is refused.
     """
     pts = sorted((float(q), float(r), float(d)) for q, r, d in rd_points)
     qs = np.array([p[0] for p in pts])
@@ -87,4 +73,7 @@ def fit_lambda_model(rd_points) -> LambdaModel:
     log_q = np.log(qs[:-1])
     log_l = np.log(slopes)
     beta, log_alpha = np.polyfit(log_q, log_l, 1)
-    return LambdaModel(alpha=float(np.exp(log_alpha)), beta=float(beta))
+    alpha, beta = float(np.exp(log_alpha)), float(beta)
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be positive")
+    return alpha, beta

@@ -131,12 +131,12 @@ def test_criterion_04_lambda_q_model():
     for i in range(len(qs) - 1):
         lam = 0.0624 * qs[i] ** 1.6238
         dists.append(dists[-1] - lam * (rates[i + 1] - rates[i]))
-    model = fit_lambda_model(list(zip(qs, rates, dists)))
-    assert abs(model.alpha - 0.0624) / 0.0624 < 0.01
-    assert abs(model.beta - 1.6238) / 1.6238 < 0.01
+    alpha, beta = fit_lambda_model(list(zip(qs, rates, dists)))
+    assert abs(alpha - 0.0624) / 0.0624 < 0.01
+    assert abs(beta - 1.6238) / 1.6238 < 0.01
     _report(4, f"lambda(1)=0.0624 exact, lambda(16)={lambda_from_q(16.0):.4f}, "
                f"lambda(32)={lambda_from_q(32.0):.4f}, fit alpha="
-               f"{model.alpha:.5f} beta={model.beta:.5f}")
+               f"{alpha:.5f} beta={beta:.5f}")
 
 
 def test_criterion_05_codec_roundtrip():
@@ -218,15 +218,15 @@ def test_criterion_08_motion_oracle():
     rng = np.random.default_rng(88)
     target = rng.uniform(0, 50, size=(150, 3))
     source = target + np.array([4.0, -1.0, 2.5])
-    tr = icp_register(source, target)
-    assert np.max(np.abs(tr.translation - [-4.0, 1.0, -2.5])) < 1e-6
+    _, translation = icp_register(source, target)
+    assert np.max(np.abs(translation - [-4.0, 1.0, -2.5])) < 1e-6
 
     angle = math.radians(8.0)
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     source = target @ rot.T
-    tr = icp_register(source, target)
-    residual = tr.rotation @ rot
+    rotation, _ = icp_register(source, target)
+    residual = rotation @ rot
     err = math.acos(min(1.0, (np.trace(residual) - 1.0) / 2.0))
     assert err < 1e-4
 

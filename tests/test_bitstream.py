@@ -41,7 +41,7 @@ def _fixed_frames():
 
 _OTHER_CONFIG = SequenceConfig(
     grid_dim=1024, target_cluster_size=300, epsilon_sq=300.0, gop_size=4,
-    qstep=0.5, lambda_alpha=1.0, lambda_beta=2.0)
+    qstep=0.5)
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
@@ -68,20 +68,14 @@ def _doubled(config):
                              for f in dataclasses.fields(config)})
 
 
-def test_header_carries_every_field_but_lambda():
-    """Every SequenceConfig field is coded in the stream header except the
-    encoder-only lambda_alpha and lambda_beta, which decode to their
-    defaults."""
+def test_header_carries_every_field():
+    """Every SequenceConfig field is coded in the stream header."""
     frames = synthetic_sequence("wave", 1, point_count=100, seed=0)
     config = _doubled(SequenceConfig(grid_dim=64))
     header, _ = read_bitstream(codec.encode_sequence(frames, config).data)
-    encoder_only = {"lambda_alpha", "lambda_beta"}
+    assert header == config
     for f in dataclasses.fields(config):
-        value = getattr(header, f.name, f.default)
-        if f.name in encoder_only:
-            assert value == f.default
-        else:
-            assert value == getattr(config, f.name) != f.default, f.name
+        assert getattr(header, f.name) != f.default, f.name
 
 
 def test_gop_decides_which_frames_carry_flags():

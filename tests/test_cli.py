@@ -248,7 +248,7 @@ def test_encode_flags_set_every_config_field():
     args = cli.build_parser().parse_args([
         "encode", "--synthetic", "wave", "--output", "x.bin", "--q", "7",
         "--gop", "7", "--epsilon2", "7", "--cluster-size", "7",
-        "--grid-dim", "7", "--lambda-alpha", "7", "--lambda-beta", "7"])
+        "--grid-dim", "7"])
     config = cli._config_from_args(args)
     assert dataclasses.asdict(config) == {
         f.name: 7 for f in dataclasses.fields(SequenceConfig)}
@@ -275,6 +275,13 @@ def test_fit_lambda_single_row(tmp_path, capsys):
     rc = main(["fit-lambda", "--curve", str(curve)])
     assert rc == 1
     assert ">= 3" in capsys.readouterr().err
+
+
+def test_fit_lambda_refuses_falling_lambda(tmp_path, capsys):
+    curve = tmp_path / "falling.tsv"
+    _write_power_law_curve(curve, 5.0, -0.5)
+    assert main(["fit-lambda", "--curve", str(curve)]) == 1
+    assert "alpha and beta must be positive" in capsys.readouterr().err
 
 
 def test_fit_lambda_recovers_model(tmp_path, capsys):

@@ -18,9 +18,9 @@ def _rotation_z(angle):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _assert_rigid(tr):
-    assert np.max(np.abs(tr.rotation.T @ tr.rotation - np.eye(3))) < 1e-9
-    assert abs(np.linalg.det(tr.rotation) - 1.0) < 1e-9
+def _assert_rigid(rotation):
+    assert np.max(np.abs(rotation.T @ rotation - np.eye(3))) < 1e-9
+    assert abs(np.linalg.det(rotation) - 1.0) < 1e-9
 
 
 def test_expand_box_identity():
@@ -45,20 +45,22 @@ def test_expand_box_degenerate_point():
 def test_icp_already_aligned():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 30, size=(150, 3))
-    tr = icp_register(pts, pts)
-    _assert_rigid(tr)
-    assert np.max(np.abs(tr.rotation - np.eye(3))) < 1e-9
-    assert np.max(np.abs(tr.translation)) < 1e-9
+    rotation, translation = icp_register(pts, pts)
+    _assert_rigid(rotation)
+    assert np.max(np.abs(rotation - np.eye(3))) < 1e-9
+    assert np.max(np.abs(translation)) < 1e-9
 
 
 def test_icp_recovers_translation():
     rng = np.random.default_rng(1)
     target = rng.uniform(0, 50, size=(100, 3))
     source = target + np.array([5.0, 0.0, 0.0])
-    tr = icp_register(source, target)
-    _assert_rigid(tr)
-    assert np.max(np.abs(tr.translation - [-5.0, 0.0, 0.0])) < 1e-6
-    assert np.max(np.abs(tr.rotation - np.eye(3))) < 1e-6
+    rotation, translation = icp_register(source, target)
+    _assert_rigid(rotation)
+    assert np.max(np.abs(translation - [-5.0, 0.0, 0.0])) < 1e-6
+    assert np.max(np.abs(rotation - np.eye(3))) < 1e-6
+    # the pair maps source onto target as p @ rotation.T + translation
+    assert np.max(np.abs(source @ rotation.T + translation - target)) < 1e-6
 
 
 def test_icp_recovers_rotation():
@@ -66,10 +68,10 @@ def test_icp_recovers_rotation():
     target = rng.uniform(-20, 20, size=(200, 3))
     angle = math.radians(10.0)
     source = target @ _rotation_z(angle).T
-    tr = icp_register(source, target)
-    _assert_rigid(tr)
+    rotation, _ = icp_register(source, target)
+    _assert_rigid(rotation)
     # recovered rotation should invert the applied one
-    residual = tr.rotation @ _rotation_z(angle)
+    residual = rotation @ _rotation_z(angle)
     recovered_angle = math.acos(min(1.0, (np.trace(residual) - 1.0) / 2.0))
     assert recovered_angle < 1e-4
 
@@ -77,11 +79,12 @@ def test_icp_recovers_rotation():
 def test_icp_degenerate_returns_identity():
     line = np.stack([np.linspace(0, 5, 7)] * 3, axis=1)  # collinear
     target = np.random.default_rng(3).uniform(0, 5, size=(50, 3))
-    tr = icp_register(line, target)
-    assert np.array_equal(tr.rotation, np.eye(3))
-    assert np.array_equal(tr.translation, np.zeros(3))
-    tr = icp_register(target[:2], target)  # too few points
-    assert np.array_equal(tr.rotation, np.eye(3))
+    rotation, translation = icp_register(line, target)
+    assert np.array_equal(rotation, np.eye(3))
+    assert np.array_equal(translation, np.zeros(3))
+    rotation, translation = icp_register(target[:2], target)  # too few points
+    assert np.array_equal(rotation, np.eye(3))
+    assert np.array_equal(translation, np.zeros(3))
 
 
 def test_icp_residual_non_increasing(monkeypatch):

@@ -8,13 +8,16 @@ from pgft.pointcloud import (RawPointCloud, SequenceConfig, devoxelize,
                              voxelize, write_ply, yuv_to_rgb)
 
 
+_MINIMAL_ASCII = (
+    "ply\nformat ascii 1.0\nelement vertex 1\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    "end_header\n0 0 0 128 128 128\n")
+
+
 def test_read_ply_minimal_ascii(tmp_path):
     path = tmp_path / "one.ply"
-    path.write_text(
-        "ply\nformat ascii 1.0\nelement vertex 1\n"
-        "property float x\nproperty float y\nproperty float z\n"
-        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-        "end_header\n0 0 0 128 128 128\n")
+    path.write_text(_MINIMAL_ASCII)
     raw = read_ply(path)
     assert raw.point_count == 1
     assert np.allclose(raw.positions[0], [0, 0, 0])
@@ -54,6 +57,18 @@ def _ply_claiming(tmp_path, count, binary=True, cut=0):
 def test_read_ply_negative_count_rejected(tmp_path, binary):
     with pytest.raises(ValueError, match="negative count -1"):
         read_ply(_ply_claiming(tmp_path, -1, binary))
+
+
+@pytest.mark.parametrize("good, line", [
+    ("format ascii 1.0", "format"),
+    ("element vertex 1", "element vertex"),
+    ("element vertex 1", "element vertex abc"),
+    ("property float x", "property float")])
+def test_read_ply_malformed_header_line_named(tmp_path, good, line):
+    path = tmp_path / "bad_header.ply"
+    path.write_text(_MINIMAL_ASCII.replace(good, line))
+    with pytest.raises(ValueError, match=f"^malformed PLY header: '{line}'$"):
+        read_ply(path)
 
 
 @pytest.mark.parametrize("count, cut", [
@@ -106,17 +121,36 @@ def test_non_finite_positions_rejected(bad):
 
 
 @pytest.mark.parametrize("field", [
-    "grid_dim", "target_cluster_size", "epsilon_sq", "gop_size", "qstep",
-    "lambda_alpha", "lambda_beta"])
+    "grid_dim", "target_cluster_size", "epsilon_sq", "gop_size", "qstep"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0, -1])
 def test_config_requires_finite_positive_fields(field, value):
     with pytest.raises(ValueError, match=f"{field}=.* finite and positive"):
         SequenceConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("grid_dim", "7", "must be a real number", id="str"),
+    pytest.param("qstep", None, "must be a real number", id="none"),
+    pytest.param("gop_size", True, "must be a real number", id="bool"),
+    pytest.param("qstep", np.True_, "must be a real number", id="numpy-bool"),
+    pytest.param("grid_dim", 10**400,
+                 "does not fit the stream header's uint32 field", id="huge-int"),
+    pytest.param("qstep", 10**400,
+                 "does not fit the stream header's float64 field",
+                 id="huge-int-in-float-slot"),
+    pytest.param("epsilon_sq", -10**400, "finite and positive",
+                 id="huge-negative-int"),
+])
+def test_config_rejects_wrong_types_by_name(field, value, message):
+    with pytest.raises(ValueError, match=f"^{field}=.* {message}$"):
+        SequenceConfig(**{field: value}).validate()
+
+
 def test_default_config_valid():
     config = SequenceConfig()
     assert config.validate() is config
+    numpy_config = SequenceConfig(grid_dim=np.int64(7), qstep=np.float32(8))
+    assert numpy_config.validate() is numpy_config
 
 
 BAD_COLORS = [

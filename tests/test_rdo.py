@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pgft.rdo import (INTER, INTRA, LambdaModel, ModeCost, choose_mode,
-                      distortion_yuv, fit_lambda_model, lambda_from_q)
+from pgft.rdo import (ALPHA, BETA, INTER, INTRA, choose_mode, distortion_yuv,
+                      fit_lambda_model, lambda_from_q)
 
 # frozen by direct evaluation of alpha * Q^beta via exp/log
 LAMBDA_16 = math.exp(math.log(0.0624) + 1.6238 * math.log(16.0))
@@ -12,6 +12,7 @@ LAMBDA_32 = math.exp(math.log(0.0624) + 1.6238 * math.log(32.0))
 
 
 def test_lambda_q1_exact():
+    assert (ALPHA, BETA) == (0.0624, 1.6238)
     assert lambda_from_q(1.0) == 0.0624
 
 
@@ -62,18 +63,18 @@ def test_distortion_length_mismatch():
 
 
 def test_choose_mode_smaller_j():
-    # J_intra = 10, J_inter = 8 at lambda = 1
-    intra = ModeCost(distortion=4.0, rate=6.0)
-    inter = ModeCost(distortion=2.0, rate=6.0)
+    # J_intra = 10, J_inter = 8 at lambda = 1; costs are (distortion, rate)
+    intra = (4.0, 6.0)
+    inter = (2.0, 6.0)
     assert choose_mode(intra, inter, 1.0) == INTER
     # and the other way around
     assert choose_mode(inter, intra, 1.0) == INTRA
 
 
 def test_choose_mode_tie_goes_intra():
-    a = ModeCost(distortion=5.0, rate=10.0)
-    b = ModeCost(distortion=5.0, rate=10.0)
-    assert choose_mode(a, b, 2.0) == INTRA
+    assert choose_mode((5.0, 10.0), (5.0, 10.0), 2.0) == INTRA
+    # equal J from different (distortion, rate): 5 + 2 * 10 == 15 + 2 * 5
+    assert choose_mode((5.0, 10.0), (15.0, 5.0), 2.0) == INTRA
 
 
 def test_choose_mode_scale_invariance():
@@ -83,9 +84,8 @@ def test_choose_mode_scale_invariance():
         r1, r2 = rng.uniform(1, 500, 2)
         lam = rng.uniform(0.01, 20)
         scale = rng.uniform(0.1, 10)
-        a = choose_mode(ModeCost(d1, r1), ModeCost(d2, r2), lam)
-        b = choose_mode(ModeCost(d1 * scale, r1 * scale),
-                        ModeCost(d2 * scale, r2 * scale), lam)
+        a = choose_mode((d1, r1), (d2, r2), lam)
+        b = choose_mode((d1 * scale, r1 * scale), (d2 * scale, r2 * scale), lam)
         assert a == b
 
 
@@ -102,17 +102,17 @@ def _power_law_curve(alpha, beta, qs, r0=100.0):
 
 def test_fit_lambda_model_inverts_power_law():
     pts = _power_law_curve(0.0624, 1.6238, [1, 2, 4, 8, 16, 32])
-    model = fit_lambda_model(pts)
-    assert model.alpha == pytest.approx(0.0624, rel=0.01)
-    assert model.beta == pytest.approx(1.6238, rel=0.01)
+    alpha, beta = fit_lambda_model(pts)
+    assert alpha == pytest.approx(ALPHA, rel=0.01)
+    assert beta == pytest.approx(BETA, rel=0.01)
 
 
 def test_fit_lambda_exact_through_two_slope_points():
     # three RD points -> two (Q, lambda) pairs -> exact degenerate fit
     pts = _power_law_curve(0.1, 1.5, [2, 4, 8])
-    model = fit_lambda_model(pts)
-    assert model.alpha == pytest.approx(0.1, rel=1e-9)
-    assert model.beta == pytest.approx(1.5, rel=1e-9)
+    alpha, beta = fit_lambda_model(pts)
+    assert alpha == pytest.approx(0.1, rel=1e-9)
+    assert beta == pytest.approx(1.5, rel=1e-9)
 
 
 def test_fit_lambda_needs_three_points():
@@ -132,6 +132,9 @@ def test_fit_lambda_constant_distortion():
         fit_lambda_model(pts)
 
 
-def test_lambda_model_validation():
-    with pytest.raises(ValueError):
-        LambdaModel(alpha=-1.0, beta=2.0)
+def test_fit_lambda_rejects_falling_lambda():
+    # lambda = 5 * Q^-0.5 fits exactly to beta = -0.5, which the model
+    # must not take: lambda has to grow with Q.
+    pts = _power_law_curve(5.0, -0.5, [1, 2, 4, 8])
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        fit_lambda_model(pts)

@@ -1,9 +1,12 @@
-"""README.md documents only flags the `pgft` CLI accepts, with the
-parser's defaults, so the two cannot drift apart."""
+"""README.md documents only flags and commands the `pgft` CLI accepts,
+with the parser's defaults, so the two cannot drift apart."""
 
 import argparse
 import re
+import shlex
 from pathlib import Path
+
+import pytest
 
 from pgft import cli
 
@@ -12,13 +15,16 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 _OTHER_TOOLS = {"--no-build-isolation"}  # pip's
 
 
+def _subparsers():
+    """{name: parser} of every pgft subcommand."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _defaults_by_flag():
     """{flag: {default, ...}} over every pgft subcommand."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
     out = {}
-    for subparser in sub.choices.values():
+    for subparser in _subparsers().values():
         for action in subparser._actions:
             for flag in action.option_strings:
                 out.setdefault(flag, set()).add(action.default)
@@ -39,3 +45,20 @@ def test_readme_flag_defaults_match_parser():
     defaults = _defaults_by_flag()
     for flag, value in pairs:
         assert defaults[flag] == {float(value)}, flag
+
+
+def test_readme_commands_parse(capsys):
+    """Each `pgft ...` line of README's bash blocks, continuations joined,
+    parses as written: its flags belong to its subcommand and every
+    required flag is there.  Nothing is run."""
+    commands = [line for block in re.findall(r"```bash\n(.*?)```", README,
+                                             re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("pgft ")]
+    assert {c.split()[1] for c in commands} == set(_subparsers())
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"{command!r}: {capsys.readouterr().err}")
