@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: encode, decode, rd-sweep, validate-gmrf, fit-lambda.
+Subcommands: synth, encode, decode, rd-sweep, validate-gmrf, fit-lambda.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -41,21 +41,9 @@ def _add_config_flags(parser, with_q=True, graph_only=False):
     parser.add_argument("--grid-dim", type=int)
 
 
-def _add_input_flags(parser, name="--input"):
-    parser.add_argument(name, nargs="+", metavar="PATH",
+def _input_flag(parser, required=True):
+    parser.add_argument("--input", nargs="+", required=required, metavar="PATH",
                         help="PLY files, or a single directory of them")
-    parser.add_argument("--synthetic", choices=synth.KINDS,
-                        help="generate a synthetic sequence instead of "
-                             "reading --input")
-    parser.add_argument("--frames", type=int, default=4,
-                        help="synthetic frame count")
-    parser.add_argument("--points", type=int, default=2000,
-                        help="synthetic points per frame")
-    parser.add_argument("--synthetic-dir", metavar="DIR",
-                        help="where to write the generated PLYs (default: "
-                             "next to --output)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="synthetic sequence seed")
 
 
 def _threads_flag(parser):
@@ -89,24 +77,8 @@ def _resolve_ply_paths(paths, parser):
     return list(paths)
 
 
-def _load_frames(args, parser, output_hint):
-    """Either read the given PLYs or generate+write a synthetic sequence.
-    Returns (frames, ply_paths)."""
-    if args.synthetic:
-        directory = args.synthetic_dir
-        if directory is None:
-            base = output_hint or "."
-            directory = os.path.join(os.path.dirname(os.path.abspath(base)),
-                                     "synthetic_frames")
-        paths = synth.write_synthetic_sequence(directory, args.synthetic,
-                                               args.frames, args.points,
-                                               args.seed)
-        print(f"wrote {len(paths)} synthetic frames to {directory}")
-    elif args.input:
-        paths = _resolve_ply_paths(args.input, parser)
-    else:
-        parser.error("either --input or --synthetic is required")
-    return [read_ply(p) for p in paths], paths
+def _read_frames(paths, parser):
+    return [read_ply(p) for p in _resolve_ply_paths(paths, parser)]
 
 
 def _write_stats(path, stats):
@@ -126,9 +98,18 @@ def _print_stats(stats):
               f"{s.intra_clusters}/{s.inter_clusters}")
 
 
+def _cmd_synth(args, parser):
+    if args.frames < 1 or args.points < 1:
+        parser.error("--frames and --points must be >= 1")
+    paths = synth.write_synthetic_sequence(args.output, args.kind, args.frames,
+                                           args.points, args.seed)
+    print(f"wrote {len(paths)} synthetic frames to {args.output}")
+    return 0
+
+
 def _cmd_encode(args, parser):
     config = _config_from_args(args)
-    frames, _ = _load_frames(args, parser, args.output)
+    frames = _read_frames(args.input, parser)
     result = codec.encode_sequence(frames, config, threads=args.threads)
     with open(args.output, "wb") as fh:
         fh.write(result.data)
@@ -142,8 +123,7 @@ def _cmd_encode(args, parser):
 
 
 def _cmd_decode(args, parser):
-    paths = _resolve_ply_paths(args.geometry, parser)
-    frames = [read_ply(p) for p in paths]
+    frames = _read_frames(args.geometry, parser)
     with open(args.bitstream, "rb") as fh:
         data = fh.read()
     result = codec.decode_sequence(data, frames, threads=args.threads)
@@ -171,7 +151,7 @@ def _cmd_rd_sweep(args, parser):
                for q in q_values}
     if len(configs) != len(q_values):
         print("warning: duplicate q values removed", file=sys.stderr)
-    frames, _ = _load_frames(args, parser, args.output)
+    frames = _read_frames(args.input, parser)
     total_points = sum(f.point_count for f in frames)
 
     rows = []
@@ -196,17 +176,17 @@ def _cmd_rd_sweep(args, parser):
 
 
 def _cmd_validate_gmrf(args, parser):
-    if args.synthetic_nodes:
+    if args.input is None:
         n = args.synthetic_nodes
+        if n < 1:
+            parser.error("--synthetic-nodes must be >= 1")
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0, math.sqrt(n) * 3.0, size=(n, 3))
         lap = generalized_laplacian(
             codec.cluster_laplacian(pts, _config_from_args(args)))
         samples = gmrf.sample_gmrf(lap, (args.patches + 1), rng=rng)
     else:
-        if not args.frames_in:
-            parser.error("provide --frames or --synthetic-nodes")
-        paths = _resolve_ply_paths(args.frames_in, parser)
+        paths = _resolve_ply_paths(args.input, parser)
         if len(paths) < args.patches + 1:
             parser.error(f"need at least {args.patches + 1} frames for "
                          f"{args.patches} patches")
@@ -247,22 +227,19 @@ def _aligned_patch_samples(paths, args, config=SequenceConfig()):
 
 
 def _cmd_fit_lambda(args, parser):
-    rows = []
     with open(args.curve) as fh:
-        header = fh.readline()
-        for line in fh:
-            parts = line.split()
-            if len(parts) >= 5:
-                rows.append([float(x) for x in parts[:5]])
+        rows = [parts[:5] for parts in map(str.split, fh) if len(parts) >= 5]
+    try:
+        float(rows[0][0])
+    except (IndexError, ValueError):  # rd-sweep's header row, or no rows
+        rows = rows[1:]
     if len(rows) < 3:
         print("error: need >= 3 points to fit the lambda-Q model",
               file=sys.stderr)
         return 1
-    peak = 255.0
-    points = []
-    for q, rate, py, pu, pv in rows:
-        mses = [peak * peak / (10 ** (p / 10.0)) for p in (py, pu, pv)]
-        points.append((q, rate, sum(mses) / 3.0))
+    points = [(float(q), float(rate),
+               rdo.distortion_from_psnr(*map(float, psnrs)))
+              for q, rate, *psnrs in rows]
     alpha, beta = rdo.fit_lambda_model(points)
     print(f"alpha = {alpha:.6g}")
     print(f"beta = {beta:.6g}")
@@ -275,8 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Attribute codec for dynamic point clouds")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    syn = sub.add_parser("synth", help="write a seeded synthetic PLY sequence")
+    syn.add_argument("kind", choices=synth.KINDS)
+    syn.add_argument("--frames", type=int, default=4, help="frame count")
+    syn.add_argument("--points", type=int, default=2000,
+                     help="points per frame")
+    syn.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    syn.add_argument("--output", required=True, help="output directory")
+
     enc = sub.add_parser("encode", help="encode a PLY sequence")
-    _add_input_flags(enc)
+    _input_flag(enc)
     enc.add_argument("--output", required=True, help="bitstream file")
     _add_config_flags(enc)
     _threads_flag(enc)
@@ -289,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     _threads_flag(dec)
 
     sweep = sub.add_parser("rd-sweep", help="encode+decode over a q ladder")
-    _add_input_flags(sweep)
+    _input_flag(sweep)
     sweep.add_argument("--q-list", required=True,
                        help="comma-separated quantization steps")
     sweep.add_argument("--output", required=True, help="curve file")
@@ -299,13 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate-gmrf",
                          help="compare the generalized Laplacian against an "
                               "empirical precision matrix")
-    val.add_argument("--frames", dest="frames_in", nargs="+", metavar="PATH")
+    source = val.add_mutually_exclusive_group(required=True)
+    _input_flag(source, required=False)
+    source.add_argument("--synthetic-nodes", type=int, metavar="N",
+                        help="synthetic mode: sample from a random N-node "
+                             "graph built with --epsilon2 (--grid-dim and "
+                             "--cluster-size apply to --input only)")
     val.add_argument("--patches", type=int, default=19,
                      help="number of aligned patches K")
-    val.add_argument("--synthetic-nodes", type=int, metavar="N",
-                     help="synthetic mode: sample from a random N-node "
-                          "graph built with --epsilon2 (--grid-dim and "
-                          "--cluster-size apply to --frames only)")
     val.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_config_flags(val, with_q=False, graph_only=True)
 
@@ -326,6 +312,7 @@ def main(argv=None) -> int:
         parser.error("--threads must be >= 1")
 
     commands = {
+        "synth": _cmd_synth,
         "encode": _cmd_encode,
         "decode": _cmd_decode,
         "rd-sweep": _cmd_rd_sweep,

@@ -246,12 +246,19 @@ def _frame_stats(t: int, is_p: bool, record: FrameRecord,
         mirror_hash=mirror.hexdigest())
 
 
+def _check_frames_have_points(raw_frames):
+    for t, raw in enumerate(raw_frames):
+        if raw.point_count < 1:
+            raise ValueError(f"frame {t} has no points")
+
+
 def encode_sequence(raw_frames, config: SequenceConfig,
                     threads: int = 1) -> EncodeResult:
     """Encode an ordered list of RawPointCloud frames."""
     _check_threads(threads)
     if not raw_frames:
         raise ValueError("need at least one frame")
+    _check_frames_have_points(raw_frames)
     config.validate()
     lam = lambda_from_q(config.qstep)
     box = sequence_bounding_box(raw_frames[0])
@@ -321,6 +328,7 @@ def decode_sequence(data: bytes, geometry_frames,
         raise BitstreamError(
             f"stream has {len(records)} frames but "
             f"{len(geometry_frames)} geometry frames were supplied")
+    _check_frames_have_points(geometry_frames)
     box = sequence_bounding_box(geometry_frames[0])
 
     recon_frames = []

@@ -34,6 +34,12 @@ def distortion_yuv(orig: np.ndarray, recon: np.ndarray) -> float:
     return float(np.mean((orig - recon) ** 2))
 
 
+def distortion_from_psnr(psnr_y: float, psnr_u: float, psnr_v: float) -> float:
+    """The distortion `distortion_yuv` measures, recovered from the three
+    channels' PSNRs in dB (peak 255)."""
+    return sum(255.0 ** 2 / 10 ** (p / 10.0) for p in (psnr_y, psnr_u, psnr_v)) / 3.0
+
+
 def choose_mode(intra, inter, lambda_: float) -> str:
     """Each mode's cost is a (distortion, rate) pair: the mean YUV MSE
     over the cluster and its exact payload bits plus the mode bit.

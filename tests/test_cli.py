@@ -9,8 +9,9 @@ import pytest
 
 from pgft import cli
 from pgft.cli import main
+from pgft.codec import encode_sequence
 from pgft.pointcloud import SequenceConfig
-from pgft.synth import write_synthetic_sequence
+from pgft.synth import synthetic_sequence, write_synthetic_sequence
 
 
 def _read_tsv(path):
@@ -21,11 +22,12 @@ def _read_tsv(path):
 
 
 def test_encode_synthetic_smoke(tmp_path, capsys):
+    frames_dir = str(tmp_path / "frames")
+    assert main(["synth", "wave", "--frames", "2", "--points", "800",
+                 "--output", frames_dir]) == 0
     out = tmp_path / "seq.bin"
-    rc = main(["encode", "--synthetic", "wave", "--frames", "2",
-               "--points", "800", "--q", "8", "--grid-dim", "64",
-               "--output", str(out),
-               "--synthetic-dir", str(tmp_path / "frames")])
+    rc = main(["encode", "--input", frames_dir, "--q", "8", "--grid-dim", "64",
+               "--output", str(out)])
     assert rc == 0
     assert out.exists()
     _, rows = _read_tsv(str(out) + ".stats.tsv")
@@ -34,10 +36,9 @@ def test_encode_synthetic_smoke(tmp_path, capsys):
 
 def test_encode_ignores_threads_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("PGFT_THREADS", "abc")
-    rc = main(["encode", "--synthetic", "wave", "--frames", "1",
-               "--points", "400", "--q", "8", "--grid-dim", "32",
-               "--output", str(tmp_path / "seq.bin"),
-               "--synthetic-dir", str(tmp_path / "frames")])
+    write_synthetic_sequence(tmp_path / "frames", "wave", 1, 400, seed=0)
+    rc = main(["encode", "--input", str(tmp_path / "frames"), "--q", "8",
+               "--grid-dim", "32", "--output", str(tmp_path / "seq.bin")])
     assert rc == 0
 
 
@@ -52,14 +53,14 @@ def test_decode_has_no_seed_flag(tmp_path):
 
 def test_encode_missing_q_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
-        main(["encode", "--synthetic", "wave",
+        main(["encode", "--input", str(tmp_path),
               "--output", str(tmp_path / "x.bin")])
     assert info.value.code == 2
 
 
 def test_encode_q_zero_rejected(tmp_path):
     with pytest.raises(SystemExit) as info:
-        main(["encode", "--synthetic", "wave", "--q", "0",
+        main(["encode", "--input", str(tmp_path), "--q", "0",
               "--output", str(tmp_path / "x.bin")])
     assert info.value.code == 2
 
@@ -73,12 +74,13 @@ def test_encode_q_zero_rejected(tmp_path):
     ["rd-sweep", "--q-list", "4,nan"],
 ])
 def test_bad_config_value_is_usage_error(tmp_path, argv):
+    write_synthetic_sequence(tmp_path / "frames", "wave", 1, 50, seed=0)
+    before = sorted(tmp_path.rglob("*"))
     with pytest.raises(SystemExit) as info:
-        main(argv + ["--synthetic", "wave", "--frames", "1", "--points", "50",
-                     "--output", str(tmp_path / "out"),
-                     "--synthetic-dir", str(tmp_path / "frames")])
+        main(argv + ["--input", str(tmp_path / "frames"),
+                     "--output", str(tmp_path / "out")])
     assert info.value.code == 2
-    assert not list(tmp_path.rglob("*.ply"))
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_encode_decode_psnr_matches(tmp_path):
@@ -132,10 +134,10 @@ def test_decode_truncated_stream_fails_cleanly(tmp_path, capsys):
 
 def test_rd_sweep(tmp_path):
     curve = tmp_path / "curve.tsv"
-    rc = main(["rd-sweep", "--synthetic", "wave", "--frames", "2",
-               "--points", "800", "--grid-dim", "64",
-               "--q-list", "2,4,8,16,32", "--output", str(curve),
-               "--synthetic-dir", str(tmp_path / "frames")])
+    write_synthetic_sequence(tmp_path / "frames", "wave", 2, 800, seed=0)
+    rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
+               "--grid-dim", "64", "--q-list", "2,4,8,16,32",
+               "--output", str(curve)])
     assert rc == 0
     _, rows = _read_tsv(curve)
     assert len(rows) == 5
@@ -145,10 +147,9 @@ def test_rd_sweep(tmp_path):
 
 def test_rd_sweep_single_q(tmp_path):
     curve = tmp_path / "curve.tsv"
-    rc = main(["rd-sweep", "--synthetic", "static", "--frames", "1",
-               "--points", "500", "--grid-dim", "64", "--q-list", "8",
-               "--output", str(curve),
-               "--synthetic-dir", str(tmp_path / "frames")])
+    write_synthetic_sequence(tmp_path / "frames", "static", 1, 500, seed=0)
+    rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
+               "--grid-dim", "64", "--q-list", "8", "--output", str(curve)])
     assert rc == 0
     _, rows = _read_tsv(curve)
     assert len(rows) == 1
@@ -156,10 +157,9 @@ def test_rd_sweep_single_q(tmp_path):
 
 def test_rd_sweep_duplicate_q_warns(tmp_path, capsys):
     curve = tmp_path / "curve.tsv"
-    rc = main(["rd-sweep", "--synthetic", "static", "--frames", "1",
-               "--points", "500", "--grid-dim", "64", "--q-list", "8,8",
-               "--output", str(curve),
-               "--synthetic-dir", str(tmp_path / "frames")])
+    write_synthetic_sequence(tmp_path / "frames", "static", 1, 500, seed=0)
+    rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
+               "--grid-dim", "64", "--q-list", "8,8", "--output", str(curve)])
     assert rc == 0
     assert "duplicate" in capsys.readouterr().err
     _, rows = _read_tsv(curve)
@@ -178,7 +178,7 @@ def test_validate_gmrf_synthetic(capsys):
 def test_validate_gmrf_dataset_mode(tmp_path, capsys):
     frames_dir = tmp_path / "frames"
     write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
-    rc = main(["validate-gmrf", "--frames", str(frames_dir), "--patches", "3"])
+    rc = main(["validate-gmrf", "--input", str(frames_dir), "--patches", "3"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "support correlation" in out
@@ -205,7 +205,7 @@ def test_validate_gmrf_dataset_mode_takes_graph_flags(tmp_path, capsys):
     input has no edges; the encoder's --grid-dim brings them back."""
     frames_dir = tmp_path / "frames"
     write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
-    argv = ["validate-gmrf", "--frames", str(frames_dir), "--patches", "3"]
+    argv = ["validate-gmrf", "--input", str(frames_dir), "--patches", "3"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert _support_size(out) == 0
@@ -222,7 +222,7 @@ def test_validate_gmrf_dataset_mode_takes_graph_flags(tmp_path, capsys):
 def test_validate_gmrf_bad_graph_flag_is_usage_error(tmp_path, capsys, flag,
                                                      field):
     with pytest.raises(SystemExit) as info:
-        main(["validate-gmrf", "--frames", str(tmp_path), flag, "0"])
+        main(["validate-gmrf", "--input", str(tmp_path), flag, "0"])
     assert info.value.code == 2
     assert f"{field}=0" in capsys.readouterr().err
 
@@ -246,12 +246,72 @@ def test_aligned_patch_samples_digest(tmp_path):
 
 def test_encode_flags_set_every_config_field():
     args = cli.build_parser().parse_args([
-        "encode", "--synthetic", "wave", "--output", "x.bin", "--q", "7",
+        "encode", "--input", "x", "--output", "x.bin", "--q", "7",
         "--gop", "7", "--epsilon2", "7", "--cluster-size", "7",
         "--grid-dim", "7"])
     config = cli._config_from_args(args)
     assert dataclasses.asdict(config) == {
         f.name: 7 for f in dataclasses.fields(SequenceConfig)}
+
+
+def test_flag_names_have_one_meaning():
+    """An option string takes the same nargs and type in every subcommand."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    meanings = {}
+    for subparser in subparsers.values():
+        for action in subparser._actions:
+            for flag in action.option_strings:
+                meanings.setdefault(flag, set()).add((action.nargs, action.type))
+    assert {f: m for f, m in meanings.items() if len(m) > 1} == {}
+
+
+@pytest.mark.parametrize("command", [["encode", "--q", "8"],
+                                     ["rd-sweep", "--q-list", "8"]])
+def test_synthetic_flag_is_gone(tmp_path, command):
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--synthetic", "wave", "--input", str(tmp_path),
+                        "--output", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_synth_then_encode_matches_library(tmp_path):
+    """`pgft synth` writes write_synthetic_sequence's PLYs, and encoding
+    them gives the stream of the in-memory synthetic sequence."""
+    frames_dir, ref_dir = tmp_path / "frames", tmp_path / "ref"
+    assert main(["synth", "rigid-motion", "--frames", "3", "--points", "1500",
+                 "--seed", "4", "--output", str(frames_dir)]) == 0
+    ref_paths = write_synthetic_sequence(ref_dir, "rigid-motion", 3, 1500,
+                                         seed=4)
+    assert sorted(os.listdir(frames_dir)) == sorted(os.listdir(ref_dir))
+    for ref in ref_paths:
+        name = os.path.basename(ref)
+        assert (frames_dir / name).read_bytes() == (ref_dir / name).read_bytes()
+    out = tmp_path / "seq.bin"
+    assert main(["encode", "--input", str(frames_dir), "--q", "8",
+                 "--grid-dim", "128", "--output", str(out)]) == 0
+    config = SequenceConfig(qstep=8.0, grid_dim=128)
+    frames = synthetic_sequence("rigid-motion", 3, 1500, seed=4)
+    assert out.read_bytes() == encode_sequence(frames, config).data
+
+
+@pytest.mark.parametrize("flag", ["--frames", "--points"])
+def test_synth_count_below_one_is_usage_error(tmp_path, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["synth", "wave", flag, "0", "--output", str(tmp_path / "f")])
+    assert info.value.code == 2
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("source", [
+    ["--input", "frames", "--synthetic-nodes", "40"], [],
+    ["--synthetic-nodes", "0"]])
+def test_validate_gmrf_needs_one_source(source):
+    """Exactly one of --input and --synthetic-nodes, and a positive count."""
+    with pytest.raises(SystemExit) as info:
+        main(["validate-gmrf"] + source)
+    assert info.value.code == 2
 
 
 def _write_power_law_curve(path, alpha, beta):
@@ -267,6 +327,23 @@ def _write_power_law_curve(path, alpha, beta):
         for q, r, d in zip(qs, rates, dists):
             p = 10.0 * math.log10(255.0 ** 2 / d)
             fh.write(f"{q}\t{r}\t{p:.12f}\t{p:.12f}\t{p:.12f}\n")
+
+
+_CURVE_ROWS = ["2\t4.0\t45\t47\t48\n", "4\t2.5\t41\t44\t46\n",
+               "8\t1.5\t37\t41\t43\n", "16\t0.9\t33\t38\t39\n"]
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_fit_lambda_reads_headerless_curve(tmp_path, capsys, count):
+    """A first row of numbers is data; only rd-sweep's header is skipped."""
+    body = "".join(_CURVE_ROWS[:count])
+    fits = []
+    for text in ("q\tbpip\tpsnr_y\tpsnr_u\tpsnr_v\n" + body, body):
+        curve = tmp_path / "curve.tsv"
+        curve.write_text(text)
+        assert main(["fit-lambda", "--curve", str(curve)]) == 0
+        fits.append(capsys.readouterr().out)
+    assert fits[0] == fits[1]
 
 
 def test_fit_lambda_single_row(tmp_path, capsys):

@@ -125,6 +125,19 @@ def test_invalid_header_rejected_before_voxelizing(monkeypatch, field, value):
         decode_sequence(bytes(data), frames)
 
 
+@pytest.mark.parametrize("t", [0, 1])
+def test_empty_frame_named_before_voxelizing(monkeypatch, t):
+    frames = synthetic_sequence("wave", 2, point_count=200, seed=13)
+    data = encode_sequence(frames, _cfg()).data
+    frames[t] = RawPointCloud(positions=np.zeros((0, 3)),
+                              colors=np.zeros((0, 3), dtype=np.uint8))
+    monkeypatch.setattr(codec, "voxelize", _never)
+    with pytest.raises(ValueError, match=f"frame {t} has no points"):
+        encode_sequence(frames, _cfg())
+    with pytest.raises(ValueError, match=f"frame {t} has no points"):
+        decode_sequence(data, frames)
+
+
 def test_single_frame_is_intra_only():
     frames = synthetic_sequence("wave", 1, point_count=600, seed=0)
     result = encode_sequence(frames, _cfg())

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pgft.rdo import (ALPHA, BETA, INTER, INTRA, choose_mode, distortion_yuv,
-                      fit_lambda_model, lambda_from_q)
+from pgft.metrics import psnr
+from pgft.rdo import (ALPHA, BETA, INTER, INTRA, choose_mode,
+                      distortion_from_psnr, distortion_yuv, fit_lambda_model,
+                      lambda_from_q)
 
 # frozen by direct evaluation of alpha * Q^beta via exp/log
 LAMBDA_16 = math.exp(math.log(0.0624) + 1.6238 * math.log(16.0))
@@ -55,6 +57,16 @@ def test_distortion_channel_average():
 def test_distortion_single_point():
     assert distortion_yuv(np.zeros((1, 3)),
                           np.array([[1.0, 2.0, 2.0]])) == pytest.approx(3.0)
+
+
+def test_distortion_from_psnr_matches_distortion_yuv():
+    """Unequal channel PSNRs give the mean of the three MSEs (1, 2, 10)."""
+    orig = np.zeros((2, 3))
+    recon = np.array([[1.0, 2.0, 4.0], [1.0, 0.0, 2.0]])
+    psnrs = [psnr(orig[:, c], recon[:, c]) for c in range(3)]
+    assert len(set(psnrs)) == 3
+    assert distortion_yuv(orig, recon) == pytest.approx(13.0 / 3.0)
+    assert distortion_from_psnr(*psnrs) == pytest.approx(13.0 / 3.0)
 
 
 def test_distortion_length_mismatch():
