@@ -6,8 +6,8 @@ grid, and partitions it into coding clusters the way the codec does.
 
 import numpy as np
 
-from pgft import kmeans_geometry, voxelize
-from pgft.pointcloud import sequence_bounding_box
+from pgft.clustering import kmeans_geometry
+from pgft.pointcloud import sequence_bounding_box, voxelize
 from pgft.synth import synthetic_sequence
 
 frames = synthetic_sequence("wave", 1, point_count=3000, seed=0)

@@ -6,19 +6,21 @@ spectrum, and shows energy compaction of a smooth color signal.
 
 import numpy as np
 
-from pgft import (build_epsilon_graph, combinatorial_laplacian,
-                  eigendecompose, estimate_normals, gft_forward, gft_inverse,
-                  kmeans_geometry, voxelize)
+from pgft.clustering import kmeans_geometry
+from pgft.graph import (build_epsilon_graph, combinatorial_laplacian,
+                        estimate_normals)
+from pgft.pointcloud import sequence_bounding_box, voxelize
 from pgft.synth import synthetic_sequence
+from pgft.transform import eigendecompose, gft_forward, gft_inverse
 
-frame = voxelize(synthetic_sequence("wave", 1, point_count=2000, seed=1)[0],
-                 grid_dim=64)
+raw = synthetic_sequence("wave", 1, point_count=2000, seed=1)[0]
+frame = voxelize(raw, grid_dim=64, box=sequence_bounding_box(raw))
 partition = kmeans_geometry(frame, 600)
 members = partition.members(0)
 points = frame.voxel_coords[members].astype(np.float64)
 print(f"cluster 0: {len(members)} voxels")
 
-normals = estimate_normals(points, k=15)
+normals = estimate_normals(points)
 graph = build_epsilon_graph(points, normals, epsilon_sq=50.0)
 print(f"epsilon graph: {graph.edge_count} edges, "
       f"mean degree {2 * graph.edge_count / graph.n:.1f}, "

@@ -11,9 +11,9 @@ low-pass filter) and the residual transform.
 
 import numpy as np
 
-from pgft import (combinatorial_laplacian, eigendecompose, inter_predict,
-                  sample_gmrf)
-from pgft.graph import SpatialGraph
+from pgft.gmrf import sample_gmrf
+from pgft.graph import SpatialGraph, combinatorial_laplacian
+from pgft.transform import eigendecompose, inter_predict
 
 rng = np.random.default_rng(0)
 n = 24

@@ -6,7 +6,7 @@ stats, and the encoder/decoder mirror property.
 
 import numpy as np
 
-from pgft import decode_sequence, encode_sequence
+from pgft.codec import decode_sequence, encode_sequence
 from pgft.metrics import bpip
 from pgft.pointcloud import SequenceConfig
 from pgft.synth import synthetic_sequence

@@ -9,10 +9,10 @@ measured curve.  The codec keeps its shipped constants `rdo.ALPHA` and
 
 import numpy as np
 
-from pgft import bd_br, decode_sequence, encode_sequence, fit_lambda_model
-from pgft.metrics import bpip
+from pgft.codec import decode_sequence, encode_sequence
+from pgft.metrics import bd_br, bpip
 from pgft.pointcloud import SequenceConfig
-from pgft.rdo import ALPHA, BETA, distortion_from_psnr
+from pgft.rdo import ALPHA, BETA, distortion_from_psnr, fit_lambda_model
 from pgft.synth import synthetic_sequence
 
 frames = synthetic_sequence("rigid-motion", 4, point_count=2000, seed=3)

@@ -7,9 +7,9 @@ how well the graph Laplacian matches it on the edge support.
 
 import numpy as np
 
-from pgft import (compare_to_laplacian, empirical_precision,
-                  generalized_laplacian, sample_gmrf)
-from pgft.graph import SpatialGraph, combinatorial_laplacian
+from pgft.gmrf import compare_to_laplacian, empirical_precision, sample_gmrf
+from pgft.graph import (SpatialGraph, combinatorial_laplacian,
+                        generalized_laplacian)
 
 rng = np.random.default_rng(11)
 n = 30

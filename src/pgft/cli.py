@@ -176,6 +176,8 @@ def _cmd_rd_sweep(args, parser):
 
 
 def _cmd_validate_gmrf(args, parser):
+    if args.patches < 1:
+        parser.error("--patches must be >= 1")
     if args.input is None:
         n = args.synthetic_nodes
         if n < 1:
@@ -190,7 +192,7 @@ def _cmd_validate_gmrf(args, parser):
         if len(paths) < args.patches + 1:
             parser.error(f"need at least {args.patches + 1} frames for "
                          f"{args.patches} patches")
-        lap, samples = _aligned_patch_samples(paths, args,
+        lap, samples = _aligned_patch_samples(paths, args.patches,
                                               _config_from_args(args))
         if np.count_nonzero(lap) == lap.shape[0]:  # L + I is diagonal
             print("warning: the tracked cluster's graph has no edges; try a "
@@ -206,11 +208,12 @@ def _cmd_validate_gmrf(args, parser):
     return 0
 
 
-def _aligned_patch_samples(paths, args, config=SequenceConfig()):
+def _aligned_patch_samples(paths, patches, config):
     """Dataset mode: the first cluster of frame 1 is tracked through the
-    following frames via motion correspondence; its correspondence-ordered
-    attribute vectors are the patch observations."""
-    frames = [read_ply(p) for p in paths]
+    next `patches` frames via motion correspondence; its
+    correspondence-ordered attribute vectors are the patch observations.
+    Only those frames are read."""
+    frames = [read_ply(p) for p in paths[:patches + 1]]
     box = sequence_bounding_box(frames[0])
     vox = [voxelize(f, config.grid_dim, box) for f in frames]
     partition = kmeans_geometry(vox[0], config.target_cluster_size)
@@ -219,7 +222,7 @@ def _aligned_patch_samples(paths, args, config=SequenceConfig()):
     lap = generalized_laplacian(codec.cluster_laplacian(pts, config))
 
     samples = [vox[0].attributes[members][:, 0]]  # Y channel
-    for other in vox[1:args.patches + 1]:
+    for other in vox[1:]:
         ref_index = codec.reference_index(pts, other.voxel_coords)
         if ref_index is not None:
             samples.append(other.attributes[ref_index][:, 0])
@@ -299,12 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fit alpha, beta from an rd-sweep curve file")
     fit.add_argument("--curve", required=True)
 
+    for subparser in sub.choices.values():  # usage errors name the subcommand
+        subparser.set_defaults(parser=subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser
 
     if getattr(args, "qstep", None) is not None:  # all but decode, fit-lambda
         _check_config(_config_from_args(args), parser)

@@ -123,7 +123,7 @@ class _ClusterPlan:
 def cluster_laplacian(pts: np.ndarray, config: SequenceConfig) -> np.ndarray:
     """Dense combinatorial Laplacian of the normal-weighted epsilon-graph
     on a cluster's (n, 3) float64 voxel coordinates."""
-    normals = graph.estimate_normals(pts, graph.NORMAL_K)
+    normals = graph.estimate_normals(pts)
     g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq)
     return graph.combinatorial_laplacian(g)
 

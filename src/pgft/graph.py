@@ -4,25 +4,22 @@ Edges connect points within an epsilon ball; weights come from a
 Gaussian kernel of the sine of the angle between the two point normals,
 w = exp(-sin(theta)^2 / SIGMA_SQ).  sin(theta) is taken as the norm of
 the cross product of the unit normals, which makes the weight invariant
-to normal sign flips.  SIGMA_SQ and the codec's normal neighbourhood
-NORMAL_K are fixed; only epsilon varies with the content.  Laplacians
-are dense (n, n) arrays: L = D - W and L + I, whose unit diagonal
-potential stands in for the unit-weight temporal edges to the
-corresponded reference points.
+to normal sign flips.  SIGMA_SQ and the normal neighbourhood NORMAL_K
+are fixed; only epsilon varies with the content.  Laplacians are dense
+(n, n) arrays: L = D - W and L + I, whose unit diagonal potential
+stands in for the unit-weight temporal edges to the corresponded
+reference points.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-log = logging.getLogger(__name__)
-
 SIGMA_SQ = 0.4   # edge kernel width on sin^2 of the normal angle
-NORMAL_K = 15    # neighbours per normal estimate in the codec
+NORMAL_K = 15    # neighbours per normal estimate
 
 
 @dataclass(frozen=True)
@@ -37,28 +34,28 @@ class SpatialGraph:
         return self.edges_i.shape[0]
 
 
-def estimate_normals(points: np.ndarray, k: int) -> np.ndarray:
+def estimate_normals(points: np.ndarray) -> np.ndarray:
     """Per-point unit normals from local covariance.
 
-    The covariance of each point's k nearest neighbors (self included)
-    is eigendecomposed; the normal is the eigenvector of the smallest
-    eigenvalue, sign-fixed so its largest-magnitude component is
-    positive.  Clusters with fewer than 3 points get (0, 0, 1).
+    The covariance of each point's NORMAL_K nearest neighbors (self
+    included; every point of a smaller cluster) is eigendecomposed; the
+    normal is the eigenvector of the smallest eigenvalue, sign-fixed so
+    its largest-magnitude component is positive.  Clusters with fewer
+    than 3 points get (0, 0, 1).
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if n < 3:
-        log.debug("normal estimation on %d points; defaulting to +z", n)
         normals = np.zeros((n, 3))
         normals[:, 2] = 1.0
         return normals
-    k_eff = min(max(k, 3), n)
+    k = min(NORMAL_K, n)
 
     tree = cKDTree(points)
-    _, neighbors = tree.query(points, k=k_eff)
+    _, neighbors = tree.query(points, k=k)
     local = points[neighbors]                      # (n, k, 3)
     centered = local - local.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k_eff
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
 
     _, vecs = np.linalg.eigh(cov)
     normals = vecs[:, :, 0]                        # smallest eigenvalue

@@ -11,12 +11,8 @@ bit.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 from scipy.spatial import cKDTree
-
-log = logging.getLogger(__name__)
 
 ICP_MAX_ITER = 30
 ICP_TOL = 1e-6
@@ -102,7 +98,6 @@ def icp_register(source: np.ndarray, target: np.ndarray):
         raise ValueError("ICP requires non-empty point sets")
 
     if not (_rank_at_least_2(source) and _rank_at_least_2(target)):
-        log.debug("ICP degenerate input (collinear or tiny); using identity")
         return np.eye(3), np.zeros(3)
 
     rotation, translation = np.eye(3), np.zeros(3)

@@ -75,7 +75,6 @@ class VoxelizedFrame:
 
     voxel_coords: np.ndarray  # (v, 3) int32, sorted, unique
     attributes: np.ndarray    # (v, 3) float64, YUV - 128
-    grid_dim: int
     point_map: np.ndarray     # (n,) int64
 
     @property
@@ -133,13 +132,8 @@ class SequenceConfig:
 
 
 def rgb_to_yuv(rgb) -> np.ndarray:
-    """Convert 8-bit RGB to full-range YUV, clamped to [0, 255].
-
-    Works on a single (3,) triple or an (n, 3) array.
-    """
+    """Convert (n, 3) 8-bit RGB to full-range YUV, clamped to [0, 255]."""
     arr = np.asarray(rgb, dtype=np.float64)
-    if arr.ndim == 1:
-        return rgb_to_yuv(arr[None, :])[0]
     if arr.min(initial=0.0) < 0 or arr.max(initial=0.0) > 255:
         raise ValueError("RGB channels must be in [0, 255]")
     yuv = arr @ _RGB_TO_YUV.T + _CHROMA_OFFSET
@@ -149,8 +143,6 @@ def rgb_to_yuv(rgb) -> np.ndarray:
 def yuv_to_rgb(yuv) -> np.ndarray:
     """Inverse of rgb_to_yuv; output clamped to [0, 255] (still float)."""
     arr = np.asarray(yuv, dtype=np.float64)
-    if arr.ndim == 1:
-        return yuv_to_rgb(arr[None, :])[0]
     rgb = (arr - _CHROMA_OFFSET) @ _YUV_TO_RGB.T
     return np.clip(rgb, 0.0, 255.0)
 
@@ -175,16 +167,14 @@ def sequence_bounding_box(raw: RawPointCloud):
     return bounding_box(raw.positions, BOX_MARGIN)
 
 
-def voxelize(raw: RawPointCloud, grid_dim: int, box=None) -> VoxelizedFrame:
+def voxelize(raw: RawPointCloud, grid_dim: int, box) -> VoxelizedFrame:
     """Map points onto the integer grid and average attributes per voxel.
 
-    One shared uniform scale maps the bounding box into [0, grid_dim-1]^3;
+    One shared uniform scale maps the (min, max) box into [0, grid_dim-1]^3;
     points are binned by floor and clamped at the upper boundary.
     """
     if raw.point_count < 1:
         raise ValueError("cannot voxelize an empty point cloud")
-    if box is None:
-        box = sequence_bounding_box(raw)
     lo, hi = np.asarray(box[0], dtype=np.float64), np.asarray(box[1], dtype=np.float64)
     extent = float(np.max(hi - lo))
     if extent <= 0.0:
@@ -207,7 +197,7 @@ def voxelize(raw: RawPointCloud, grid_dim: int, box=None) -> VoxelizedFrame:
     attributes = sums / counts[:, None]
 
     return VoxelizedFrame(voxel_coords=voxel_coords, attributes=attributes,
-                          grid_dim=grid_dim, point_map=point_map)
+                          point_map=point_map)
 
 
 def devoxelize(attributes: np.ndarray, point_map: np.ndarray,
@@ -352,8 +342,8 @@ def read_ply(path) -> RawPointCloud:
     return RawPointCloud(positions=positions, colors=colors)
 
 
-def write_ply(path, positions, colors, binary: bool = True):
-    """Write vertices as x,y,z float32 + red,green,blue uchar."""
+def write_ply(path, positions, colors):
+    """Write binary little-endian x,y,z float32 + red,green,blue uchar."""
     positions = np.asarray(positions, dtype=np.float32)
     colors = np.asarray(colors, dtype=np.uint8)
     if positions.shape != colors.shape:
@@ -361,7 +351,7 @@ def write_ply(path, positions, colors, binary: bool = True):
     n = positions.shape[0]
     header = [
         "ply",
-        "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+        "format binary_little_endian 1.0",
         f"element vertex {n}",
         "property float x",
         "property float y",
@@ -373,13 +363,8 @@ def write_ply(path, positions, colors, binary: bool = True):
     ]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            rec = np.empty(n, dtype=np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
-                                              ("r", "u1"), ("g", "u1"), ("b", "u1")]))
-            rec["x"], rec["y"], rec["z"] = positions.T
-            rec["r"], rec["g"], rec["b"] = colors.T
-            fh.write(rec.tobytes())
-        else:
-            for p, c in zip(positions, colors):
-                fh.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} "
-                         f"{c[0]} {c[1]} {c[2]}\n".encode("ascii"))
+        rec = np.empty(n, dtype=np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
+                                          ("r", "u1"), ("g", "u1"), ("b", "u1")]))
+        rec["x"], rec["y"], rec["z"] = positions.T
+        rec["r"], rec["g"], rec["b"] = colors.T
+        fh.write(rec.tobytes())

@@ -156,7 +156,7 @@ def test_criterion_05_codec_roundtrip():
     part = kmeans_geometry(frame, 600)
     members = part.members(0)
     pts = frame.voxel_coords[members].astype(np.float64)
-    normals = estimate_normals(pts, 15)
+    normals = estimate_normals(pts)
     lap = combinatorial_laplacian(build_epsilon_graph(pts, normals, 50.0))
     basis = eigendecompose(lap)
     coeffs = gft_forward(frame.attributes[members], basis)

@@ -10,7 +10,7 @@ import pytest
 from pgft import cli
 from pgft.cli import main
 from pgft.codec import encode_sequence
-from pgft.pointcloud import SequenceConfig
+from pgft.pointcloud import SequenceConfig, read_ply
 from pgft.synth import synthetic_sequence, write_synthetic_sequence
 
 
@@ -184,6 +184,70 @@ def test_validate_gmrf_dataset_mode(tmp_path, capsys):
     assert "support correlation" in out
 
 
+def _count_reads(monkeypatch):
+    """The paths `cli` reads with read_ply, in call order."""
+    reads = []
+    monkeypatch.setattr(cli, "read_ply",
+                        lambda path: reads.append(path) or read_ply(path))
+    return reads
+
+
+def test_validate_gmrf_reads_only_the_frames_it_uses(tmp_path, monkeypatch):
+    paths = write_synthetic_sequence(tmp_path, "wave", 6, 800, seed=4)
+    reads = _count_reads(monkeypatch)
+    assert main(["validate-gmrf", "--input", str(tmp_path),
+                 "--patches", "3"]) == 0
+    assert reads == paths[:4]
+
+
+@pytest.mark.parametrize("patches", ["0", "-3"])
+@pytest.mark.parametrize("source", ["--synthetic-nodes", "--input"])
+def test_validate_gmrf_patches_below_one_is_usage_error(
+        tmp_path, monkeypatch, capsys, source, patches):
+    write_synthetic_sequence(tmp_path, "wave", 2, 50, seed=0)
+    reads = _count_reads(monkeypatch)
+    value = "5" if source == "--synthetic-nodes" else str(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["validate-gmrf", source, value, "--patches", patches])
+    assert info.value.code == 2
+    assert "--patches must be >= 1" in capsys.readouterr().err
+    assert reads == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["encode", "--input", "IN", "--output", "OUT", "--q", "0"],
+                 id="main-config"),
+    pytest.param(["encode", "--input", "IN", "--output", "OUT", "--q", "8",
+                  "--threads", "0"], id="main-threads"),
+    pytest.param(["decode", "--bitstream", "OUT", "--geometry", "MISSING",
+                  "--output", "OUT"], id="resolve-ply-paths-missing"),
+    pytest.param(["encode", "--input", "EMPTY", "--output", "OUT", "--q", "8"],
+                 id="resolve-ply-paths-empty"),
+    pytest.param(["synth", "wave", "--points", "0", "--output", "OUT"],
+                 id="synth"),
+    pytest.param(["rd-sweep", "--input", "IN", "--output", "OUT",
+                  "--q-list", "abc"], id="rd-sweep-q-list"),
+    pytest.param(["rd-sweep", "--input", "IN", "--output", "OUT",
+                  "--q-list", "0"], id="rd-sweep-config"),
+    pytest.param(["validate-gmrf", "--input", "IN", "--patches", "9"],
+                 id="validate-gmrf-frames"),
+    pytest.param(["validate-gmrf", "--synthetic-nodes", "0"],
+                 id="validate-gmrf-nodes"),
+    pytest.param(["validate-gmrf", "--synthetic-nodes", "5", "--patches", "0"],
+                 id="validate-gmrf-patches")])
+def test_usage_error_prints_subcommand_usage(tmp_path, capsys, argv):
+    """Hand-written usage errors print the subcommand's usage line, as
+    argparse's own errors do."""
+    write_synthetic_sequence(tmp_path / "in", "wave", 1, 50, seed=0)
+    (tmp_path / "empty").mkdir()
+    names = {"IN": tmp_path / "in", "OUT": tmp_path / "out",
+             "MISSING": tmp_path / "missing", "EMPTY": tmp_path / "empty"}
+    with pytest.raises(SystemExit) as info:
+        main([str(names.get(a, a)) for a in argv])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: pgft {argv[0]} ")
+
+
 def _support_size(out):
     line = next(l for l in out.splitlines() if l.startswith("support size"))
     return int(line.split()[2])
@@ -233,8 +297,7 @@ def test_aligned_patch_samples_digest(tmp_path):
     frames_dir = tmp_path / "frames"
     write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
     paths = sorted(str(p) for p in frames_dir.glob("*.ply"))
-    lap, samples = cli._aligned_patch_samples(paths,
-                                              argparse.Namespace(patches=3))
+    lap, samples = cli._aligned_patch_samples(paths, 3, SequenceConfig())
     assert lap.shape == (406, 406)
     assert samples.shape == (4, 406)
     digest = hashlib.sha256()

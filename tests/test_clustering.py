@@ -11,7 +11,7 @@ def _frame(coords):
     coords = np.asarray(coords, dtype=np.int32)
     n = coords.shape[0]
     return VoxelizedFrame(voxel_coords=coords, attributes=np.zeros((n, 3)),
-                          grid_dim=4096, point_map=np.arange(n, dtype=np.int64))
+                          point_map=np.arange(n, dtype=np.int64))
 
 
 def _two_blobs(rng, n_per=600, sep=200):

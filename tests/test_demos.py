@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,16 +34,28 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("script", ALL_DEMOS)
+def _source(script):
+    """A demo's code, or the python blocks of README.md."""
+    if script == "README.md":
+        return "".join(re.findall(r"```python\n(.*?)```",
+                                  (ROOT / script).read_text(), re.S))
+    return (ROOT / "demos" / script).read_text()
+
+
+@pytest.mark.parametrize("script", ALL_DEMOS + ["README.md"])
 def test_demo_imports_resolve(script):
-    """Every name a demo imports from pgft exists, so removing a public
-    name cannot break a demo that test_demo_runs skips."""
-    tree = ast.parse((ROOT / "demos" / script).read_text())
+    """Every name a demo or README imports from pgft exists, so removing
+    a public name cannot break a demo that test_demo_runs skips, and a
+    function or class is imported from the module that defines it."""
+    tree = ast.parse(_source(script))
     imports = [(node.module, alias.name) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                and (node.module or "").split(".")[0] == "pgft"
                for alias in node.names]
     assert imports
     for module, name in imports:
-        assert hasattr(importlib.import_module(module), name), \
-            f"{script}: {module}.{name}"
+        value = getattr(importlib.import_module(module), name, None)
+        assert value is not None, f"{script}: {module}.{name}"
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == module, \
+                f"{script}: {name} is defined in {value.__module__}"

@@ -15,7 +15,7 @@ def test_normals_coplanar():
     rng = np.random.default_rng(0)
     pts = np.zeros((20, 3))
     pts[:, :2] = rng.uniform(0, 10, size=(20, 2))
-    normals = estimate_normals(pts, k=15)
+    normals = estimate_normals(pts)
     assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
     assert np.allclose(normals[:, :2], 0.0, atol=1e-9)
     assert np.all(normals[:, 2] > 0)  # sign rule
@@ -24,7 +24,7 @@ def test_normals_coplanar():
 def test_normals_unit_length():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0, 10, size=(100, 3))
-    normals = estimate_normals(pts, k=10)
+    normals = estimate_normals(pts)
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
 
 
@@ -38,7 +38,7 @@ def test_normals_sphere():
     pts = np.stack([np.cos(golden * i) * r, y, np.sin(golden * i) * r], axis=1)
     pts += np.random.default_rng(2).normal(scale=0.01, size=pts.shape)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    normals = estimate_normals(pts, k=15)
+    normals = estimate_normals(pts)
     cosine = np.abs(np.sum(normals * pts, axis=1))
     within_5_deg = np.mean(cosine >= math.cos(math.radians(5.0)))
     assert within_5_deg >= 0.95
@@ -46,14 +46,14 @@ def test_normals_sphere():
 
 def test_normals_tiny_cluster_flagged_default():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-    normals = estimate_normals(pts, k=15)
+    normals = estimate_normals(pts)
     assert np.array_equal(normals, [[0, 0, 1], [0, 0, 1]])
 
 
 def test_normals_collinear_deterministic():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    a = estimate_normals(pts, k=3)
-    b = estimate_normals(pts, k=3)
+    a = estimate_normals(pts)
+    b = estimate_normals(pts)
     assert np.array_equal(a, b)
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
 

@@ -8,11 +8,25 @@ from pgft.pointcloud import (RawPointCloud, SequenceConfig, devoxelize,
                              voxelize, write_ply, yuv_to_rgb)
 
 
-_MINIMAL_ASCII = (
-    "ply\nformat ascii 1.0\nelement vertex 1\n"
-    "property float x\nproperty float y\nproperty float z\n"
-    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-    "end_header\n0 0 0 128 128 128\n")
+def _ascii_ply(positions, colors):
+    """ASCII PLY text of vertices with x,y,z float + red,green,blue uchar
+    (`write_ply` writes binary only)."""
+    rows = [p + c for p, c in zip(np.asarray(positions).tolist(),
+                                  np.asarray(colors).tolist())]
+    return ("ply\nformat ascii 1.0\n"
+            f"element vertex {len(rows)}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n" + "".join(" ".join(map(str, r)) + "\n"
+                                     for r in rows))
+
+
+def _voxelized(pos, col, grid_dim):
+    raw = RawPointCloud(pos, col)
+    return voxelize(raw, grid_dim, sequence_bounding_box(raw))
+
+
+_MINIMAL_ASCII = _ascii_ply([[0, 0, 0]], [[128, 128, 128]])
 
 
 def test_read_ply_minimal_ascii(tmp_path):
@@ -45,8 +59,11 @@ def _ply_claiming(tmp_path, count, binary=True, cut=0):
     """A 3-vertex PLY whose header claims `count` vertices, with the last
     `cut` bytes of its vertex data removed."""
     path = tmp_path / "cloud.ply"
-    write_ply(path, np.arange(9.0).reshape(3, 3), np.full((3, 3), 7),
-              binary=binary)
+    positions, colors = np.arange(9.0).reshape(3, 3), np.full((3, 3), 7)
+    if binary:
+        write_ply(path, positions, colors)
+    else:
+        path.write_text(_ascii_ply(positions, colors))
     data = path.read_bytes().replace(b"element vertex 3\n",
                                      f"element vertex {count}\n".encode())
     path.write_bytes(data[:len(data) - cut])
@@ -96,7 +113,7 @@ def test_ply_binary_roundtrip_1000(tmp_path):
     pos = rng.uniform(-50, 50, size=(1000, 3)).astype(np.float32)
     col = rng.integers(0, 256, size=(1000, 3), dtype=np.uint8)
     path = tmp_path / "cloud.ply"
-    write_ply(path, pos, col, binary=True)
+    write_ply(path, pos, col)
     raw = read_ply(path)
     assert np.array_equal(raw.positions, pos.astype(np.float64))
     assert np.array_equal(raw.colors, col)
@@ -106,7 +123,7 @@ def test_ply_ascii_roundtrip(tmp_path):
     pos = np.array([[1.5, -2.25, 3.0], [0.0, 0.5, -1.0]], dtype=np.float32)
     col = np.array([[1, 2, 3], [250, 251, 252]], dtype=np.uint8)
     path = tmp_path / "cloud_ascii.ply"
-    write_ply(path, pos, col, binary=False)
+    path.write_text(_ascii_ply(pos, col))
     raw = read_ply(path)
     assert np.array_equal(raw.positions, pos.astype(np.float64))
     assert np.array_equal(raw.colors, col)
@@ -189,15 +206,15 @@ def test_integral_float_colors_accepted():
 
 
 def test_rgb_to_yuv_gray_fixed_point():
-    assert np.allclose(rgb_to_yuv([128, 128, 128]), [128, 128, 128])
+    assert np.allclose(rgb_to_yuv([[128, 128, 128]]), [[128, 128, 128]])
 
 
 def test_rgb_to_yuv_white():
-    assert np.allclose(rgb_to_yuv([255, 255, 255]), [255, 128, 128])
+    assert np.allclose(rgb_to_yuv([[255, 255, 255]]), [[255, 128, 128]])
 
 
 def test_rgb_to_yuv_red_with_clamp():
-    yuv = rgb_to_yuv([255, 0, 0])
+    (yuv,) = rgb_to_yuv([[255, 0, 0]])
     assert yuv[0] == pytest.approx(76.245)
     assert yuv[1] == pytest.approx(84.97232)
     assert yuv[2] == 255.0  # 255.5 clamped
@@ -214,17 +231,17 @@ def test_voxelize_single_point_warns():
     raw = RawPointCloud(np.array([[3.7, -1.2, 9.9]]),
                         np.array([[200, 100, 50]], dtype=np.uint8))
     with pytest.warns(UserWarning, match="degenerate"):
-        frame = voxelize(raw, 4096)
+        frame = voxelize(raw, 4096, sequence_bounding_box(raw))
     assert frame.voxel_count == 1
     assert np.array_equal(frame.voxel_coords[0], [0, 0, 0])
-    assert np.allclose(frame.attributes[0] + 128.0, rgb_to_yuv([200, 100, 50]))
+    assert np.allclose(frame.attributes + 128.0, rgb_to_yuv(raw.colors))
 
 
 def test_voxelize_mean_of_two():
     # gray colors make Y equal the channel value
     pos = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [10.0, 10.0, 10.0]])
     col = np.array([[100] * 3, [200] * 3, [50] * 3], dtype=np.uint8)
-    frame = voxelize(RawPointCloud(pos, col), 8)
+    frame = _voxelized(pos, col, 8)
     shared = frame.point_map[0]
     assert frame.point_map[1] == shared
     assert frame.attributes[shared, 0] + 128.0 == pytest.approx(150.0)
@@ -265,7 +282,7 @@ def test_devoxelize_shared_voxel():
     pos = np.zeros((3, 3))
     pos[2, 0] = 5.0
     col = np.array([[100] * 3, [150] * 3, [200] * 3], dtype=np.uint8)
-    frame = voxelize(RawPointCloud(pos, col), 16)
+    frame = _voxelized(pos, col, 16)
     out = devoxelize(frame.attributes, frame.point_map, 3)
     assert np.allclose(out[0], out[1])
     assert out[0, 0] == pytest.approx(125.0)
@@ -274,7 +291,7 @@ def test_devoxelize_shared_voxel():
 def test_devoxelize_empty():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     col = np.array([[10] * 3, [20] * 3], dtype=np.uint8)
-    frame = voxelize(RawPointCloud(pos, col), 16)
+    frame = _voxelized(pos, col, 16)
     out = devoxelize(frame.attributes, np.empty(0, dtype=np.int64), 0)
     assert out.shape == (0, 3)
 
@@ -282,7 +299,7 @@ def test_devoxelize_empty():
 def test_devoxelize_bad_map():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     col = np.array([[10] * 3, [20] * 3], dtype=np.uint8)
-    frame = voxelize(RawPointCloud(pos, col), 16)
+    frame = _voxelized(pos, col, 16)
     with pytest.raises(ValueError, match="out of range"):
         devoxelize(frame.attributes, np.array([0, 99]), 2)
 
@@ -293,7 +310,7 @@ def test_projection_idempotence():
     rng = np.random.default_rng(11)
     pos = rng.uniform(0, 4, size=(300, 3))
     col = rng.integers(0, 256, size=(300, 3), dtype=np.uint8)
-    frame = voxelize(RawPointCloud(pos, col), 8)
+    frame = _voxelized(pos, col, 8)
     per_point = devoxelize(frame.attributes, frame.point_map, 300)
     for v in range(frame.voxel_count):
         members = frame.point_map == v
