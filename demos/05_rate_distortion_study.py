@@ -9,7 +9,7 @@ measured curve.  The codec keeps its shipped constants `rdo.ALPHA` and
 
 import numpy as np
 
-from pgft.codec import decode_sequence, encode_sequence
+from pgft.codec import encode_sequence
 from pgft.metrics import bd_br, bpip
 from pgft.pointcloud import SequenceConfig
 from pgft.rdo import ALPHA, BETA, distortion_from_psnr, fit_lambda_model
@@ -25,10 +25,9 @@ def sweep(gop_size):
     curve = []
     for qstep in ladder:
         config = SequenceConfig(grid_dim=128, qstep=qstep, gop_size=gop_size)
-        result = encode_sequence(frames, config)
-        decoded = decode_sequence(result.data, frames)
+        result = encode_sequence(frames, config)  # its stats are the decoder's
         rate = bpip(result.total_bits, points)
-        psnrs = np.mean([(s.psnr_y, s.psnr_u, s.psnr_v) for s in decoded.stats],
+        psnrs = np.mean([(s.psnr_y, s.psnr_u, s.psnr_v) for s in result.stats],
                         axis=0)
         curve.append((rate, *psnrs.tolist()))
     return curve
@@ -50,7 +49,7 @@ print(f"\nBD-BR of inter coding vs intra-only: {delta:+.1f}% "
       f"(negative = bitrate saved at equal quality)")
 
 # refit the Lagrange model from the measured curve, against the Y/U/V
-# distortion the mode decision uses (as `pgft fit-lambda` does)
+# distortion the mode decision uses (as `pgft rd-sweep` does)
 rd_points = [(q, rate, distortion_from_psnr(*psnrs))
              for q, (rate, *psnrs) in zip(ladder, inter_curve)]
 alpha, beta = fit_lambda_model(rd_points)

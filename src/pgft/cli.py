@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Subcommands: synth, encode, decode, rd-sweep, validate-gmrf, fit-lambda.
+Subcommands: synth, encode, decode, rd-sweep, validate-gmrf.
+`rd-sweep` also fits the lambda-Q model to the curve it writes.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -156,10 +157,10 @@ def _cmd_rd_sweep(args, parser):
 
     rows = []
     for q, config in sorted(configs.items()):
+        # the encoder's stats carry the decoder's PSNRs bit for bit
         result = codec.encode_sequence(frames, config, threads=args.threads)
-        decoded = codec.decode_sequence(result.data, frames, threads=args.threads)
         rate = metrics.bpip(result.total_bits, total_points)
-        mean = lambda key: float(np.mean([getattr(s, key) for s in decoded.stats]))
+        mean = lambda key: float(np.mean([getattr(s, key) for s in result.stats]))
         rows.append((q, rate, mean("psnr_y"), mean("psnr_u"), mean("psnr_v")))
         print(f"q={q:g}: {rate:.4f} bpip, PSNR-Y {rows[-1][2]:.2f} dB")
 
@@ -167,11 +168,20 @@ def _cmd_rd_sweep(args, parser):
     if any(rates[i] <= rates[i + 1] for i in range(len(rates) - 1)):
         print("warning: rate is not strictly decreasing over the q ladder",
               file=sys.stderr)
+    lines = ["\t".join(f"{v:.6g}" for v in row) for row in rows]
     with open(args.output, "w") as fh:
         fh.write("q\tbpip\tpsnr_y\tpsnr_u\tpsnr_v\n")
-        for row in rows:
-            fh.write("\t".join(f"{v:.6g}" for v in row) + "\n")
+        fh.writelines(line + "\n" for line in lines)
     print(f"rd curve written to {args.output}")
+    try:  # fit the rows as written, so the curve file reproduces the fit
+        alpha, beta = rdo.fit_lambda_model(
+            (q, rate, rdo.distortion_from_psnr(*psnrs))
+            for q, rate, *psnrs in (map(float, line.split()) for line in lines))
+    except ValueError as exc:
+        print(f"warning: no lambda-Q fit: {exc}", file=sys.stderr)
+    else:
+        print(f"alpha = {alpha:.6g}")
+        print(f"beta = {beta:.6g}")
     return 0
 
 
@@ -209,10 +219,10 @@ def _cmd_validate_gmrf(args, parser):
 
 
 def _aligned_patch_samples(paths, patches, config):
-    """Dataset mode: the first cluster of frame 1 is tracked through the
-    next `patches` frames via motion correspondence; its
-    correspondence-ordered attribute vectors are the patch observations.
-    Only those frames are read."""
+    """Dataset mode: the first cluster of the first frame (frame 0) is
+    tracked through the next `patches` frames via motion correspondence;
+    its correspondence-ordered attribute vectors are the patch
+    observations.  Only those frames are read."""
     frames = [read_ply(p) for p in paths[:patches + 1]]
     box = sequence_bounding_box(frames[0])
     vox = [voxelize(f, config.grid_dim, box) for f in frames]
@@ -227,26 +237,6 @@ def _aligned_patch_samples(paths, patches, config):
         if ref_index is not None:
             samples.append(other.attributes[ref_index][:, 0])
     return lap, np.asarray(samples)
-
-
-def _cmd_fit_lambda(args, parser):
-    with open(args.curve) as fh:
-        rows = [parts[:5] for parts in map(str.split, fh) if len(parts) >= 5]
-    try:
-        float(rows[0][0])
-    except (IndexError, ValueError):  # rd-sweep's header row, or no rows
-        rows = rows[1:]
-    if len(rows) < 3:
-        print("error: need >= 3 points to fit the lambda-Q model",
-              file=sys.stderr)
-        return 1
-    points = [(float(q), float(rate),
-               rdo.distortion_from_psnr(*map(float, psnrs)))
-              for q, rate, *psnrs in rows]
-    alpha, beta = rdo.fit_lambda_model(points)
-    print(f"alpha = {alpha:.6g}")
-    print(f"beta = {beta:.6g}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--output", required=True, help="output directory")
     _threads_flag(dec)
 
-    sweep = sub.add_parser("rd-sweep", help="encode+decode over a q ladder")
+    sweep = sub.add_parser("rd-sweep",
+                           help="encode over a q ladder and fit lambda-Q")
     _input_flag(sweep)
     sweep.add_argument("--q-list", required=True,
                        help="comma-separated quantization steps")
@@ -298,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_config_flags(val, with_q=False, graph_only=True)
 
-    fit = sub.add_parser("fit-lambda",
-                         help="fit alpha, beta from an rd-sweep curve file")
-    fit.add_argument("--curve", required=True)
-
     for subparser in sub.choices.values():  # usage errors name the subcommand
         subparser.set_defaults(parser=subparser)
     return parser
@@ -311,7 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     parser = args.parser
 
-    if getattr(args, "qstep", None) is not None:  # all but decode, fit-lambda
+    if getattr(args, "qstep", None) is not None:  # all but synth and decode
         _check_config(_config_from_args(args), parser)
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")
@@ -322,7 +309,6 @@ def main(argv=None) -> int:
         "decode": _cmd_decode,
         "rd-sweep": _cmd_rd_sweep,
         "validate-gmrf": _cmd_validate_gmrf,
-        "fit-lambda": _cmd_fit_lambda,
     }
     try:
         return commands[args.command](args, parser)

@@ -19,9 +19,10 @@ GMRF study in `cli` calls them too; the normal neighbourhood
 (`graph.NORMAL_K`), edge kernel (`graph.SIGMA_SQ`) and motion search
 region (`BOX_EXPAND`) they use are constants, not coded parameters.
 Both directions share one per-cluster path: `_plans` derives each
-cluster's basis and reference one cluster at a time, in cluster order,
-and a plan is dropped once its cluster is coded, so at most a couple of
-dense bases are alive at once.
+cluster's basis and reference in cluster order, at most `threads`
+clusters ahead of the one being coded, and a plan is dropped once its
+cluster is coded, so at most two dense bases are alive at once
+(`threads` + 2 with a worker pool).
 `_reconstruct` is the only reconstruction arithmetic; the encoder's
 mode trials and the decoder both call it.
 Both paths fold their derived state into a per-frame mirror hash;
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import numbers
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -171,7 +173,13 @@ def _plans(frame, partition, config, prev_coords, need_inter, threads: int):
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(analyze, range(partition.k))
+            ahead = deque()  # bounded, so finished bases cannot pile up
+            for cid in range(partition.k):
+                ahead.append(pool.submit(analyze, cid))
+                if len(ahead) > threads:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
     else:
         yield from map(analyze, range(partition.k))
 

@@ -86,8 +86,8 @@ def compare_to_laplacian(estimate: PrecisionEstimate,
     total_offdiag = n * (n - 1) // 2
     sparsity = support_size / total_offdiag if total_offdiag else 0.0
 
-    if support_size == 0:
-        return SimilarityReport(0, 1.0, 0.0, sparsity)
+    if support_size == 0:  # nothing to agree or correlate on
+        return SimilarityReport(0, float("nan"), float("nan"), sparsity)
 
     l_vals = l[iu][support]
     q_vals = q[iu][support]

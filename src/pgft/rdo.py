@@ -4,8 +4,8 @@ Each P-frame cluster is trial-encoded in both modes and the one with
 the smaller Lagrangian cost J = D + lambda * R wins; lambda follows the
 offline-trained power model lambda(Q) = ALPHA * Q^BETA.  The model is
 fixed, as in the H.264/HEVC reference encoders: a refit with
-`fit_lambda_model` (or `pgft fit-lambda`) means editing the two
-constants.
+`fit_lambda_model` (which `pgft rd-sweep` runs on its curve) means
+editing the two constants.
 """
 
 from __future__ import annotations

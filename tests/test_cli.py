@@ -1,13 +1,12 @@
 import argparse
 import dataclasses
 import hashlib
-import math
 import os
 
 import numpy as np
 import pytest
 
-from pgft import cli
+from pgft import cli, rdo
 from pgft.cli import main
 from pgft.codec import encode_sequence
 from pgft.pointcloud import SequenceConfig, read_ply
@@ -132,7 +131,8 @@ def test_decode_truncated_stream_fails_cleanly(tmp_path, capsys):
     assert not dec_dir.exists()
 
 
-def test_rd_sweep(tmp_path):
+def test_rd_sweep(tmp_path, capsys):
+    """The printed fit is `fit_lambda_model` on the curve file's rows."""
     curve = tmp_path / "curve.tsv"
     write_synthetic_sequence(tmp_path / "frames", "wave", 2, 800, seed=0)
     rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
@@ -143,16 +143,53 @@ def test_rd_sweep(tmp_path):
     assert len(rows) == 5
     bpips = [float(r[1]) for r in rows]
     assert all(b < a for a, b in zip(bpips, bpips[1:]))
+    alpha, beta = rdo.fit_lambda_model(
+        (float(q), float(rate), rdo.distortion_from_psnr(*map(float, psnrs)))
+        for q, rate, *psnrs in rows)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [f"alpha = {alpha:.6g}", f"beta = {beta:.6g}"]
 
 
-def test_rd_sweep_single_q(tmp_path):
+def test_rd_sweep_encodes_each_q_once_and_never_decodes(tmp_path,
+                                                         monkeypatch):
+    encoded = []
+    real = cli.codec.encode_sequence
+
+    def counting(frames, config, **kwargs):
+        encoded.append(config.qstep)
+        return real(frames, config, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("rd-sweep decoded")
+
+    monkeypatch.setattr(cli.codec, "encode_sequence", counting)
+    monkeypatch.setattr(cli.codec, "decode_sequence", never)
+    write_synthetic_sequence(tmp_path / "frames", "static", 1, 500, seed=0)
+    rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
+               "--grid-dim", "64", "--q-list", "8,4,8",
+               "--output", str(tmp_path / "curve.tsv")])
+    assert rc == 0
+    assert encoded == [4.0, 8.0]
+
+
+def test_rd_sweep_single_q(tmp_path, capsys):
     curve = tmp_path / "curve.tsv"
     write_synthetic_sequence(tmp_path / "frames", "static", 1, 500, seed=0)
     rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
                "--grid-dim", "64", "--q-list", "8", "--output", str(curve)])
     assert rc == 0
+    out, err = capsys.readouterr()
+    assert "warning: no lambda-Q fit: need >= 3 points" in err
+    assert "alpha" not in out
     _, rows = _read_tsv(curve)
     assert len(rows) == 1
+
+
+def test_fit_lambda_subcommand_is_gone(tmp_path):
+    """rd-sweep prints the fit; there is no second command for it."""
+    with pytest.raises(SystemExit) as info:
+        main(["fit-lambda", "--curve", str(tmp_path / "curve.tsv")])
+    assert info.value.code == 2
 
 
 def test_rd_sweep_duplicate_q_warns(tmp_path, capsys):
@@ -181,7 +218,9 @@ def test_validate_gmrf_dataset_mode(tmp_path, capsys):
     rc = main(["validate-gmrf", "--input", str(frames_dir), "--patches", "3"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "support correlation" in out
+    assert "support size: 0 " in out  # the default grid leaves no edges
+    assert "sign agreement on support: nan" in out
+    assert "support correlation: nan" in out
 
 
 def _count_reads(monkeypatch):
@@ -293,18 +332,22 @@ def test_validate_gmrf_bad_graph_flag_is_usage_error(tmp_path, capsys, flag,
 
 def test_aligned_patch_samples_digest(tmp_path):
     """The dataset mode's Laplacian and patch samples on
-    test_validate_gmrf_dataset_mode's input, pinned byte for byte."""
+    test_validate_gmrf_dataset_mode's input, pinned byte for byte at a
+    grid where the tracked cluster's graph has edges (at the default
+    grid L + I = I, and the digest would pin no graph)."""
     frames_dir = tmp_path / "frames"
     write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
     paths = sorted(str(p) for p in frames_dir.glob("*.ply"))
-    lap, samples = cli._aligned_patch_samples(paths, 3, SequenceConfig())
+    lap, samples = cli._aligned_patch_samples(paths, 3,
+                                              SequenceConfig(grid_dim=128))
     assert lap.shape == (406, 406)
     assert samples.shape == (4, 406)
+    assert np.count_nonzero(lap - np.diag(np.diag(lap))) == 520
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(lap, dtype="<f8").tobytes())
     digest.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
     assert digest.hexdigest() == (
-        "fed0cb618f40a28281ec842f3dbaba63eb9f4789ba5d0ed73b9efe12270d9fc7")
+        "40db7e967dcf802d3d78be804eeb25f3fca9bf1ba9ffdd60aaf0cd214de2c32f")
 
 
 def test_encode_flags_set_every_config_field():
@@ -375,62 +418,3 @@ def test_validate_gmrf_needs_one_source(source):
     with pytest.raises(SystemExit) as info:
         main(["validate-gmrf"] + source)
     assert info.value.code == 2
-
-
-def _write_power_law_curve(path, alpha, beta):
-    """Curve file whose RD slopes follow alpha * Q^beta exactly."""
-    qs = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-    rates = [100.0 / q for q in qs]
-    dists = [1.0]
-    for i in range(len(qs) - 1):
-        lam = alpha * qs[i] ** beta
-        dists.append(dists[-1] - lam * (rates[i + 1] - rates[i]))
-    with open(path, "w") as fh:
-        fh.write("q\tbpip\tpsnr_y\tpsnr_u\tpsnr_v\n")
-        for q, r, d in zip(qs, rates, dists):
-            p = 10.0 * math.log10(255.0 ** 2 / d)
-            fh.write(f"{q}\t{r}\t{p:.12f}\t{p:.12f}\t{p:.12f}\n")
-
-
-_CURVE_ROWS = ["2\t4.0\t45\t47\t48\n", "4\t2.5\t41\t44\t46\n",
-               "8\t1.5\t37\t41\t43\n", "16\t0.9\t33\t38\t39\n"]
-
-
-@pytest.mark.parametrize("count", [3, 4])
-def test_fit_lambda_reads_headerless_curve(tmp_path, capsys, count):
-    """A first row of numbers is data; only rd-sweep's header is skipped."""
-    body = "".join(_CURVE_ROWS[:count])
-    fits = []
-    for text in ("q\tbpip\tpsnr_y\tpsnr_u\tpsnr_v\n" + body, body):
-        curve = tmp_path / "curve.tsv"
-        curve.write_text(text)
-        assert main(["fit-lambda", "--curve", str(curve)]) == 0
-        fits.append(capsys.readouterr().out)
-    assert fits[0] == fits[1]
-
-
-def test_fit_lambda_single_row(tmp_path, capsys):
-    curve = tmp_path / "one.tsv"
-    curve.write_text("q\tbpip\tpsnr_y\tpsnr_u\tpsnr_v\n8\t1.0\t40\t40\t40\n")
-    rc = main(["fit-lambda", "--curve", str(curve)])
-    assert rc == 1
-    assert ">= 3" in capsys.readouterr().err
-
-
-def test_fit_lambda_refuses_falling_lambda(tmp_path, capsys):
-    curve = tmp_path / "falling.tsv"
-    _write_power_law_curve(curve, 5.0, -0.5)
-    assert main(["fit-lambda", "--curve", str(curve)]) == 1
-    assert "alpha and beta must be positive" in capsys.readouterr().err
-
-
-def test_fit_lambda_recovers_model(tmp_path, capsys):
-    alpha, beta = 0.0624, 1.6238
-    curve = tmp_path / "curve.tsv"
-    _write_power_law_curve(curve, alpha, beta)
-    assert main(["fit-lambda", "--curve", str(curve)]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    got_alpha = float(lines[0].split("=")[1])
-    got_beta = float(lines[1].split("=")[1])
-    assert got_alpha == pytest.approx(alpha, rel=0.01)
-    assert got_beta == pytest.approx(beta, rel=0.01)

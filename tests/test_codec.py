@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -74,6 +75,34 @@ def test_at_most_two_bases_alive(monkeypatch):
     decode_sequence(result.data, frames, threads=1)
     assert len(peak) == len(bases) // 2
     assert max(peak) <= 2
+
+
+def test_worker_pool_keeps_few_bases_alive(monkeypatch):
+    """With a coder slower than the analysis workers, finished plans wait
+    at most `threads` clusters ahead instead of piling up."""
+    frames = synthetic_sequence("rigid-motion", 1, point_count=3000, seed=0)
+    config = _cfg(grid_dim=128, target_cluster_size=150)
+    bases = []  # weakrefs, as in test_at_most_two_bases_alive
+    peak = []
+    original = codec.eigendecompose
+    real_coder = codec.encode_block
+
+    def tracking(lap):
+        basis = original(lap)
+        bases.append(weakref.ref(basis))
+        peak.append(sum(ref() is not None for ref in bases))
+        return basis
+
+    def slow(*args):
+        time.sleep(0.01)
+        return real_coder(*args)
+
+    monkeypatch.setattr(codec, "eigendecompose", tracking)
+    monkeypatch.setattr(codec, "encode_block", slow)
+    threads = 2
+    result = encode_sequence(frames, config, threads=threads)
+    assert result.stats[0].intra_clusters == len(bases) == 20
+    assert max(peak) <= threads + 2
 
 
 @pytest.mark.parametrize("field, value", [

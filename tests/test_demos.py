@@ -13,14 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_rate_distortion_study.py is left out: its RD sweep takes about 30 s,
-# three times the other five demos together, and the API it calls
-# (encode/decode, bd_br, fit_lambda_model) is covered by test_codec,
-# test_metrics, test_rdo and the acceptance criteria.
-DEMOS = ["01_voxelize_and_cluster.py", "02_graph_transform_basics.py",
-         "03_temporal_prediction.py", "04_end_to_end_codec.py",
-         "06_precision_matrix_study.py"]
-ALL_DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS)
@@ -42,11 +35,11 @@ def _source(script):
     return (ROOT / "demos" / script).read_text()
 
 
-@pytest.mark.parametrize("script", ALL_DEMOS + ["README.md"])
+@pytest.mark.parametrize("script", DEMOS + ["README.md"])
 def test_demo_imports_resolve(script):
     """Every name a demo or README imports from pgft exists, so removing
-    a public name cannot break a demo that test_demo_runs skips, and a
-    function or class is imported from the module that defines it."""
+    a public name cannot break README's examples, which nothing runs, and
+    a function or class is imported from the module that defines it."""
     tree = ast.parse(_source(script))
     imports = [(node.module, alias.name) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)

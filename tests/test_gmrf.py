@@ -71,6 +71,8 @@ def test_independent_samples_edgeless_graph():
     report = compare_to_laplacian(est, np.eye(8))
     assert report.support_size == 0
     assert report.sparsity_ratio == 0.0
+    assert np.isnan(report.sign_agreement)  # no support: nothing to score
+    assert np.isnan(report.support_correlation)
 
 
 def test_compare_reports_sign_agreement():
