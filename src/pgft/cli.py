@@ -1,6 +1,7 @@
 """Command-line entry points.
 
 Subcommands: synth, encode, decode, rd-sweep, validate-gmrf.
+`synth` writes PLY frames, and the other four read them.
 `rd-sweep` also fits the lambda-Q model to the curve it writes.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import glob
-import math
 import os
 import sys
 
@@ -21,8 +21,6 @@ from .clustering import kmeans_geometry
 from .graph import generalized_laplacian
 from .pointcloud import (SequenceConfig, read_ply, sequence_bounding_box,
                          voxelize, write_ply, yuv_to_rgb)
-
-DEFAULT_SEED = 0
 
 
 def _add_config_flags(parser, with_q=True, graph_only=False):
@@ -42,8 +40,8 @@ def _add_config_flags(parser, with_q=True, graph_only=False):
     parser.add_argument("--grid-dim", type=int)
 
 
-def _input_flag(parser, required=True):
-    parser.add_argument("--input", nargs="+", required=required, metavar="PATH",
+def _input_flag(parser):
+    parser.add_argument("--input", nargs="+", required=True, metavar="PATH",
                         help="PLY files, or a single directory of them")
 
 
@@ -78,8 +76,15 @@ def _resolve_ply_paths(paths, parser):
     return list(paths)
 
 
+def _read_ply(path):
+    try:
+        return read_ply(path)
+    except ValueError as exc:  # name the file, as an OSError does
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_frames(paths, parser):
-    return [read_ply(p) for p in _resolve_ply_paths(paths, parser)]
+    return [_read_ply(p) for p in _resolve_ply_paths(paths, parser)]
 
 
 def _write_stats(path, stats):
@@ -188,25 +193,15 @@ def _cmd_rd_sweep(args, parser):
 def _cmd_validate_gmrf(args, parser):
     if args.patches < 1:
         parser.error("--patches must be >= 1")
-    if args.input is None:
-        n = args.synthetic_nodes
-        if n < 1:
-            parser.error("--synthetic-nodes must be >= 1")
-        rng = np.random.default_rng(args.seed)
-        pts = rng.uniform(0, math.sqrt(n) * 3.0, size=(n, 3))
-        lap = generalized_laplacian(
-            codec.cluster_laplacian(pts, _config_from_args(args)))
-        samples = gmrf.sample_gmrf(lap, (args.patches + 1), rng=rng)
-    else:
-        paths = _resolve_ply_paths(args.input, parser)
-        if len(paths) < args.patches + 1:
-            parser.error(f"need at least {args.patches + 1} frames for "
-                         f"{args.patches} patches")
-        lap, samples = _aligned_patch_samples(paths, args.patches,
-                                              _config_from_args(args))
-        if np.count_nonzero(lap) == lap.shape[0]:  # L + I is diagonal
-            print("warning: the tracked cluster's graph has no edges; try a "
-                  "smaller --grid-dim or a larger --epsilon2", file=sys.stderr)
+    paths = _resolve_ply_paths(args.input, parser)
+    if len(paths) < args.patches + 1:
+        parser.error(f"need at least {args.patches + 1} frames for "
+                     f"{args.patches} patches")
+    lap, samples = _aligned_patch_samples(paths, args.patches,
+                                          _config_from_args(args))
+    if np.count_nonzero(lap) == lap.shape[0]:  # L + I is diagonal
+        print("warning: the tracked cluster's graph has no edges; try a "
+              "smaller --grid-dim or a larger --epsilon2", file=sys.stderr)
     estimate = gmrf.empirical_precision(samples)
     report = gmrf.compare_to_laplacian(estimate, lap)
     print(f"samples: {estimate.sample_count}  "
@@ -219,11 +214,11 @@ def _cmd_validate_gmrf(args, parser):
 
 
 def _aligned_patch_samples(paths, patches, config):
-    """Dataset mode: the first cluster of the first frame (frame 0) is
-    tracked through the next `patches` frames via motion correspondence;
-    its correspondence-ordered attribute vectors are the patch
-    observations.  Only those frames are read."""
-    frames = [read_ply(p) for p in paths[:patches + 1]]
+    """The first cluster of frame 0 is tracked through the next
+    `patches` frames via motion correspondence; its correspondence-ordered
+    attribute vectors are the patch observations.  Only those frames are
+    read."""
+    frames = [_read_ply(p) for p in paths[:patches + 1]]
     box = sequence_bounding_box(frames[0])
     vox = [voxelize(f, config.grid_dim, box) for f in frames]
     partition = kmeans_geometry(vox[0], config.target_cluster_size)
@@ -250,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--frames", type=int, default=4, help="frame count")
     syn.add_argument("--points", type=int, default=2000,
                      help="points per frame")
-    syn.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    syn.add_argument("--seed", type=int, default=0)
     syn.add_argument("--output", required=True, help="output directory")
 
     enc = sub.add_parser("encode", help="encode a PLY sequence")
@@ -276,17 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     _threads_flag(sweep)
 
     val = sub.add_parser("validate-gmrf",
-                         help="compare the generalized Laplacian against an "
-                              "empirical precision matrix")
-    source = val.add_mutually_exclusive_group(required=True)
-    _input_flag(source, required=False)
-    source.add_argument("--synthetic-nodes", type=int, metavar="N",
-                        help="synthetic mode: sample from a random N-node "
-                             "graph built with --epsilon2 (--grid-dim and "
-                             "--cluster-size apply to --input only)")
+                         help="compare a tracked cluster's generalized "
+                              "Laplacian against its empirical precision")
+    _input_flag(val)
     val.add_argument("--patches", type=int, default=19,
                      help="number of aligned patches K")
-    val.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_config_flags(val, with_q=False, graph_only=True)
 
     for subparser in sub.choices.values():  # usage errors name the subcommand

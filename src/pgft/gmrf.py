@@ -74,7 +74,9 @@ def empirical_precision(samples: np.ndarray) -> PrecisionEstimate:
 def compare_to_laplacian(estimate: PrecisionEstimate,
                          lap: np.ndarray) -> SimilarityReport:
     """How well the empirical precision matches the (n, n) generalized
-    Laplacian on the Laplacian's off-diagonal support."""
+    Laplacian on the Laplacian's off-diagonal support.  A score with
+    nothing to measure (no support; for the correlation, also a single
+    entry or constant values) is nan."""
     l = np.asarray(lap, dtype=np.float64)
     q = estimate.matrix
     if l.shape != q.shape:
@@ -93,7 +95,7 @@ def compare_to_laplacian(estimate: PrecisionEstimate,
     q_vals = q[iu][support]
     sign_agreement = float(np.mean(np.sign(q_vals) == np.sign(l_vals)))
     if support_size < 2 or np.std(l_vals) == 0 or np.std(q_vals) == 0:
-        corr = 0.0
+        corr = float("nan")
     else:
         corr = float(np.corrcoef(l_vals, q_vals)[0, 1])
     return SimilarityReport(support_size=support_size,

@@ -95,7 +95,8 @@ class SequenceConfig:
     opens with an I-frame.
     """
 
-    grid_dim: int = field(default=4096, metadata={"header": "I"})
+    # int32, the dtype of VoxelizedFrame.voxel_coords
+    grid_dim: int = field(default=4096, metadata={"header": "i"})
     target_cluster_size: int = field(default=600, metadata={"header": "I"})
     epsilon_sq: float = field(default=50.0, metadata={"header": "d"})
     gop_size: int = field(default=8, metadata={"header": "H"})
@@ -118,9 +119,10 @@ class SequenceConfig:
             if code == "d":
                 slot = "float64"
                 fits = not integral or value <= sys.float_info.max
-            else:
+            else:  # a lowercase (signed) code has one value bit fewer
                 bits = 8 * struct.calcsize(code)
-                slot, fits = f"uint{bits}", integral and value < 1 << bits
+                slot = f"{'' if code.islower() else 'u'}int{bits}"
+                fits = integral and value < 1 << (bits - code.islower())
             if not fits:
                 raise ValueError(f"{f.name}={value!r} does not fit the stream "
                                  f"header's {slot} field")
@@ -326,11 +328,15 @@ def read_ply(path) -> RawPointCloud:
             data = np.frombuffer(fh.read(nbytes), dtype=dtype, count=count)
         else:
             rows = []
-            for _ in range(count):
+            for i in range(count):
                 line = fh.readline()
                 if not line:
                     raise ValueError("truncated PLY vertex data")
-                rows.append(tuple(line.split()[: len(props)]))
+                values = line.split()
+                if len(values) < len(props):
+                    raise ValueError(f"malformed PLY vertex {i}: {len(values)} "
+                                     f"of {len(props)} values")
+                rows.append(tuple(values[: len(props)]))
             # Colours parse as float so RawPointCloud can reject any value
             # that is not an integer in [0, 255].
             data = np.array(rows, dtype=[

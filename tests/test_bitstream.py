@@ -171,6 +171,21 @@ def test_header_field_width_checked():
         write_bitstream(config, [])
 
 
+def test_grid_dim_fits_int32():
+    """Voxel coordinates are int32, so a grid_dim of 2**31 or more is
+    refused by validate() and in a stream header."""
+    assert SequenceConfig(grid_dim=2**31 - 1).validate()
+    with pytest.raises(ValueError, match="^grid_dim=2147483648 does not fit "
+                                         "the stream header's int32 field$"):
+        SequenceConfig(grid_dim=2**31).validate()
+    data = bytearray(write_bitstream(SequenceConfig(grid_dim=2**31 - 1), []))
+    assert read_bitstream(bytes(data))[0].grid_dim == 2**31 - 1
+    data[5:9] = (2**31).to_bytes(4, "little")  # after magic and version
+    with pytest.raises(BitstreamError,
+                       match="^invalid stream header: grid_dim="):
+        read_bitstream(bytes(data))
+
+
 def test_truncation():
     rng = np.random.default_rng(2)
     frames = _random_frames(rng, 3)

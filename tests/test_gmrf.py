@@ -75,6 +75,21 @@ def test_independent_samples_edgeless_graph():
     assert np.isnan(report.support_correlation)
 
 
+@pytest.mark.parametrize("lap, support_size", [
+    pytest.param([[2, -1, 0], [-1, 2, 0], [0, 0, 1]], 1, id="one-entry"),
+    pytest.param([[2, -1, 0, 0], [-1, 3, -1, 0], [0, -1, 3, -1],
+                  [0, 0, -1, 2]], 3, id="constant-laplacian"),
+])
+def test_correlation_undefined_on_single_or_constant_support(lap,
+                                                             support_size):
+    lap = np.asarray(lap, dtype=np.float64)
+    samples = sample_gmrf(lap, 200, rng=0)
+    report = compare_to_laplacian(empirical_precision(samples), lap)
+    assert report.support_size == support_size
+    assert 0.0 <= report.sign_agreement <= 1.0
+    assert np.isnan(report.support_correlation)
+
+
 def test_compare_reports_sign_agreement():
     rng = np.random.default_rng(4)
     g = random_spatial_graph(15, 0.25, rng)

@@ -88,6 +88,16 @@ def test_read_ply_malformed_header_line_named(tmp_path, good, line):
         read_ply(path)
 
 
+@pytest.mark.parametrize("line", ["4 5 6 7 8", ""], ids=["short", "empty"])
+def test_read_ply_short_ascii_vertex_named(tmp_path, line):
+    path = tmp_path / "short.ply"
+    path.write_text(_ascii_ply([[0, 0, 0], [1, 2, 3]],
+                               [[1, 2, 3], [4, 5, 6]]).replace("1 2 3 4 5 6",
+                                                               line))
+    with pytest.raises(ValueError, match=r"^malformed PLY vertex 1: \d of 6"):
+        read_ply(path)
+
+
 @pytest.mark.parametrize("count, cut", [
     pytest.param(4, 0, id="count-above-data"),
     pytest.param(3, 1, id="cut-mid-vertex")])
@@ -151,7 +161,7 @@ def test_config_requires_finite_positive_fields(field, value):
     pytest.param("gop_size", True, "must be a real number", id="bool"),
     pytest.param("qstep", np.True_, "must be a real number", id="numpy-bool"),
     pytest.param("grid_dim", 10**400,
-                 "does not fit the stream header's uint32 field", id="huge-int"),
+                 "does not fit the stream header's int32 field", id="huge-int"),
     pytest.param("qstep", 10**400,
                  "does not fit the stream header's float64 field",
                  id="huge-int-in-float-slot"),
