@@ -37,20 +37,24 @@ joint += 1e-3 * np.eye(2 * n)  # the shared-DC direction is otherwise free
 samples = sample_gmrf(joint, 20_000, rng=rng)
 current, reference = samples[:, :n], samples[:, n:]
 
+# The codec's spectral form: the residual's coefficients are U^T x minus
+# the predictor's coefficients g * U^T x_ref, with g = 1 / (1 + lambda).
 basis = eigendecompose(lap)
-predicted = inter_predict(basis, reference.T).T
-mse_pred = np.mean((current - predicted) ** 2)
+residual_coeffs = current @ basis.basis - inter_predict(basis, reference.T).T
+mse_pred = np.mean(residual_coeffs ** 2)  # U is orthonormal
 mse_copy = np.mean((current - reference) ** 2)
+improvement = (mse_copy - mse_pred) / mse_copy
 print(f"\nprediction MSE:  conditional mean {mse_pred:.4f}  "
       f"vs copy {mse_copy:.4f}")
-print(f"improvement: {(mse_copy - mse_pred) / mse_copy:.1%}")
+print(f"improvement: {improvement:.1%}")
+assert improvement > 0.2, "the conditional mean should beat copying"
 
 # residuals are white in the eigenbasis of L+I, which is that of L
-residual_coeffs = (current - predicted) @ basis.basis
 corr = np.corrcoef(residual_coeffs, rowvar=False)
 off = np.abs(corr - np.diag(np.diag(corr)))
 print(f"\nresidual coefficient correlations: max |off-diagonal| "
       f"{off.max():.4f}")
+assert off.max() < 0.05, "the residual coefficients should be uncorrelated"
 variances = residual_coeffs.var(axis=0)
 expected = 1.0 / (1.0 + basis.eigenvalues)
 print("measured coefficient variance tracks 1/(lambda+1):")

@@ -26,7 +26,8 @@ MAGIC = b"PGFT"
 # residual basis of L (not L + I); a version 1 stream would not decode.
 # 3: the header drops sigma_sq, normal_k and box_expand (now constants)
 # and frame records drop the frame-type byte (the GOP decides it).
-VERSION = 3
+# 4: inter reconstruction is U (deq + g * U^T x_ref); P-frame checksums change.
+VERSION = 4
 
 # (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])

@@ -3,12 +3,14 @@
 Per frame: voxelize, cluster, then code every cluster either intra
 (transform of the attributes on the spatial graph) or inter (temporal
 prediction from the corresponded reconstructed reference, transform of
-the residual).  Each cluster is eigendecomposed once: the eigenbasis of
-its combinatorial Laplacian L is the intra transform, and, because
+the residual).  Each cluster is eigendecomposed once: the eigenbasis U
+of its combinatorial Laplacian L is the intra transform, and, because
 L + I shares its eigenvectors, also the residual transform (GGFT) and
-the spectral form of the predictor (L + I)^{-1} x_ref.  The first frame
-of each GOP is intra-only (`SequenceConfig.is_p_frame`); every P-frame
-predicts from the immediately previous reconstructed frame (low-delay).
+the spectral form of the predictor (L + I)^{-1} x_ref, whose
+coefficients g * U^T x_ref (`inter_predict`) the inter mode subtracts
+from the cluster's U^T x.  The first frame of each GOP is intra-only
+(`SequenceConfig.is_p_frame`); every P-frame predicts from the
+immediately previous reconstructed frame (low-delay).
 
 The decoder recomputes every geometry-derived quantity (clusters,
 normals, graphs, bases, motion) from the shared point positions and the
@@ -23,14 +25,14 @@ cluster's basis and reference in cluster order, at most `threads`
 clusters ahead of the one being coded, and a plan is dropped once its
 cluster is coded, so at most two dense bases are alive at once
 (`threads` + 2 with a worker pool).
-`_reconstruct` is the only reconstruction arithmetic; the encoder's
-mode trials and the decoder both call it.
+`_reconstruct` is the only reconstruction arithmetic and inverse
+transform; both paths call it once per cluster, on the kept mode.
 Both paths fold their derived state into a per-frame mirror hash;
 equality of those hashes is the bit-exactness check.  It covers the
 labels and each cluster's mode, eigenvalues, reference indices,
-prediction and reconstruction exactly, and the basis U through a fixed
-seeded probe p: it hashes U^T p, an O(n^2) product, instead of the
-dense n x n basis.
+predictor coefficients and reconstruction exactly, and the basis U
+through a fixed seeded probe p: it hashes U^T p, an O(n^2) product,
+instead of the dense n x n basis.
 """
 
 from __future__ import annotations
@@ -186,22 +188,23 @@ def _plans(frame, partition, config, prev_coords, need_inter, threads: int):
 
 def _reconstruct(plan: _ClusterPlan, indices: np.ndarray, qstep: float,
                  prediction) -> np.ndarray:
-    """Decoded attributes of one cluster from its (n, 3) indices."""
-    recon = gft_inverse(dequantize(indices, qstep), plan.basis)
-    # Intra adds nothing: 0.0 + -0.0 would change the bytes recon_checksum hashes.
-    return recon if prediction is None else prediction + recon
+    """Decoded attributes of one cluster from its indices and prediction."""
+    coeffs = dequantize(indices, qstep)
+    return gft_inverse(coeffs if prediction is None else coeffs + prediction,
+                       plan.basis)
 
 
-def _trial(attrs, plan: _ClusterPlan, prediction, qstep: float, contexts):
+def _trial(coeffs: np.ndarray, prediction, qstep: float, contexts):
     """Code one cluster intra (prediction None) or inter on copies of the
-    contexts, so the caller can keep or drop the trial.  Returns
-    (payloads, contexts, recon, payload bits)."""
-    residual = attrs if prediction is None else attrs - prediction
-    indices = quantize(gft_forward(residual, plan.basis), qstep)
+    contexts.  Returns (indices, payloads, contexts, (distortion, rate));
+    U is orthonormal, so the coefficients' error is the attributes'."""
+    target = coeffs if prediction is None else coeffs - prediction
+    indices = quantize(target, qstep)
     ctx = [c.copy() for c in contexts]
     payloads = tuple(encode_block(indices[:, c], ctx[c]) for c in range(CHANNELS))
-    recon = _reconstruct(plan, indices, qstep, prediction)
-    return payloads, ctx, recon, 8 * sum(len(p) for p in payloads)
+    cost = (distortion_yuv(target, dequantize(indices, qstep)),
+            8 * sum(len(p) for p in payloads) + 1)  # + the mode flag
+    return indices, payloads, ctx, cost
 
 
 def _probe(n: int) -> np.ndarray:
@@ -288,23 +291,17 @@ def encode_sequence(raw_frames, config: SequenceConfig,
         flags = np.zeros(partition.k, dtype=bool)
         for cid, plan in enumerate(_plans(frame, partition, config, prev_coords,
                                           np.full(partition.k, is_p), threads)):
-            attrs = frame.attributes[plan.members]
+            coeffs = gft_forward(frame.attributes[plan.members], plan.basis)
             prediction = None
-            payloads, trial_ctx, recon, bits = _trial(
-                attrs, plan, None, config.qstep, contexts)
+            kept = _trial(coeffs, None, config.qstep, contexts)
             if plan.ref_index is not None:
                 candidate = inter_predict(plan.basis, prev.attributes[plan.ref_index])
-                p_pay, p_ctx, p_recon, p_bits = _trial(
-                    attrs, plan, candidate, config.qstep, contexts)
-                # (distortion, rate); both rates include the mode flag
-                mode = choose_mode((distortion_yuv(attrs, recon), bits + 1),
-                                   (distortion_yuv(attrs, p_recon), p_bits + 1),
-                                   lam)
-                if mode == INTER:
-                    prediction, payloads, trial_ctx, recon = (
-                        candidate, p_pay, p_ctx, p_recon)
-            contexts = trial_ctx
+                inter = _trial(coeffs, candidate, config.qstep, contexts)
+                if choose_mode(kept[3], inter[3], lam) == INTER:
+                    prediction, kept = candidate, inter
+            indices, payloads, contexts, _ = kept
             flags[cid] = prediction is not None
+            recon = _reconstruct(plan, indices, config.qstep, prediction)
             recon_attrs[plan.members] = recon
             clusters.append(payloads)
             mirror.add_cluster(plan, prediction, recon)

@@ -43,8 +43,9 @@ class RawPointCloud:
         col = np.asarray(self.colors)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must have shape (n, 3)")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if bad.size:
+            raise ValueError(f"positions must be finite: point {bad[0]} is not")
         if col.shape != pos.shape:
             raise ValueError("positions and colors must have equal length")
         if col.dtype.kind not in "biu":
@@ -336,12 +337,13 @@ def read_ply(path) -> RawPointCloud:
                 if len(values) < len(props):
                     raise ValueError(f"malformed PLY vertex {i}: {len(values)} "
                                      f"of {len(props)} values")
-                rows.append(tuple(values[: len(props)]))
-            # Colours parse as float so RawPointCloud can reject any value
+                try:
+                    rows.append(tuple(map(float, values[: len(props)])))
+                except ValueError as exc:
+                    raise ValueError(f"malformed PLY vertex {i}: {exc}") from None
+            # Every value parses as float: RawPointCloud rejects a colour
             # that is not an integer in [0, 255].
-            data = np.array(rows, dtype=[
-                (n, "<f8" if n in ("red", "green", "blue") else "<" + t)
-                for n, t in props])
+            data = np.array(rows, dtype=[(n, "<f8") for n in names])
 
     positions = np.stack([data["x"], data["y"], data["z"]], axis=1).astype(np.float64)
     colors = np.stack([data["red"], data["green"], data["blue"]], axis=1)

@@ -11,7 +11,7 @@ L + I has the eigenvectors of the combinatorial L with every eigenvalue
 raised by 1, so the eigenbasis U of L is also the GGFT basis that
 decorrelates the inter residual, and the optimal predictor
 (L + I)^{-1} x_ref is the spectral low-pass filter
-U diag(1 / (1 + lambda)) U^T x_ref.
+U diag(1 / (1 + lambda)) U^T x_ref; `inter_predict` returns its coefficients.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def gft_inverse(coeffs: np.ndarray, basis: TransformBasis) -> np.ndarray:
 
 
 def inter_predict(basis: TransformBasis, ref_attrs: np.ndarray) -> np.ndarray:
-    """Temporal prediction (L + I)^{-1} x_ref, per channel.
+    """Coefficients g * U^T x_ref of the temporal prediction
+    (L + I)^{-1} x_ref, per channel.
 
-    `basis` is the eigenbasis of the target cluster's combinatorial
-    Laplacian L; the result is the corresponded reference attributes
-    with each graph frequency lambda scaled by 1 / (1 + lambda).
+    `basis` is the eigenbasis U of the target cluster's combinatorial
+    Laplacian L; g = 1 / (1 + lambda) scales each graph frequency lambda.
     """
     ref = np.asarray(ref_attrs, dtype=np.float64)
     if ref.shape[0] != basis.n:
@@ -117,4 +117,4 @@ def inter_predict(basis: TransformBasis, ref_attrs: np.ndarray) -> np.ndarray:
                          "combinatorial Laplacian")
     gain = 1.0 / (1.0 + basis.eigenvalues)
     gain = gain.reshape(gain.shape + (1,) * (ref.ndim - 1))
-    return basis.basis @ (gain * (basis.basis.T @ ref))
+    return gain * (basis.basis.T @ ref)

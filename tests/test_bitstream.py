@@ -45,15 +45,16 @@ _OTHER_CONFIG = SequenceConfig(
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# for stream version 3: the header lost sigma_sq, normal_k and
-# box_expand (18 B) and took the coded fields in SequenceConfig order,
-# and each frame record lost its type byte, so these differ from the
-# version 2 digests.
+# for stream version 4.  Version 3 dropped sigma_sq, normal_k and
+# box_expand (18 B) from the header, took the coded fields in
+# SequenceConfig order and dropped each frame record's type byte;
+# version 4 changed only the reconstruction arithmetic, so these streams
+# differ from version 3's in the version byte (offset 4) alone.
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "0b499937304cc479fd1e040fe9af08005c69adacbe2f6c5512ec460353286bf7"),
+     "72e6d69068f27068db6b174e162a88a50bd5167b05874520bf70ab43a5e36aab"),
     (_OTHER_CONFIG,
-     "308b2efff63dc051c31243f63862fd5988a6804aa9e8e8c636e36b94a663d601")])
+     "5d44e9d97cc1b93136df07e103479e7b6645c2b58888afdf1e5b2c19aaebf100")])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
     assert len(data) == 437
@@ -158,7 +159,7 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    for version in (1, 2):
+    for version in (1, 2, 3):
         data[4] = version
         with pytest.raises(BitstreamError,
                            match=f"unsupported stream version {version}$"):

@@ -34,21 +34,39 @@ def test_gop_plan():
 
 
 def test_p_frame_eigendecomposes_each_cluster_once(monkeypatch):
+    """Each cluster is eigendecomposed once and coded on its coefficients:
+    the encoder transforms it forward and back once, the decoder only
+    back, and the predictor runs once per P cluster with a reference."""
     frames = synthetic_sequence("rigid-motion", 2, point_count=900, seed=12)
-    calls = []
-    original = codec.eigendecompose
 
-    def counting(lap):
-        calls.append(len(lap))
-        return original(lap)
+    def results_of(name):
+        original, log = getattr(codec, name), []
 
-    monkeypatch.setattr(codec, "eigendecompose", counting)
+        def logging(*args):
+            log.append(original(*args))
+            return log[-1]
+
+        monkeypatch.setattr(codec, name, logging)
+        return log
+
+    bases, forward, inverse, predicted, refs = map(results_of, (
+        "eigendecompose", "gft_forward", "gft_inverse", "inter_predict",
+        "reference_index"))
     result = encode_sequence(frames, _cfg())
     assert result.stats[1].frame_type == "P"
     assert result.stats[1].inter_clusters > 0
-    assert len(calls) == sum(s.intra_clusters + s.inter_clusters
-                             for s in result.stats)
-    assert sum(calls) == sum(r.frame.voxel_count for r in result.recon)
+    clusters = sum(s.intra_clusters + s.inter_clusters for s in result.stats)
+    assert len(bases) == clusters
+    assert sum(b.n for b in bases) == sum(r.frame.voxel_count
+                                          for r in result.recon)
+    assert len(forward) == len(inverse) == clusters
+    assert len(predicted) == sum(r is not None for r in refs) > 0
+    for log in (forward, inverse, predicted):
+        log.clear()
+    decoded = decode_sequence(result.data, frames)
+    assert not forward
+    assert len(inverse) == clusters
+    assert len(predicted) == sum(s.inter_clusters for s in decoded.stats)
 
 
 def test_at_most_two_bases_alive(monkeypatch):

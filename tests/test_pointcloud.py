@@ -88,13 +88,18 @@ def test_read_ply_malformed_header_line_named(tmp_path, good, line):
         read_ply(path)
 
 
-@pytest.mark.parametrize("line", ["4 5 6 7 8", ""], ids=["short", "empty"])
-def test_read_ply_short_ascii_vertex_named(tmp_path, line):
+@pytest.mark.parametrize("line, message", [
+    pytest.param("4 5 6 7 8", r"5 of 6 values$", id="short"),
+    pytest.param("", r"0 of 6 values$", id="empty"),
+    pytest.param("1 1 abc 4 5 6",
+                 r"could not convert string to float: b'abc'$",
+                 id="non-numeric")])
+def test_read_ply_short_ascii_vertex_named(tmp_path, line, message):
     path = tmp_path / "short.ply"
     path.write_text(_ascii_ply([[0, 0, 0], [1, 2, 3]],
                                [[1, 2, 3], [4, 5, 6]]).replace("1 2 3 4 5 6",
                                                                line))
-    with pytest.raises(ValueError, match=r"^malformed PLY vertex 1: \d of 6"):
+    with pytest.raises(ValueError, match="^malformed PLY vertex 1: " + message):
         read_ply(path)
 
 
@@ -139,12 +144,17 @@ def test_ply_ascii_roundtrip(tmp_path):
     assert np.array_equal(raw.colors, col)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_positions_rejected(bad):
-    positions = np.zeros((3, 3))
-    positions[1, 2] = bad
-    with pytest.raises(ValueError, match="finite"):
-        RawPointCloud(positions, np.zeros((3, 3), dtype=np.uint8))
+@pytest.mark.parametrize("bad, rows", [
+    pytest.param(np.nan, [1], id="nan"),
+    pytest.param(np.inf, [1], id="inf"),
+    pytest.param(-np.inf, [1], id="-inf"),
+    pytest.param(np.nan, [3, 2], id="first-of-two")])
+def test_non_finite_positions_rejected(bad, rows):
+    positions = np.zeros((4, 3))
+    positions[rows, 2] = bad
+    with pytest.raises(ValueError, match=rf"^positions must be finite: "
+                                         rf"point {min(rows)} is not$"):
+        RawPointCloud(positions, np.zeros((4, 3), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("field", [
