@@ -2,14 +2,14 @@
 
 Geometry travels out of band (the original PLY files); the stream holds
 only the header, per-frame geometry/reconstruction hashes, per-cluster
-mode flags (P-frames) and the entropy-coded payloads.  The header is
-magic, version, every `SequenceConfig` field (grid_dim,
-target_cluster_size, epsilon_sq, gop_size, qstep) in field order, each
-packed with the struct code its "header" metadata names, then the frame
-count.  A frame record holds no type: frame t is a P-frame iff
-`SequenceConfig.is_p_frame(t)`, and only a P-frame carries mode flags,
-one per cluster.  All fixed-width fields are little-endian; payload
-lengths use LEB128.
+mode flags (P-frames) and one arithmetic-coded payload per cluster (Y, U
+and V by coefficient; one context set per frame).  The header is magic,
+version, every `SequenceConfig` field (grid_dim, target_cluster_size,
+epsilon_sq, gop_size, qstep) in field order, each packed with the struct
+code its "header" metadata names, then the frame count.  A frame record
+holds no type: frame t is a P-frame iff `SequenceConfig.is_p_frame(t)`,
+and only a P-frame carries mode flags, one per cluster.  All fixed-width
+fields are little-endian; payload lengths use LEB128.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ MAGIC = b"PGFT"
 # 3: the header drops sigma_sq, normal_k and box_expand (now constants)
 # and frame records drop the frame-type byte (the GOP decides it).
 # 4: inter reconstruction is U (deq + g * U^T x_ref); P-frame checksums change.
-VERSION = 4
+# 5: one payload per cluster, not one per channel; one context set per frame.
+VERSION = 5
 
 # (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])
@@ -46,7 +47,7 @@ class FrameRecord:
     geometry_hash: int
     recon_checksum: int
     inter_flags: np.ndarray      # (k,) bool; empty for I-frames
-    clusters: list = field(default_factory=list)  # (Y, U, V) payload bytes
+    clusters: list = field(default_factory=list)  # one payload (bytes) each
 
     @property
     def cluster_count(self) -> int:
@@ -86,10 +87,9 @@ def frame_record_bytes(frame: FrameRecord) -> bytes:
     out += _FRAME_FIXED.pack(frame.cluster_count, frame.geometry_hash,
                              frame.recon_checksum)
     out += np.packbits(np.asarray(frame.inter_flags, dtype=bool)).tobytes()
-    for payloads in frame.clusters:
-        for payload in payloads:
-            _write_varint(out, len(payload))
-            out += payload
+    for payload in frame.clusters:
+        _write_varint(out, len(payload))
+        out += payload
     return bytes(out)
 
 
@@ -145,14 +145,11 @@ def read_bitstream(data: bytes):
             flags = np.zeros(0, dtype=bool)
         clusters = []
         for _ in range(k):
-            payloads = []
-            for _ in range(3):
-                length, pos = _read_varint(data, pos)
-                if pos + length > len(data):
-                    raise BitstreamError("truncated stream (payload)")
-                payloads.append(data[pos:pos + length])
-                pos += length
-            clusters.append(tuple(payloads))
+            length, pos = _read_varint(data, pos)
+            if pos + length > len(data):
+                raise BitstreamError("truncated stream (payload)")
+            clusters.append(data[pos:pos + length])
+            pos += length
         frames.append(FrameRecord(geometry_hash=geo_hash,
                                   recon_checksum=recon_sum, inter_flags=flags,
                                   clusters=clusters))

@@ -15,9 +15,9 @@ immediately previous reconstructed frame (low-delay).
 The decoder recomputes every geometry-derived quantity (clusters,
 normals, graphs, bases, motion) from the shared point positions and the
 `SequenceConfig` the stream header carries, so the bitstream holds only
-that header, mode flags and coefficient payloads.  `cluster_laplacian`
-and `reference_index` are one cluster's graph and motion steps; the
-GMRF study in `cli` calls them too; the normal neighbourhood
+that header, mode flags and one payload per cluster.  `cluster_laplacian`
+and `reference_index` are one cluster's graph and motion steps; the GMRF
+study in `cli` calls them too; the normal neighbourhood
 (`graph.NORMAL_K`), edge kernel (`graph.SIGMA_SQ`) and motion search
 region (`BOX_EXPAND`) they use are constants, not coded parameters.
 Both directions share one per-cluster path: `_plans` derives each
@@ -195,16 +195,16 @@ def _reconstruct(plan: _ClusterPlan, indices: np.ndarray, qstep: float,
 
 
 def _trial(coeffs: np.ndarray, prediction, qstep: float, contexts):
-    """Code one cluster intra (prediction None) or inter on copies of the
-    contexts.  Returns (indices, payloads, contexts, (distortion, rate));
+    """Code one cluster intra (prediction None) or inter on a copy of the
+    contexts.  Returns (indices, payload, contexts, (distortion, rate));
     U is orthonormal, so the coefficients' error is the attributes'."""
     target = coeffs if prediction is None else coeffs - prediction
     indices = quantize(target, qstep)
-    ctx = [c.copy() for c in contexts]
-    payloads = tuple(encode_block(indices[:, c], ctx[c]) for c in range(CHANNELS))
+    ctx = contexts.copy()
+    payload = encode_block(indices.ravel(), ctx)  # Y, U, V per coefficient
     cost = (distortion_yuv(target, dequantize(indices, qstep)),
-            8 * sum(len(p) for p in payloads) + 1)  # + the mode flag
-    return indices, payloads, ctx, cost
+            8 * len(payload) + 1)  # + the mode flag
+    return indices, payload, ctx, cost
 
 
 def _probe(n: int) -> np.ndarray:
@@ -284,7 +284,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
         is_p = config.is_p_frame(t)
         prev_coords = prev.frame.voxel_coords if is_p else None
 
-        contexts = [ContextSet() for _ in range(CHANNELS)]
+        contexts = ContextSet()
         mirror = _MirrorHash(partition.labels)
         recon_attrs = np.zeros_like(frame.attributes)
         clusters = []
@@ -299,11 +299,11 @@ def encode_sequence(raw_frames, config: SequenceConfig,
                 inter = _trial(coeffs, candidate, config.qstep, contexts)
                 if choose_mode(kept[3], inter[3], lam) == INTER:
                     prediction, kept = candidate, inter
-            indices, payloads, contexts, _ = kept
+            indices, payload, contexts, _ = kept
             flags[cid] = prediction is not None
             recon = _reconstruct(plan, indices, config.qstep, prediction)
             recon_attrs[plan.members] = recon
-            clusters.append(payloads)
+            clusters.append(payload)
             mirror.add_cluster(plan, prediction, recon)
 
         record = FrameRecord(
@@ -353,18 +353,17 @@ def decode_sequence(data: bytes, geometry_frames,
         prev_coords = prev.frame.voxel_coords if is_p else None
         flags = record.inter_flags if is_p else np.zeros(partition.k, dtype=bool)
 
-        contexts = [ContextSet() for _ in range(CHANNELS)]
+        contexts = ContextSet()
         mirror = _MirrorHash(partition.labels)
         recon_attrs = np.zeros_like(frame.attributes)
         for cid, plan in enumerate(_plans(frame, partition, config, prev_coords,
                                           flags, threads)):
-            indices = np.empty((plan.members.shape[0], CHANNELS), dtype=np.int64)
-            for c, payload in enumerate(record.clusters[cid]):
-                try:
-                    indices[:, c] = decode_block(payload, len(indices), contexts[c])
-                except EndOfStreamError as exc:
-                    raise BitstreamError(f"frame {t} cluster {cid} channel "
-                                         f"{'YUV'[c]}: {exc}") from exc
+            n = plan.members.shape[0]
+            try:
+                indices = decode_block(record.clusters[cid], CHANNELS * n,
+                                       contexts).reshape(n, CHANNELS)
+            except EndOfStreamError as exc:
+                raise BitstreamError(f"frame {t} cluster {cid}: {exc}") from exc
             prediction = None
             if flags[cid]:
                 if plan.ref_index is None:

@@ -157,7 +157,8 @@ def bounding_box(points: np.ndarray, expand: float):
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     center = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0 * (1.0 + expand)
+    with np.errstate(over="ignore"):  # `voxelize` refuses an infinite box
+        half = (hi - lo) / 2.0 * (1.0 + expand)
     return center - half, center + half
 
 
@@ -174,19 +175,21 @@ def voxelize(raw: RawPointCloud, grid_dim: int, box) -> VoxelizedFrame:
     """Map points onto the integer grid and average attributes per voxel.
 
     One shared uniform scale maps the (min, max) box into [0, grid_dim-1]^3;
-    points are binned by floor and clamped at the upper boundary.
+    points are binned by floor and clamped to the grid before the cast.
     """
     if raw.point_count < 1:
         raise ValueError("cannot voxelize an empty point cloud")
     lo, hi = np.asarray(box[0], dtype=np.float64), np.asarray(box[1], dtype=np.float64)
     extent = float(np.max(hi - lo))
+    if not math.isfinite(extent):
+        raise ValueError(f"bounding box extent {extent} is not finite")
     if extent <= 0.0:
         warnings.warn("degenerate bounding box; all points fall in one voxel")
         coords = np.zeros((raw.point_count, 3), dtype=np.int32)
     else:
         scale = (grid_dim - 1) / extent
-        coords = np.floor((raw.positions - lo) * scale).astype(np.int64)
-        coords = np.clip(coords, 0, grid_dim - 1).astype(np.int32)
+        coords = np.clip(np.floor((raw.positions - lo) * scale), 0,
+                         grid_dim - 1).astype(np.int32)
 
     # np.unique over rows sorts lexicographically -> canonical voxel order.
     voxel_coords, point_map = np.unique(coords, axis=0, return_inverse=True)

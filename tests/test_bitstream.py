@@ -7,7 +7,9 @@ import pytest
 from pgft import codec
 from pgft.bitstream import (BitstreamError, FrameRecord, read_bitstream,
                             write_bitstream)
-from pgft.pointcloud import SequenceConfig
+from pgft.clustering import kmeans_geometry
+from pgft.coding import ContextSet, decode_block, encode_block
+from pgft.pointcloud import SequenceConfig, sequence_bounding_box, voxelize
 from pgft.synth import synthetic_sequence
 
 
@@ -16,9 +18,9 @@ def _random_frames(rng, count):
     for t in range(count):
         k = int(rng.integers(1, 5))
         is_p = SequenceConfig().is_p_frame(t)
-        clusters = [tuple(
-            bytes(rng.integers(0, 256, size=rng.integers(0, 60), dtype=np.uint8))
-            for _ in range(3)) for _ in range(k)]
+        clusters = [
+            bytes(rng.integers(0, 256, size=rng.integers(0, 180), dtype=np.uint8))
+            for _ in range(k)]
         frames.append(FrameRecord(
             geometry_hash=int(rng.integers(0, 2**63)),
             recon_checksum=int(rng.integers(0, 2**63)),
@@ -32,10 +34,10 @@ def _fixed_frames():
     return [
         FrameRecord(0x0123456789ABCDEF, 0xFEDCBA9876543210,
                     np.zeros(0, dtype=bool),
-                    [(b"\x01\x02", b"", b"\xff" * 3), (b"abc", b"d", b"")]),
+                    [b"\x01\x02" + b"\xff" * 3, b"abcd"]),
         FrameRecord(7, 2**64 - 1, np.array([True, False, True]),
-                    [(b"", b"", b""), (bytes(range(200)), b"x", b"yz"),
-                     (b"\x00", b"\x80" * 130, b"\x7f")]),
+                    [b"", bytes(range(200)) + b"xyz",
+                     b"\x00" + b"\x80" * 130 + b"\x7f"]),
     ]
 
 
@@ -45,19 +47,22 @@ _OTHER_CONFIG = SequenceConfig(
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# for stream version 4.  Version 3 dropped sigma_sq, normal_k and
+# for stream version 5.  Version 3 dropped sigma_sq, normal_k and
 # box_expand (18 B) from the header, took the coded fields in
 # SequenceConfig order and dropped each frame record's type byte;
-# version 4 changed only the reconstruction arithmetic, so these streams
-# differ from version 3's in the version byte (offset 4) alone.
+# version 4 changed only the reconstruction arithmetic (the version byte
+# at offset 4); version 5 gives each cluster one length-prefixed payload
+# where versions 3 and 4 gave it three (Y, U, V), so the fixtures hold
+# one payload per cluster and the stream is 10 B of lengths shorter.
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "72e6d69068f27068db6b174e162a88a50bd5167b05874520bf70ab43a5e36aab"),
+     "9ea7c06eee068e66abe61f3597458d5473dd384b5e5b0eac6ab5e81fe584c7ac"),
     (_OTHER_CONFIG,
-     "5d44e9d97cc1b93136df07e103479e7b6645c2b58888afdf1e5b2c19aaebf100")])
+     "7e87a7805a089016d60d63fcd03fa401e2d6811e8d709704948557e8dfce3b13")],
+    ids=["default", "other"])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
-    assert len(data) == 437
+    assert len(data) == 427
     assert hashlib.sha256(data).hexdigest() == digest
     parsed_config, parsed = read_bitstream(data)
     assert write_bitstream(parsed_config, parsed) == data
@@ -93,6 +98,29 @@ def test_gop_decides_which_frames_carry_flags():
         assert record.inter_flags.shape == (expected,), t
 
 
+def test_one_payload_per_cluster_on_one_context_set_per_frame():
+    """The version 5 layout: each cluster's payload is one block of
+    3 * |cluster| indices, and a frame's blocks are coded in cluster order
+    on one context set.  Decoding them so and re-encoding each block on a
+    second fresh context chain gives every payload back byte for byte."""
+    frames = synthetic_sequence("rigid-motion", 3, point_count=600, seed=2)
+    config = SequenceConfig(grid_dim=64, target_cluster_size=150)
+    data = codec.encode_sequence(frames, config).data
+    _, records = read_bitstream(data)
+    box = sequence_bounding_box(frames[0])
+    assert any(record.inter_flags.any() for record in records)
+    for raw, record in zip(frames, records):
+        partition = kmeans_geometry(voxelize(raw, config.grid_dim, box),
+                                    config.target_cluster_size)
+        assert record.cluster_count == partition.k > 1
+        decoding, encoding = ContextSet(), ContextSet()
+        for cid, payload in enumerate(record.clusters):
+            assert isinstance(payload, bytes)
+            count = 3 * partition.members(cid).size
+            indices = decode_block(payload, count, decoding)
+            assert encode_block(indices, encoding) == payload
+
+
 @pytest.mark.parametrize("t, count", [(0, 2), (1, 0), (1, 2)])
 def test_flags_must_match_gop_position(t, count):
     """An I-frame carries no mode flags and a P-frame one per cluster;
@@ -117,13 +145,13 @@ def test_zero_frame_stream_does_not_decode():
 
 
 def test_single_iframe_no_mode_flags():
-    clusters = [(b"ab", b"", b"c") for _ in range(2)]
+    clusters = [b"abc" for _ in range(2)]
     frame = FrameRecord(geometry_hash=1, recon_checksum=2,
                         inter_flags=np.zeros(0, dtype=bool), clusters=clusters)
     _, frames = read_bitstream(write_bitstream(SequenceConfig(), [frame]))
     assert frames[0].cluster_count == 2
     assert frames[0].inter_flags.size == 0
-    assert frames[0].clusters[0] == (b"ab", b"", b"c")
+    assert frames[0].clusters[0] == b"abc"
 
 
 def test_byte_identical_reserialization():
@@ -159,7 +187,7 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         data[4] = version
         with pytest.raises(BitstreamError,
                            match=f"unsupported stream version {version}$"):

@@ -297,13 +297,12 @@ def test_corrupt_payload_byte_detected(threads):
     assert _pool_workers() <= before
 
 
-def test_garbage_payload_names_frame_cluster_channel():
+def test_garbage_payload_names_frame_and_cluster():
     frames = synthetic_sequence("wave", 2, point_count=800, seed=5)
     config, records = bitstream.read_bitstream(encode_sequence(frames, _cfg()).data)
-    _, u, v = records[1].clusters[0]
-    records[1].clusters[0] = (b"\xff" * 64, u, v)
+    records[1].clusters[0] = b"\xff" * 64
     with pytest.raises(BitstreamError,
-                       match="^frame 1 cluster 0 channel Y: payload longer"):
+                       match="^frame 1 cluster 0: payload longer"):
         decode_sequence(bitstream.write_bitstream(config, records), frames)
 
 

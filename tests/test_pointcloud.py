@@ -257,6 +257,26 @@ def test_voxelize_single_point_warns():
     assert np.allclose(frame.attributes + 128.0, rgb_to_yuv(raw.colors))
 
 
+def test_voxelize_clamps_far_points_to_the_grid():
+    """A later frame's points far outside frame 0's box land in the
+    corner voxels, not wrapped into voxel 0 by an overflowing cast."""
+    raw = RawPointCloud(np.array([[1e17] * 3, [-1e17] * 3, [0.5] * 3]),
+                        np.zeros((3, 3), dtype=np.uint8))
+    frame = voxelize(raw, 4096, (np.zeros(3), np.ones(3)))
+    coords = frame.voxel_coords[frame.point_map]
+    assert coords.tolist() == [[4095] * 3, [0] * 3, [2047] * 3]
+
+
+def test_voxelize_refuses_box_of_infinite_extent():
+    """Finite positions whose span overflows float64 give a box of
+    infinite extent, which no scale maps onto the grid."""
+    raw = RawPointCloud(np.array([[1e308] * 3, [-1e308] * 3]),
+                        np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="^bounding box extent inf is not "
+                                         "finite$"):
+        voxelize(raw, 4096, sequence_bounding_box(raw))
+
+
 def test_voxelize_mean_of_two():
     # gray colors make Y equal the channel value
     pos = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [10.0, 10.0, 10.0]])
