@@ -45,13 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitstream, graph
+from . import bitstream, graph, motion
 from .bitstream import BitstreamError, FrameRecord
 from .clustering import kmeans_geometry
 from .coding import (ContextSet, EndOfStreamError, decode_block, dequantize,
                      encode_block, quantize)
 from .metrics import psnr
-from .motion import find_correspondence, icp_register
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
                          bounding_box, devoxelize, rgb_to_yuv,
                          sequence_bounding_box, voxelize)
@@ -134,18 +133,15 @@ def cluster_laplacian(pts: np.ndarray, config: SequenceConfig) -> np.ndarray:
 
 def reference_index(pts: np.ndarray, ref_coords: np.ndarray):
     """Index into `ref_coords` of each cluster point's temporal reference:
-    ICP against the reference points inside the cluster's bounding box
-    expanded by BOX_EXPAND, then nearest neighbour.  None if that box is
-    empty."""
+    the point that ICP's last matching pairs it with when it moves the
+    cluster onto the reference points inside the cluster's bounding box
+    expanded by BOX_EXPAND.  None if that box is empty."""
     lo, hi = bounding_box(pts, BOX_EXPAND)
     region = np.flatnonzero(np.all((ref_coords >= lo) & (ref_coords <= hi),
                                    axis=1))
     if not region.size:
         return None
-    region_pts = ref_coords[region].astype(np.float64)
-    rotation, translation = icp_register(region_pts, pts)
-    return region[find_correspondence(pts, region_pts @ rotation.T
-                                      + translation)]
+    return region[motion.icp_register(ref_coords[region], pts)[2]]
 
 
 def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,

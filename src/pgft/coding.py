@@ -37,8 +37,8 @@ class EndOfStreamError(Exception):
 
 
 class ContextSet:
-    """Adaptive contexts for one coefficient channel: one `[zeros, ones]`
-    count pair per prefix depth."""
+    """Adaptive contexts of one frame, shared by all its clusters and by
+    Y, U and V alike: one `[zeros, ones]` count pair per prefix depth."""
 
     def __init__(self, prefix=None):
         self.prefix = prefix or [[1, 1] for _ in range(_NUM_PREFIX_CONTEXTS)]

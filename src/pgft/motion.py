@@ -1,9 +1,9 @@
 """Refined motion estimation between adjacent frames.
 
-Each target cluster is registered against an expanded collocated region
-of the previous frame with point-to-point ICP, then every target point
-gets a temporal reference by nearest neighbor among the registered
-points.  A rigid transform is a (rotation (3, 3), translation (3,))
+Each target cluster is moved by point-to-point ICP onto an expanded
+collocated region of the previous frame, held fixed in one KD-tree; the
+matching of ICP's last iteration gives every target point its temporal
+reference.  A rigid transform is a (rotation (3, 3), translation (3,))
 pair of arrays; it maps points p to p @ rotation.T + translation.  Only
 geometry is touched, so the decoder recomputes the whole stage bit for
 bit.
@@ -79,42 +79,42 @@ def _rank_at_least_2(points: np.ndarray) -> bool:
 
 
 def icp_register(source: np.ndarray, target: np.ndarray):
-    """Point-to-point ICP aligning source onto target; returns
-    (rotation, translation).
+    """Point-to-point ICP moving target onto a fixed source; returns
+    (rotation, translation, index): the pair, the inverse of the fitted
+    target -> source transform, maps source onto target, and index[i] is
+    the source point matched to target point i.
 
-    Correspondences are seeded from the target side: each target point
-    is paired with its nearest registered source point (lowest-index
-    tie-break).  The source region is typically much larger than the
+    One KD-tree holds the unmoved source.  Pairs are seeded from the
+    target side: the source region is typically much larger than the
     target cluster, and pairing the other way around would let the
     unmatched bulk of the region drag the fit off a perfectly aligned
-    overlap.  Iterates matching and a closed-form rigid fit until the
-    mean-squared residual improves by less than ICP_TOL or ICP_MAX_ITER
-    is reached.  Degenerate inputs (fewer than 3 non-collinear points on
-    either side) fall back to the identity transform.
+    overlap.  Ties go to the lowest index.  Stops when the mean-squared
+    residual improves by less than ICP_TOL or after ICP_MAX_ITER refits,
+    always on a matching under the final transform.  Degenerate inputs
+    (fewer than 3 non-collinear points on either side) are matched once
+    under the identity.
     """
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if source.shape[0] == 0 or target.shape[0] == 0:
         raise ValueError("ICP requires non-empty point sets")
 
-    if not (_rank_at_least_2(source) and _rank_at_least_2(target)):
-        return np.eye(3), np.zeros(3)
-
-    rotation, translation = np.eye(3), np.zeros(3)
-    prev_mse = np.inf
-    for _ in range(ICP_MAX_ITER):
-        registered = source @ rotation.T + translation
-        d2, idx = _nearest_lowest_index(_tree(registered), registered, target)
+    tree = _tree(source)
+    degenerate = not (_rank_at_least_2(source) and _rank_at_least_2(target))
+    rotation, translation = np.eye(3), np.zeros(3)  # target -> source
+    moved, prev_mse = target, np.inf
+    for refit in range(ICP_MAX_ITER + 1):
+        d2, idx = _nearest_lowest_index(tree, source, moved)
         mse = float(np.mean(d2))
-        if prev_mse - mse < ICP_TOL:
+        if degenerate or refit == ICP_MAX_ITER or prev_mse - mse < ICP_TOL:
             break
         prev_mse = mse
-        # Full refit from the original source points at the matched
-        # indices: the global optimum for the current correspondences,
-        # which keeps the residual non-increasing.
-        rotation, translation = _rigid_fit(source[idx], target)
+        # Full refit from the unmoved target: the global optimum for the
+        # current pairs, which keeps the residual non-increasing.
+        rotation, translation = _rigid_fit(target, source[idx])
+        moved = target @ rotation.T + translation
 
-    return rotation, translation
+    return rotation.T, -translation @ rotation, idx
 
 
 def find_correspondence(cluster: np.ndarray, registered_ref: np.ndarray) -> np.ndarray:

@@ -156,7 +156,7 @@ def bounding_box(points: np.ndarray, expand: float):
     points = np.asarray(points, dtype=np.float64)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    center = (lo + hi) / 2.0
+    center = lo / 2.0 + hi / 2.0  # lo + hi may overflow
     with np.errstate(over="ignore"):  # `voxelize` refuses an infinite box
         half = (hi - lo) / 2.0 * (1.0 + expand)
     return center - half, center + half

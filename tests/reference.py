@@ -7,8 +7,9 @@ comparison), a plain cyclic Jacobi eigensolver, the per-eigenvalue
 canonicalization loop, a Cholesky solve of the temporal predictor, a
 numerically-integrated Bjontegaard metric, the k-means objective, and
 k-means with a dense (n, k, 3) assignment and per-cluster and
-per-point loops (the library's earlier code, kept for exact
-comparison).
+per-point loops, and the two-step motion search that moves the source
+region in ICP and then searches it again (the library's earlier code,
+kept for exact comparison).
 """
 
 import numpy as np
@@ -180,6 +181,31 @@ def kmeans_loops(coords: np.ndarray, target_cluster_size: int,
     for cid in range(k):
         centroids[cid] = coords[out_labels == cid].mean(axis=0)
     return out_labels, sizes, centroids
+
+
+def icp_two_step_correspondence(source: np.ndarray, target: np.ndarray):
+    """Index of the source point each target point corresponds to, by
+    the library's earlier search: ICP moves the source onto the target,
+    with a new KD-tree over the moved source on every iteration, then a
+    brute-force search pairs every target point with its nearest point
+    of the registered source."""
+    from pgft.motion import (ICP_MAX_ITER, ICP_TOL, _rank_at_least_2,
+                             _rigid_fit)
+
+    source = np.asarray(source, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    rotation, translation = np.eye(3), np.zeros(3)  # source -> target
+    if _rank_at_least_2(source) and _rank_at_least_2(target):
+        prev_mse = np.inf
+        for _ in range(ICP_MAX_ITER):
+            registered = source @ rotation.T + translation
+            d2, idx = nearest_lowest_index_loop(registered, target)
+            mse = float(np.mean(d2))
+            if prev_mse - mse < ICP_TOL:
+                break
+            prev_mse = mse
+            rotation, translation = _rigid_fit(source[idx], target)
+    return brute_force_nearest(target, source @ rotation.T + translation)
 
 
 def bd_rate_numeric(curve_a, curve_b) -> float:

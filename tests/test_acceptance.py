@@ -218,14 +218,14 @@ def test_criterion_08_motion_oracle():
     rng = np.random.default_rng(88)
     target = rng.uniform(0, 50, size=(150, 3))
     source = target + np.array([4.0, -1.0, 2.5])
-    _, translation = icp_register(source, target)
+    _, translation, _ = icp_register(source, target)
     assert np.max(np.abs(translation - [-4.0, 1.0, -2.5])) < 1e-6
 
     angle = math.radians(8.0)
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     source = target @ rot.T
-    rotation, _ = icp_register(source, target)
+    rotation, _, _ = icp_register(source, target)
     residual = rotation @ rot
     err = math.acos(min(1.0, (np.trace(residual) - 1.0) / 2.0))
     assert err < 1e-4

@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from pgft import motion
+from pgft.clustering import kmeans_geometry
+from pgft.codec import BOX_EXPAND, reference_index
 from pgft.motion import (_nearest_lowest_index, find_correspondence,
                          icp_register)
-from pgft.pointcloud import bounding_box
-from reference import brute_force_nearest, nearest_lowest_index_loop
+from pgft.pointcloud import (SequenceConfig, bounding_box,
+                             sequence_bounding_box, voxelize)
+from pgft.synth import synthetic_sequence
+from reference import (brute_force_nearest, icp_two_step_correspondence,
+                       nearest_lowest_index_loop)
 
 
 def _rotation_z(angle):
@@ -45,7 +50,7 @@ def test_expand_box_degenerate_point():
 def test_icp_already_aligned():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 30, size=(150, 3))
-    rotation, translation = icp_register(pts, pts)
+    rotation, translation, _ = icp_register(pts, pts)
     _assert_rigid(rotation)
     assert np.max(np.abs(rotation - np.eye(3))) < 1e-9
     assert np.max(np.abs(translation)) < 1e-9
@@ -55,7 +60,7 @@ def test_icp_recovers_translation():
     rng = np.random.default_rng(1)
     target = rng.uniform(0, 50, size=(100, 3))
     source = target + np.array([5.0, 0.0, 0.0])
-    rotation, translation = icp_register(source, target)
+    rotation, translation, _ = icp_register(source, target)
     _assert_rigid(rotation)
     assert np.max(np.abs(translation - [-5.0, 0.0, 0.0])) < 1e-6
     assert np.max(np.abs(rotation - np.eye(3))) < 1e-6
@@ -68,7 +73,7 @@ def test_icp_recovers_rotation():
     target = rng.uniform(-20, 20, size=(200, 3))
     angle = math.radians(10.0)
     source = target @ _rotation_z(angle).T
-    rotation, _ = icp_register(source, target)
+    rotation, _, _ = icp_register(source, target)
     _assert_rigid(rotation)
     # recovered rotation should invert the applied one
     residual = rotation @ _rotation_z(angle)
@@ -79,10 +84,10 @@ def test_icp_recovers_rotation():
 def test_icp_degenerate_returns_identity():
     line = np.stack([np.linspace(0, 5, 7)] * 3, axis=1)  # collinear
     target = np.random.default_rng(3).uniform(0, 5, size=(50, 3))
-    rotation, translation = icp_register(line, target)
+    rotation, translation, _ = icp_register(line, target)
     assert np.array_equal(rotation, np.eye(3))
     assert np.array_equal(translation, np.zeros(3))
-    rotation, translation = icp_register(target[:2], target)  # too few points
+    rotation, translation, _ = icp_register(target[:2], target)  # too few points
     assert np.array_equal(rotation, np.eye(3))
     assert np.array_equal(translation, np.zeros(3))
 
@@ -103,6 +108,70 @@ def test_icp_residual_non_increasing(monkeypatch):
     icp_register(source, target)
     assert len(history) >= 2
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+
+
+def test_icp_builds_one_tree(monkeypatch):
+    """One KD-tree over the unmoved source serves every iteration, and
+    the single matching of a degenerate input."""
+    built = []
+
+    def counting(points):
+        built.append(points)
+        return cKDTree(points)
+
+    monkeypatch.setattr(motion, "_tree", counting)
+    rng = np.random.default_rng(9)
+    target = rng.uniform(0, 40, size=(200, 3))
+    source = target @ _rotation_z(0.2).T + [3.0, 1.0, -2.0]
+    line = np.stack([np.linspace(0, 5, 7)] * 3, axis=1)
+    for src, tgt in ((source, target), (line, target), (target[:2], target)):
+        built.clear()
+        icp_register(src, tgt)
+        assert len(built) == 1
+        assert np.array_equal(built[0], src)
+
+
+def _p_cluster_searches(kind, seed):
+    """(points, previous frame's voxel coordinates) of every cluster of
+    frame 1 of a `kind` sequence, as a P-frame's motion search sees
+    them."""
+    frames = synthetic_sequence(kind, 2, point_count=6000, seed=seed)
+    box = sequence_bounding_box(frames[0])
+    prev, cur = (voxelize(raw, 256, box) for raw in frames)
+    partition = kmeans_geometry(cur, SequenceConfig().target_cluster_size)
+    for cid in range(partition.k):
+        pts = cur.voxel_coords[partition.members(cid)].astype(np.float64)
+        yield pts, prev.voxel_coords
+
+
+@pytest.mark.parametrize("kind", ["rigid-motion", "wave"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_reference_index_matches_two_step_search(kind, seed):
+    """ICP's last matching of the moved cluster gives the same
+    references as moving the region and searching it a second time."""
+    for pts, prev_coords in _p_cluster_searches(kind, seed):
+        lo, hi = bounding_box(pts, BOX_EXPAND)
+        region = np.flatnonzero(np.all((prev_coords >= lo)
+                                       & (prev_coords <= hi), axis=1))
+        expected = icp_two_step_correspondence(prev_coords[region], pts)
+        assert np.array_equal(reference_index(pts, prev_coords),
+                              region[expected])
+
+
+@pytest.mark.parametrize("max_iter", [motion.ICP_MAX_ITER, 3])
+def test_icp_index_matches_two_step_search_on_grid(monkeypatch, max_iter):
+    """On a static integer grid every distance is a sum of squared
+    integers, so ties abound.  The rotated target needs more than 3
+    refits, so the low cap ends the search on the cap."""
+    monkeypatch.setattr(motion, "ICP_MAX_ITER", max_iter)
+    grid = np.stack(np.meshgrid(*[np.arange(10.0)] * 3, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    rng = np.random.default_rng(11)
+    for target in (grid[rng.permutation(len(grid))[:300]],
+                   grid[:, [2, 0, 1]][::3], grid[::7] + [0.5, 0.0, 0.0],
+                   grid[::5] @ _rotation_z(0.3).T + [0.5, 0.3, 0.0]):
+        assert np.array_equal(icp_register(grid, target)[2],
+                              icp_two_step_correspondence(grid, target))
 
 
 def test_icp_empty_input():

@@ -277,6 +277,17 @@ def test_voxelize_refuses_box_of_infinite_extent():
         voxelize(raw, 4096, sequence_bounding_box(raw))
 
 
+def test_voxelize_frame_near_float64_max():
+    """A finite frame whose corners sum past float64's maximum still
+    has a finite box centre, so it voxelizes."""
+    raw = RawPointCloud(np.array([[1.6e308, 0.0, 0.0], [1.7e308, 1.0, 1.0]]),
+                        np.zeros((2, 3), dtype=np.uint8))
+    frame = voxelize(raw, 4096, sequence_bounding_box(raw))
+    coords = frame.voxel_coords[frame.point_map]
+    # box x: 1.65e308 -+ 1.05 * 0.05e308, mapped onto 4095 voxel widths
+    assert coords[:, 0].tolist() == [97, 3997]
+
+
 def test_voxelize_mean_of_two():
     # gray colors make Y equal the channel value
     pos = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [10.0, 10.0, 10.0]])
