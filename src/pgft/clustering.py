@@ -53,9 +53,18 @@ def _farthest_point_seeds(points: np.ndarray, k: int) -> np.ndarray:
     return seeds
 
 
-def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterPartition:
-    """Partition a frame's voxels into K = ceil(n / target) geometry clusters.
+def cluster_count(voxels: int, target: int) -> int:
+    """K = ceil(voxels / target), the number of clusters of a frame: what
+    `kmeans_geometry` makes, and what the decoder checks a frame record
+    against before it clusters."""
+    return math.ceil(voxels / target)
 
+
+def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterPartition:
+    """Partition a frame's voxels into `cluster_count(n, target)` clusters.
+
+    Work and memory grow with n * K (the assignment step holds an (n, K)
+    distance array), so a decoder checks K against the stream first.
     Lloyd iterations run on 3D voxel coordinates until labels stop
     changing (or the iteration cap).  The result is independent of the
     input point order: points are processed in lexicographic coordinate
@@ -66,7 +75,7 @@ def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterP
     n = coords.shape[0]
     if n == 0:
         raise ValueError("empty frame")
-    k = math.ceil(n / target_cluster_size)
+    k = cluster_count(n, target_cluster_size)
 
     order = _lexicographic_order(coords)
     pts = coords[order]

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import bitstream, graph, motion
 from .bitstream import BitstreamError, FrameRecord
-from .clustering import kmeans_geometry
+from .clustering import cluster_count, kmeans_geometry
 from .coding import (ContextSet, EndOfStreamError, decode_block, dequantize,
                      encode_block, quantize)
 from .metrics import psnr
@@ -320,7 +320,12 @@ def encode_sequence(raw_frames, config: SequenceConfig,
 
 def decode_sequence(data: bytes, geometry_frames,
                     threads: int = 1) -> DecodeResult:
-    """Decode a stream given the same geometry files used at encoding."""
+    """Decode a stream given the same geometry files used at encoding.
+
+    Each frame is checked against its record before the work it sizes:
+    first the geometry hash, then the cluster count that the header's
+    cluster size gives for the frame's voxels (`cluster_count`), so a
+    corrupted header never sizes k-means."""
     _check_threads(threads)
     config, records = bitstream.read_bitstream(data)
     if not records:
@@ -340,12 +345,13 @@ def decode_sequence(data: bytes, geometry_frames,
         frame = voxelize(raw, config.grid_dim, box)
         if geometry_hash(frame.voxel_coords) != record.geometry_hash:
             raise BitstreamError(f"reference geometry mismatch in frame {t}")
-        is_p = config.is_p_frame(t)
-        partition = kmeans_geometry(frame, config.target_cluster_size)
-        if partition.k != record.cluster_count:
+        k = cluster_count(frame.voxel_count, config.target_cluster_size)
+        if k != record.cluster_count:
             raise BitstreamError(
                 f"cluster count mismatch in frame {t}: stream has "
-                f"{record.cluster_count}, geometry gives {partition.k}")
+                f"{record.cluster_count}, geometry gives {k}")
+        is_p = config.is_p_frame(t)
+        partition = kmeans_geometry(frame, config.target_cluster_size)
         prev_coords = prev.frame.voxel_coords if is_p else None
         flags = record.inter_flags if is_p else np.zeros(partition.k, dtype=bool)
 

@@ -26,6 +26,8 @@ _SECOND = _TOP >> 1
 _CONTEXT_CAP = 1 << 12     # halve counts past this total to stay adaptive
 _NUM_PREFIX_CONTEXTS = 16
 _MAX_MAGNITUDE_BITS = 62   # int64 indices; longer prefixes mean corruption
+# The largest |index| the prefix can spell: index + 1 < 2^(bits + 1).
+_MAX_INDEX = (1 << (_MAX_MAGNITUDE_BITS + 1)) - 2
 # A healthy decode reads at most ~STATE_SIZE bits past the payload (the
 # encoder flushes minimally); anything beyond that is a truncated stream.
 _PHANTOM_LIMIT = 2 * STATE_SIZE
@@ -81,8 +83,12 @@ def _binarize(code_bin, prefix, value: int = 0) -> int:
 
 def encode_block(indices, contexts: ContextSet) -> bytes:
     """Code one integer block into a standalone payload; contexts are
-    updated in place (they persist across the blocks of a frame)."""
-    values = np.asarray(indices, dtype=np.int64).tolist()
+    updated in place (they persist across the blocks of a frame).
+    Raises ValueError on an index whose magnitude exceeds `_MAX_INDEX`."""
+    values = np.asarray(indices, dtype=np.int64)
+    if values.size and (values.max() > _MAX_INDEX or values.min() < -_MAX_INDEX):
+        raise ValueError(f"cannot code an index of magnitude above {_MAX_INDEX}")
+    values = values.tolist()
     if not values:
         return b""
     bits = []
@@ -170,11 +176,17 @@ def decode_block(payload: bytes, count: int, contexts: ContextSet) -> np.ndarray
 
 def quantize(coeffs, qstep: float) -> np.ndarray:
     """Uniform quantization, rounding half away from zero; int64 indices
-    of the same shape as `coeffs`."""
+    of the same shape as `coeffs`.  Raises ValueError naming qstep when an
+    index would not fit int64."""
     if qstep <= 0:
         raise ValueError("qstep must be positive")
     c = np.asarray(coeffs, dtype=np.float64)
-    return (np.sign(c) * np.floor(np.abs(c) / qstep + 0.5)).astype(np.int64)
+    with np.errstate(over="ignore"):  # an infinite magnitude is refused below
+        magnitude = np.floor(np.abs(c) / qstep + 0.5)
+    if magnitude.max(initial=0.0) >= 2.0 ** 63:
+        raise ValueError(f"qstep={qstep!r} is too small: a quantization index "
+                         "would not fit int64")
+    return (np.sign(c) * magnitude).astype(np.int64)
 
 
 def dequantize(indices, qstep: float) -> np.ndarray:

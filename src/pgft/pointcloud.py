@@ -12,7 +12,6 @@ import math
 import numbers
 import os
 import struct
-import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -106,7 +105,7 @@ class SequenceConfig:
     def validate(self):
         """Raise ValueError naming the first field that is not a real
         number, is not finite and positive, or does not fit its header
-        slot (an integer slot takes only integers)."""
+        slot when the header packs it (an integer slot takes only integers)."""
         for f in fields(self):
             value = getattr(self, f.name)
             code = f.metadata["header"]
@@ -117,16 +116,11 @@ class SequenceConfig:
             integral = isinstance(value, numbers.Integral)
             if not (value > 0 and (integral or math.isfinite(value))):
                 raise ValueError(f"{f.name}={value!r} must be finite and positive")
-            if code == "d":
-                slot = "float64"
-                fits = not integral or value <= sys.float_info.max
-            else:  # a lowercase (signed) code has one value bit fewer
-                bits = 8 * struct.calcsize(code)
-                slot = f"{'' if code.islower() else 'u'}int{bits}"
-                fits = integral and value < 1 << (bits - code.islower())
-            if not fits:
+            try:
+                struct.pack("<" + code, value)
+            except (struct.error, OverflowError):
                 raise ValueError(f"{f.name}={value!r} does not fit the stream "
-                                 f"header's {slot} field")
+                                 f"header's {np.dtype(code).name} field") from None
         return self
 
     def is_p_frame(self, t: int) -> bool:

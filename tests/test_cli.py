@@ -82,6 +82,18 @@ def test_bad_config_value_is_usage_error(tmp_path, argv):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_encode_q_too_small_for_coder_exits_1(tmp_path, capsys):
+    """A --q that passes validation but makes an index overflow int64 is
+    a runtime failure that names the value, and writes no stream."""
+    write_synthetic_sequence(tmp_path / "frames", "wave", 1, 200, seed=0)
+    out = tmp_path / "x.bin"
+    rc = main(["encode", "--input", str(tmp_path / "frames"), "--q", "1e-20",
+               "--grid-dim", "32", "--output", str(out)])
+    assert rc == 1
+    assert "qstep=1e-20 is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encode_decode_psnr_matches(tmp_path):
     frames_dir = tmp_path / "frames"
     paths = write_synthetic_sequence(frames_dir, "wave", 2, 800, seed=0)

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -14,7 +15,8 @@ from pgft import codec
 from pgft import bitstream
 from pgft.bitstream import BitstreamError
 from pgft.codec import decode_sequence, encode_sequence
-from pgft.pointcloud import RawPointCloud, SequenceConfig
+from pgft.pointcloud import (RawPointCloud, SequenceConfig,
+                             sequence_bounding_box)
 from pgft.synth import synthetic_sequence
 from pgft.transform import TransformBasis, eigendecompose
 
@@ -134,6 +136,30 @@ def test_header_field_overflow_rejected_before_coding(monkeypatch, field, value)
     frames = synthetic_sequence("wave", 2, point_count=200, seed=13)
     with pytest.raises(ValueError, match=field):
         encode_sequence(frames, _cfg(**{field: value}))
+
+
+@pytest.mark.parametrize("cluster_size", [1, 6])
+def test_wrong_cluster_count_rejected_before_clustering(monkeypatch,
+                                                        cluster_size):
+    """A corrupted cluster-size field gives a cluster count the record
+    does not hold; the decoder says so from the voxel count alone, before
+    k-means sizes its (v, k) distances by that count."""
+    frames = synthetic_sequence("rigid-motion", 1, point_count=6000, seed=0)
+    data = bytearray(encode_sequence(frames, _cfg(grid_dim=256)).data)
+    assert struct.unpack_from("<I", data, 9) == (600,)  # target_cluster_size
+    struct.pack_into("<I", data, 9, cluster_size)
+    voxels = codec.voxelize(frames[0], 256,
+                            sequence_bounding_box(frames[0])).voxel_count
+
+    def never(*args, **kwargs):
+        raise AssertionError("clustering ran before the cluster-count check")
+
+    monkeypatch.setattr(codec, "kmeans_geometry", never)
+    expected = -(-voxels // cluster_size)
+    with pytest.raises(BitstreamError,
+                       match=f"^cluster count mismatch in frame 0: stream has "
+                             f"{-(-voxels // 600)}, geometry gives {expected}$"):
+        decode_sequence(bytes(data), frames)
 
 
 def _never(*args, **kwargs):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,36 @@ def test_quantize_block_is_per_coefficient():
 def test_quantize_rejects_bad_step():
     with pytest.raises(ValueError):
         quantize([1.0], 0.0)
+
+
+@pytest.mark.parametrize("coeffs, qstep", [
+    ([0.0, 3000.0], 1e-20), ([1.0], 5e-324), ([-2.0**63], 1.0)])
+def test_quantize_refuses_index_beyond_int64(coeffs, qstep):
+    with pytest.raises(ValueError, match=rf"^qstep={re.escape(repr(qstep))} "
+                                         "is too small"):
+        quantize(coeffs, qstep)
+
+
+def test_quantize_keeps_largest_int64_index():
+    largest = 2.0**63 - 1024  # the largest double below 2^63
+    assert quantize([-largest, largest], 1.0).tolist() == [-int(largest),
+                                                           int(largest)]
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, -(2**63 - 1), -2**63])
+def test_encode_block_refuses_uncodable_index(value):
+    """|index| + 1 must fit the prefix's 63 bits; the coder says so before
+    it codes a bin, so the contexts are left as they were."""
+    contexts = ContextSet()
+    with pytest.raises(ValueError, match="magnitude above 9223372036854775806"):
+        encode_block([0, value], contexts)
+    assert contexts.prefix == ContextSet().prefix
+
+
+def test_largest_codable_index_roundtrips():
+    values = [2**63 - 2, -(2**63 - 2), 0]
+    payload = encode_block(values, ContextSet())
+    assert decode_block(payload, 3, ContextSet()).tolist() == values
 
 
 @given(st.lists(st.integers(-10**9, 10**9), max_size=300),

@@ -1,8 +1,10 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from pgft.bitstream import read_bitstream, write_bitstream
 from pgft.pointcloud import (RawPointCloud, SequenceConfig, devoxelize,
                              read_ply, rgb_to_yuv, sequence_bounding_box,
                              voxelize, write_ply, yuv_to_rgb)
@@ -177,10 +179,54 @@ def test_config_requires_finite_positive_fields(field, value):
                  id="huge-int-in-float-slot"),
     pytest.param("epsilon_sq", -10**400, "finite and positive",
                  id="huge-negative-int"),
+    pytest.param("grid_dim", 2**31,
+                 "does not fit the stream header's int32 field", id="int32-max+1"),
+    pytest.param("target_cluster_size", 2**32,
+                 "does not fit the stream header's uint32 field",
+                 id="uint32-max+1"),
+    pytest.param("gop_size", 65536,
+                 "does not fit the stream header's uint16 field",
+                 id="uint16-max+1"),
+    pytest.param("grid_dim", np.int64(2**31),
+                 "does not fit the stream header's int32 field",
+                 id="numpy-int64-over"),
+    pytest.param("target_cluster_size", np.uint64(2**64 - 1),
+                 "does not fit the stream header's uint32 field",
+                 id="numpy-uint64-max"),
+    pytest.param("gop_size", np.float32(8),
+                 "does not fit the stream header's uint16 field",
+                 id="numpy-float32-in-int-slot"),
+    pytest.param("gop_size", 8.0,
+                 "does not fit the stream header's uint16 field",
+                 id="float-in-int-slot"),
+    pytest.param("qstep", int(sys.float_info.max) + 2**970,
+                 "does not fit the stream header's float64 field",
+                 id="int-half-ulp-above-float-max"),
 ])
 def test_config_rejects_wrong_types_by_name(field, value, message):
     with pytest.raises(ValueError, match=f"^{field}=.* {message}$"):
         SequenceConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_dim", 2**31 - 1), ("target_cluster_size", 2**32 - 1),
+    ("gop_size", 65535), ("qstep", 1e308), ("qstep", sys.float_info.max),
+    ("grid_dim", np.int64(7)), ("qstep", np.uint64(2**64 - 1)),
+    ("qstep", np.float32(8)), ("epsilon_sq", np.float32(3e38))])
+def test_config_accepts_what_its_header_slot_holds(field, value):
+    config = SequenceConfig(**{field: value})
+    assert config.validate() is config
+
+
+def test_float_slot_takes_an_int_that_rounds_to_float_max():
+    """validate() asks the header's packer, so an integer less than half
+    an ulp above float64's maximum fits: it packs as that maximum, which
+    the stream then holds.  (A hand-written `<= float max` rule refused
+    it.)"""
+    value = int(sys.float_info.max) + 2**970 - 1
+    config = SequenceConfig(qstep=value).validate()
+    decoded, _ = read_bitstream(write_bitstream(config, []))
+    assert decoded.qstep == sys.float_info.max
 
 
 def test_default_config_valid():
