@@ -3,7 +3,8 @@
 Geometry travels out of band (the original PLY files); the stream holds
 only the header, per-frame geometry/reconstruction hashes, per-cluster
 mode flags (P-frames) and one arithmetic-coded payload per cluster (Y, U
-and V by coefficient; one context set per frame).  The header is magic,
+and V by coefficient; one context set per frame, whose prefix contexts
+each coefficient's rank bucket selects).  The header is magic,
 version, every `SequenceConfig` field (grid_dim, target_cluster_size,
 epsilon_sq, gop_size, qstep) in field order, each packed with the struct
 code its "header" metadata names, then the frame count.  A frame record
@@ -28,7 +29,8 @@ MAGIC = b"PGFT"
 # and frame records drop the frame-type byte (the GOP decides it).
 # 4: inter reconstruction is U (deq + g * U^T x_ref); P-frame checksums change.
 # 5: one payload per cluster, not one per channel; one context set per frame.
-VERSION = 5
+# 6: prefix contexts are chosen by the coefficient's rank bucket.
+VERSION = 6
 
 # (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])

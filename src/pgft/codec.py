@@ -48,8 +48,8 @@ import numpy as np
 from . import bitstream, graph, motion
 from .bitstream import BitstreamError, FrameRecord
 from .clustering import cluster_count, kmeans_geometry
-from .coding import (ContextSet, EndOfStreamError, decode_block, dequantize,
-                     encode_block, quantize)
+from .coding import (CHANNELS, ContextSet, EndOfStreamError, decode_block,
+                     dequantize, encode_block, quantize)
 from .metrics import psnr
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
                          bounding_box, devoxelize, rgb_to_yuv,
@@ -57,7 +57,6 @@ from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
 from .rdo import INTER, INTRA, choose_mode, distortion_yuv, lambda_from_q
 from .transform import eigendecompose, gft_forward, gft_inverse, inter_predict
 
-CHANNELS = 3
 BOX_EXPAND = 3.0  # growth of a cluster's box into the motion search region
 
 

@@ -6,6 +6,14 @@ bins use adaptive per-depth contexts; suffix and sign bins are coded as
 bypass (fixed half probability).  A context is a `[zeros, ones]` count
 pair, and a bin's probability of 0 is zeros / (zeros + ones).
 
+A block is one cluster's coefficients in the order of its
+eigenvalue-ascending basis, CHANNELS indices (Y, U, V) per coefficient,
+so the index at position p belongs to the coefficient of rank
+i = p // CHANNELS.  A coefficient's variance falls as its graph
+frequency rises, and the frequency rises with the rank, so each rank
+bucket b = floor(log2(i + 1)) adapts its own prefix contexts; Y, U and
+V of one coefficient share them.
+
 The coder is two functions, `encode_block` and `decode_block`.  Each
 keeps the classic integer low/high range state (with underflow-bit
 carry) in local ints and runs the one binarization, `_binarize`, over
@@ -23,8 +31,11 @@ _HALF_MASK = _MASK >> 1
 _TOP = 1 << (STATE_SIZE - 1)
 _SECOND = _TOP >> 1
 
+CHANNELS = 3               # indices per coefficient in a block: Y, U, V
+
 _CONTEXT_CAP = 1 << 12     # halve counts past this total to stay adaptive
 _NUM_PREFIX_CONTEXTS = 16
+_NUM_RANK_BUCKETS = 16     # ranks from 2^15 - 1 up share the last bucket
 _MAX_MAGNITUDE_BITS = 62   # int64 indices; longer prefixes mean corruption
 # The largest |index| the prefix can spell: index + 1 < 2^(bits + 1).
 _MAX_INDEX = (1 << (_MAX_MAGNITUDE_BITS + 1)) - 2
@@ -40,13 +51,29 @@ class EndOfStreamError(Exception):
 
 class ContextSet:
     """Adaptive contexts of one frame, shared by all its clusters and by
-    Y, U and V alike: one `[zeros, ones]` count pair per prefix depth."""
+    Y, U and V alike: `prefix[b][depth]` is the `[zeros, ones]` count
+    pair of one prefix depth in rank bucket b."""
 
     def __init__(self, prefix=None):
-        self.prefix = prefix or [[1, 1] for _ in range(_NUM_PREFIX_CONTEXTS)]
+        self.prefix = prefix or [[[1, 1] for _ in range(_NUM_PREFIX_CONTEXTS)]
+                                 for _ in range(_NUM_RANK_BUCKETS)]
 
     def copy(self) -> "ContextSet":
-        return ContextSet([pair[:] for pair in self.prefix])
+        return ContextSet([[pair[:] for pair in bucket]
+                           for bucket in self.prefix])
+
+    def spans(self, count: int):
+        """Yield (prefix, start, stop) over a block of `count` indices:
+        the positions [start, stop) hold the ranks 2^b - 1 to 2^(b+1) - 2
+        of bucket b (the last bucket also every higher rank), and
+        `prefix` is that bucket's contexts."""
+        for b, prefix in enumerate(self.prefix):
+            start = CHANNELS * ((1 << b) - 1)
+            if start >= count:
+                return
+            stop = (count if b == _NUM_RANK_BUCKETS - 1
+                    else min(count, CHANNELS * ((2 << b) - 1)))
+            yield prefix, start, stop
 
 
 def _binarize(code_bin, prefix, value: int = 0) -> int:
@@ -115,8 +142,9 @@ def encode_block(indices, contexts: ContextSet) -> bytes:
             high = ((high << 1) & _HALF_MASK) | _TOP | 1
         return bit
 
-    for v in values:
-        _binarize(code_bin, contexts.prefix, v)
+    for prefix, start, stop in contexts.spans(len(values)):
+        for v in values[start:stop]:
+            _binarize(code_bin, prefix, v)
     bits.append(1)  # disambiguates; the decoder reads missing bits as 0
     return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
 
@@ -161,8 +189,9 @@ def decode_block(payload: bytes, count: int, contexts: ContextSet) -> np.ndarray
 
     out = np.empty(count, dtype=np.int64)
     try:
-        for i in range(count):
-            out[i] = _binarize(code_bin, contexts.prefix)
+        for prefix, start, stop in contexts.spans(count):
+            for i in range(start, stop):
+                out[i] = _binarize(code_bin, prefix)
     except IndexError:
         raise EndOfStreamError("unexpected end of stream") from None
     if pos < 8 * len(payload) + STATE_SIZE - 8:

@@ -19,6 +19,12 @@ import numpy as np
 
 MID_LEVEL = 128.0
 BOX_MARGIN = 0.05  # relative growth of the sequence bounding box
+# The largest target_cluster_size a config (and so a stream header) may
+# ask for.  Each cluster costs one dense n x n eigendecomposition; at one
+# OpenBLAS thread `eigh` took 0.07 s at the default 600 (51 MiB peak
+# RSS), 2.0 s at 2048 (a 32 MiB matrix, 201 MiB) and 16.5 s at 4096
+# (686 MiB).
+MAX_CLUSTER_SIZE = 2048
 
 # Full-range BT.601 (Kr=0.299, Kg=0.587, Kb=0.114).
 _RGB_TO_YUV = np.array([
@@ -97,15 +103,17 @@ class SequenceConfig:
 
     # int32, the dtype of VoxelizedFrame.voxel_coords
     grid_dim: int = field(default=4096, metadata={"header": "i"})
-    target_cluster_size: int = field(default=600, metadata={"header": "I"})
+    target_cluster_size: int = field(
+        default=600, metadata={"header": "I", "max": MAX_CLUSTER_SIZE})
     epsilon_sq: float = field(default=50.0, metadata={"header": "d"})
     gop_size: int = field(default=8, metadata={"header": "H"})
     qstep: float = field(default=8.0, metadata={"header": "d"})
 
     def validate(self):
         """Raise ValueError naming the first field that is not a real
-        number, is not finite and positive, or does not fit its header
-        slot when the header packs it (an integer slot takes only integers)."""
+        number, is not finite and positive, does not fit its header slot
+        when the header packs it (an integer slot takes only integers), or
+        exceeds its "max" metadata."""
         for f in fields(self):
             value = getattr(self, f.name)
             code = f.metadata["header"]
@@ -121,6 +129,9 @@ class SequenceConfig:
             except (struct.error, OverflowError):
                 raise ValueError(f"{f.name}={value!r} does not fit the stream "
                                  f"header's {np.dtype(code).name} field") from None
+            if value > f.metadata.get("max", value):
+                raise ValueError(f"{f.name}={value!r} exceeds the limit of "
+                                 f"{f.metadata['max']}")
         return self
 
     def is_p_frame(self, t: int) -> bool:

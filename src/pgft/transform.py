@@ -66,7 +66,7 @@ def _order_degenerate_groups(values: np.ndarray, vectors: np.ndarray):
 
 def eigendecompose(matrix: np.ndarray) -> TransformBasis:
     """Canonically ordered eigendecomposition of a symmetric (n, n) array
-    of finite entries."""
+    of finite entries; a zero eigenvalue is always +0.0."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -81,6 +81,7 @@ def eigendecompose(matrix: np.ndarray) -> TransformBasis:
                              f"the first at {tuple(map(int, bad[0]))}")
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh(m)
+    values += 0.0  # -0.0 becomes +0.0, so equal spectra hash alike
     vectors = _fix_signs(vectors)
     values, vectors = _order_degenerate_groups(values, vectors)
     return TransformBasis(basis=vectors, eigenvalues=values)

@@ -47,18 +47,19 @@ _OTHER_CONFIG = SequenceConfig(
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# for stream version 5.  Version 3 dropped sigma_sq, normal_k and
+# for stream version 6.  Version 3 dropped sigma_sq, normal_k and
 # box_expand (18 B) from the header, took the coded fields in
 # SequenceConfig order and dropped each frame record's type byte;
 # version 4 changed only the reconstruction arithmetic (the version byte
 # at offset 4); version 5 gives each cluster one length-prefixed payload
 # where versions 3 and 4 gave it three (Y, U, V), so the fixtures hold
-# one payload per cluster and the stream is 10 B of lengths shorter.
+# one payload per cluster and the stream is 10 B of lengths shorter;
+# version 6 changed only the coder's contexts (the version byte again).
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "9ea7c06eee068e66abe61f3597458d5473dd384b5e5b0eac6ab5e81fe584c7ac"),
+     "29e935e526758c092e48ab4c5dbe8980ade9ec7ae9fb4ec369fe820731079abf"),
     (_OTHER_CONFIG,
-     "7e87a7805a089016d60d63fcd03fa401e2d6811e8d709704948557e8dfce3b13")],
+     "09068f7e647bf4fc7c22369577657443da2cfbbd1a4b2de2fe7e39a59d4d774d")],
     ids=["default", "other"])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
@@ -99,7 +100,7 @@ def test_gop_decides_which_frames_carry_flags():
 
 
 def test_one_payload_per_cluster_on_one_context_set_per_frame():
-    """The version 5 layout: each cluster's payload is one block of
+    """The layout since version 5: each cluster's payload is one block of
     3 * |cluster| indices, and a frame's blocks are coded in cluster order
     on one context set.  Decoding them so and re-encoding each block on a
     second fresh context chain gives every payload back byte for byte."""
@@ -187,7 +188,7 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         data[4] = version
         with pytest.raises(BitstreamError,
                            match=f"unsupported stream version {version}$"):

@@ -71,6 +71,7 @@ def test_encode_q_zero_rejected(tmp_path):
     ["encode", "--q", "8", "--gop", "70000"],
     ["encode", "--q", "8", "--epsilon2", "inf"],
     ["rd-sweep", "--q-list", "4,nan"],
+    ["encode", "--q", "8", "--cluster-size", "2049"],
 ])
 def test_bad_config_value_is_usage_error(tmp_path, argv):
     write_synthetic_sequence(tmp_path / "frames", "wave", 1, 50, seed=0)

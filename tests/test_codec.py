@@ -162,6 +162,25 @@ def test_wrong_cluster_count_rejected_before_clustering(monkeypatch,
         decode_sequence(bytes(data), frames)
 
 
+def test_cluster_size_above_limit_refused_before_any_basis(monkeypatch):
+    """A header asking for clusters above MAX_CLUSTER_SIZE is refused by
+    the reader, even when the frame's cluster count (here 1) agrees with
+    it, so no dense eigendecomposition of that size is ever started."""
+    frames = synthetic_sequence("rigid-motion", 1, point_count=400, seed=0)
+    data = bytearray(encode_sequence(frames, _cfg(grid_dim=256)).data)
+    assert bitstream.read_bitstream(bytes(data))[1][0].cluster_count == 1
+    struct.pack_into("<I", data, 9, 2**32 - 1)  # target_cluster_size
+
+    def never(*args, **kwargs):
+        raise AssertionError("a basis was computed for a refused header")
+
+    monkeypatch.setattr(codec, "eigendecompose", never)
+    with pytest.raises(BitstreamError,
+                       match="^invalid stream header: target_cluster_size="
+                             "4294967295 exceeds the limit of 2048$"):
+        decode_sequence(bytes(data), frames)
+
+
 def _never(*args, **kwargs):
     raise AssertionError("the decoder voxelized before rejecting its input")
 

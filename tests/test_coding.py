@@ -61,10 +61,12 @@ def test_quantize_keeps_largest_int64_index():
 @pytest.mark.parametrize("value", [2**63 - 1, -(2**63 - 1), -2**63])
 def test_encode_block_refuses_uncodable_index(value):
     """|index| + 1 must fit the prefix's 63 bits; the coder says so before
-    it codes a bin, so the contexts are left as they were."""
+    it codes a bin, so the contexts of every rank bucket are left as they
+    were (the bad index sits at rank 3, after ranks 0 to 2 in buckets 0
+    and 1)."""
     contexts = ContextSet()
     with pytest.raises(ValueError, match="magnitude above 9223372036854775806"):
-        encode_block([0, value], contexts)
+        encode_block([0] * 9 + [value], contexts)
     assert contexts.prefix == ContextSet().prefix
 
 
@@ -145,10 +147,40 @@ def test_context_copy_isolated():
     encode_block(np.arange(-100, 100), ctx)
     clone = ctx.copy()
     encode_block(np.arange(200), clone)
-    before = [list(pair) for pair in ctx.prefix]
+    before = [[list(pair) for pair in bucket] for bucket in ctx.prefix]
     encode_block(np.arange(200), clone)
     assert ctx.prefix == before
     assert clone.prefix != before
+
+
+@pytest.mark.parametrize("ranks, touched", [(1, 1), (3, 2), (7, 3), (100, 7)])
+def test_contexts_adapt_per_rank_bucket(ranks, touched):
+    """The index at position p belongs to rank i = p // 3 and codes on
+    the contexts of bucket floor(log2(i + 1)): a block of `ranks`
+    coefficients moves the counts of buckets 0 to touched - 1 and leaves
+    every other bucket's counts as they were."""
+    ctx = ContextSet()
+    encode_block(np.full(3 * ranks, 1000), ctx)  # prefix depths 0 to 9
+    fresh = ContextSet().prefix
+    assert [b for b in range(len(fresh))
+            if ctx.prefix[b] != fresh[b]] == list(range(touched))
+
+
+def test_payload_reads_only_its_rank_buckets():
+    """A block of ranks 0 to 6 (buckets 0 to 2) codes the same payload
+    whatever the counts of the higher buckets, and another payload once
+    the counts of its own last bucket change."""
+    values = np.random.default_rng(5).integers(-9, 10, size=3 * 7)
+    plain = encode_block(values, ContextSet())
+    skewed = ContextSet()
+    for bucket in skewed.prefix[3:]:
+        for pair in bucket:
+            pair[:] = [1000, 1]
+    assert encode_block(values, skewed.copy()) == plain
+    skewed.prefix[2][0][:] = [1000, 1]
+    payload = encode_block(values, skewed.copy())
+    assert payload != plain
+    assert np.array_equal(decode_block(payload, values.size, skewed), values)
 
 
 def _golden_blocks():
@@ -165,14 +197,17 @@ def _golden_blocks():
 
 # sha256 of each payload of _golden_blocks() coded in order with one
 # shared ContextSet: the coder's bitstream, pinned byte for byte.
+# Recorded with rank-bucket contexts (stream version 6); the first two
+# blocks (empty, and one index) reach only rank 0, whose bucket codes as
+# the one shared set did.
 _GOLDEN_DIGESTS = [
     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "951dcee3a7a4f3aac67ec76a2ce4469cc76df650f134bf2572bf60a65c982338",
-    "5ae7e6a42304dc6e4176210b83c43024f99a0bce9a870c3b6d2c95fc8ebfb74c",
-    "b451168518ce324b2ec91d647a07ce662f7ea72f25f0c1ab126c088539142ffc",
-    "397ead4de529358e6d01dbff14318a9c4cf6d0f6f9f3254b20586e780c68cc66",
-    "9e1f61df61c8afb2ddbb3ecf962699f45d46f955999fa70cb431c795ca5c9922",
-    "50c8a09db03800ed510a2c4fdd800778bf4013c2b0db3e0e7b11e5e9cbb5d25d",
+    "e164cf5279619ef20bf3426badb278fe32ec86204d3af804b2e052da7295bcc7",
+    "384a3f1929cccacb0e72a772239e7a84a4a6b2464a7941d6a2ba853a85de3d7e",
+    "042673447589a4c02206098c1ec7eedfb94822ba7284144d87c7cca198d37ffc",
+    "bf54c867b997863facfc1ed16626a25a907f7b6e1399eb1097033aa942ae80ba",
+    "cc4ba6c7a2cc630d4f6371f47163a05615001165d640b9c6b347b02c32f670d1",
 ]
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from pgft.bitstream import read_bitstream, write_bitstream
-from pgft.pointcloud import (RawPointCloud, SequenceConfig, devoxelize,
-                             read_ply, rgb_to_yuv, sequence_bounding_box,
-                             voxelize, write_ply, yuv_to_rgb)
+from pgft.pointcloud import (MAX_CLUSTER_SIZE, RawPointCloud, SequenceConfig,
+                             devoxelize, read_ply, rgb_to_yuv,
+                             sequence_bounding_box, voxelize, write_ply,
+                             yuv_to_rgb)
 
 
 def _ascii_ply(positions, colors):
@@ -202,6 +203,11 @@ def test_config_requires_finite_positive_fields(field, value):
     pytest.param("qstep", int(sys.float_info.max) + 2**970,
                  "does not fit the stream header's float64 field",
                  id="int-half-ulp-above-float-max"),
+    pytest.param("target_cluster_size", MAX_CLUSTER_SIZE + 1,
+                 f"exceeds the limit of {MAX_CLUSTER_SIZE}",
+                 id="cluster-size-limit+1"),
+    pytest.param("target_cluster_size", 2**32 - 1,
+                 f"exceeds the limit of {MAX_CLUSTER_SIZE}", id="uint32-max"),
 ])
 def test_config_rejects_wrong_types_by_name(field, value, message):
     with pytest.raises(ValueError, match=f"^{field}=.* {message}$"):
@@ -209,7 +215,7 @@ def test_config_rejects_wrong_types_by_name(field, value, message):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("grid_dim", 2**31 - 1), ("target_cluster_size", 2**32 - 1),
+    ("grid_dim", 2**31 - 1), ("target_cluster_size", MAX_CLUSTER_SIZE),
     ("gop_size", 65535), ("qstep", 1e308), ("qstep", sys.float_info.max),
     ("grid_dim", np.int64(7)), ("qstep", np.uint64(2**64 - 1)),
     ("qstep", np.float32(8)), ("epsilon_sq", np.float32(3e38))])

@@ -76,6 +76,27 @@ def test_eigendecompose_deterministic():
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
+def test_eigendecompose_zero_eigenvalue_is_positive_zero(monkeypatch):
+    """eigh may return -0.0 (numpy does for [[-0.0]]), and the mirror
+    hash folds in eigenvalue bytes, so every zero comes back as +0.0:
+    spectra that compare equal hash alike."""
+    assert not np.signbit(eigendecompose(np.array([[-0.0]])).eigenvalues[0])
+    laplacian = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    plain = eigendecompose(laplacian)
+    real_eigh = np.linalg.eigh
+
+    def negative_zeros(matrix):
+        values, vectors = real_eigh(matrix)
+        values[values == 0] = -0.0
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", negative_zeros)
+    signed = eigendecompose(laplacian)
+    assert np.count_nonzero(plain.eigenvalues == 0) >= 1
+    assert signed.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
+    assert np.array_equal(signed.basis, plain.basis)
+
+
 def test_eigendecompose_identity_tie_rule():
     # all eigenvalues equal: columns ordered lexicographically
     basis = eigendecompose(np.eye(3))
