@@ -190,16 +190,16 @@ def _reconstruct(plan: _ClusterPlan, indices: np.ndarray, qstep: float,
 
 
 def _trial(coeffs: np.ndarray, prediction, qstep: float, contexts):
-    """Code one cluster intra (prediction None) or inter on a copy of the
-    contexts.  Returns (indices, payload, contexts, (distortion, rate));
-    U is orthonormal, so the coefficients' error is the attributes'."""
+    """Code one cluster intra (prediction None) or inter on `contexts`,
+    which it adapts in place.  Returns (indices, payload, contexts,
+    (distortion, rate)); U is orthonormal, so the coefficients' error is
+    the attributes'."""
     target = coeffs if prediction is None else coeffs - prediction
     indices = quantize(target, qstep)
-    ctx = contexts.copy()
-    payload = encode_block(indices.ravel(), ctx)  # Y, U, V per coefficient
+    payload = encode_block(indices.ravel(), contexts)  # Y, U, V per coefficient
     cost = (distortion_yuv(target, dequantize(indices, qstep)),
             8 * len(payload) + 1)  # + the mode flag
-    return indices, payload, ctx, cost
+    return indices, payload, contexts, cost
 
 
 def _probe(n: int) -> np.ndarray:
@@ -288,8 +288,12 @@ def encode_sequence(raw_frames, config: SequenceConfig,
                                           np.full(partition.k, is_p), threads)):
             coeffs = gft_forward(frame.attributes[plan.members], plan.basis)
             prediction = None
-            kept = _trial(coeffs, None, config.qstep, contexts)
-            if plan.ref_index is not None:
+            # A lone trial is always kept, so it adapts the frame's
+            # contexts in place; of two, the first codes on a copy.
+            two_trials = plan.ref_index is not None
+            kept = _trial(coeffs, None, config.qstep,
+                          contexts.copy() if two_trials else contexts)
+            if two_trials:
                 candidate = inter_predict(plan.basis, prev.attributes[plan.ref_index])
                 inter = _trial(coeffs, candidate, config.qstep, contexts)
                 if choose_mode(kept[3], inter[3], lam) == INTER:

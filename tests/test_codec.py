@@ -15,6 +15,7 @@ from pgft import codec
 from pgft import bitstream
 from pgft.bitstream import BitstreamError
 from pgft.codec import decode_sequence, encode_sequence
+from pgft.coding import ContextSet
 from pgft.pointcloud import (RawPointCloud, SequenceConfig,
                              sequence_bounding_box)
 from pgft.synth import synthetic_sequence
@@ -69,6 +70,34 @@ def test_p_frame_eigendecomposes_each_cluster_once(monkeypatch):
     assert not forward
     assert len(inverse) == clusters
     assert len(predicted) == sum(s.inter_clusters for s in decoded.stats)
+
+
+def test_contexts_copied_only_ahead_of_two_trials(monkeypatch):
+    """A lone trial (I-frame clusters, P clusters without a reference)
+    codes on the frame's contexts in place; a cluster with two trials
+    copies them once, for the first."""
+    frames = synthetic_sequence("rigid-motion", 3, point_count=900, seed=12)
+    copies, refs = [], []
+    original_copy, original_ref = ContextSet.copy, codec.reference_index
+
+    def counting_copy(self):
+        copies.append(1)
+        return original_copy(self)
+
+    def logging_ref(*args):
+        refs.append(original_ref(*args))
+        return refs[-1]
+
+    monkeypatch.setattr(ContextSet, "copy", counting_copy)
+    monkeypatch.setattr(codec, "reference_index", logging_ref)
+    result = encode_sequence(frames, _cfg())
+    assert [s.frame_type for s in result.stats] == ["I", "P", "P"]
+    assert len(copies) == sum(r is not None for r in refs) > 0
+    copies.clear()
+    encode_sequence(frames, _cfg(gop_size=1))
+    assert not copies
+    decode_sequence(result.data, frames)
+    assert not copies
 
 
 def test_at_most_two_bases_alive(monkeypatch):
@@ -419,6 +448,7 @@ def test_stats_bits_match_stream_size():
 _CROSS_BLAS_CODEC = """
 import sys
 from pgft.codec import decode_sequence, encode_sequence
+from pgft.coding import ContextSet
 from pgft.pointcloud import SequenceConfig
 from pgft.synth import synthetic_sequence
 frames = synthetic_sequence("rigid-motion", 1, 3000, seed=0)
