@@ -30,7 +30,8 @@ MAGIC = b"PGFT"
 # 4: inter reconstruction is U (deq + g * U^T x_ref); P-frame checksums change.
 # 5: one payload per cluster, not one per channel; one context set per frame.
 # 6: prefix contexts are chosen by the coefficient's rank bucket.
-VERSION = 6
+# 7: the predictor's gain is w / (w + lambda) with w = temporal_precision(qstep).
+VERSION = 7
 
 # (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])

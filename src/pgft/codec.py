@@ -5,10 +5,12 @@ Per frame: voxelize, cluster, then code every cluster either intra
 prediction from the corresponded reconstructed reference, transform of
 the residual).  Each cluster is eigendecomposed once: the eigenbasis U
 of its combinatorial Laplacian L is the intra transform, and, because
-L + I shares its eigenvectors, also the residual transform (GGFT) and
-the spectral form of the predictor (L + I)^{-1} x_ref, whose
-coefficients g * U^T x_ref (`inter_predict`) the inter mode subtracts
-from the cluster's U^T x.  The first frame of each GOP is intra-only
+L + wI shares its eigenvectors, also the residual transform (GGFT) and
+the spectral form of the predictor w (L + wI)^{-1} x_ref, whose
+coefficients g * U^T x_ref, g = w / (w + lambda) (`inter_predict`), the
+inter mode subtracts from the cluster's U^T x.  The temporal precision
+w = `rdo.temporal_precision(qstep)` is derived from the header on both
+sides, once per sequence.  The first frame of each GOP is intra-only
 (`SequenceConfig.is_p_frame`); every P-frame predicts from the
 immediately previous reconstructed frame (low-delay).
 
@@ -54,7 +56,8 @@ from .metrics import psnr
 from .pointcloud import (RawPointCloud, SequenceConfig, VoxelizedFrame,
                          bounding_box, devoxelize, rgb_to_yuv,
                          sequence_bounding_box, voxelize)
-from .rdo import INTER, INTRA, choose_mode, distortion_yuv, lambda_from_q
+from .rdo import (INTER, INTRA, choose_mode, distortion_yuv, lambda_from_q,
+                  temporal_precision)
 from .transform import eigendecompose, gft_forward, gft_inverse, inter_predict
 
 BOX_EXPAND = 3.0  # growth of a cluster's box into the motion search region
@@ -267,6 +270,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     _check_frames_have_points(raw_frames)
     config.validate()
     lam = lambda_from_q(config.qstep)
+    w = temporal_precision(config.qstep)
     box = sequence_bounding_box(raw_frames[0])
 
     records = []
@@ -294,7 +298,8 @@ def encode_sequence(raw_frames, config: SequenceConfig,
             kept = _trial(coeffs, None, config.qstep,
                           contexts.copy() if two_trials else contexts)
             if two_trials:
-                candidate = inter_predict(plan.basis, prev.attributes[plan.ref_index])
+                candidate = inter_predict(plan.basis,
+                                          prev.attributes[plan.ref_index], w)
                 inter = _trial(coeffs, candidate, config.qstep, contexts)
                 if choose_mode(kept[3], inter[3], lam) == INTER:
                     prediction, kept = candidate, inter
@@ -338,6 +343,7 @@ def decode_sequence(data: bytes, geometry_frames,
             f"stream has {len(records)} frames but "
             f"{len(geometry_frames)} geometry frames were supplied")
     _check_frames_have_points(geometry_frames)
+    w = temporal_precision(config.qstep)
     box = sequence_bounding_box(geometry_frames[0])
 
     recon_frames = []
@@ -375,7 +381,8 @@ def decode_sequence(data: bytes, geometry_frames,
                     raise BitstreamError(
                         f"frame {t} cluster {cid} is inter-coded but has no "
                         "reference candidates")
-                prediction = inter_predict(plan.basis, prev.attributes[plan.ref_index])
+                prediction = inter_predict(plan.basis,
+                                           prev.attributes[plan.ref_index], w)
             recon = _reconstruct(plan, indices, config.qstep, prediction)
             recon_attrs[plan.members] = recon
             mirror.add_cluster(plan, prediction, recon)

@@ -1,4 +1,4 @@
-"""Rate-distortion mode decision and the lambda-Q model.
+"""Rate-distortion mode decision and the models trained offline on Q.
 
 Each P-frame cluster is trial-encoded in both modes and the one with
 the smaller Lagrangian cost J = D + lambda * R wins; lambda follows the
@@ -6,9 +6,18 @@ offline-trained power model lambda(Q) = ALPHA * Q^BETA.  The model is
 fixed, as in the H.264/HEVC reference encoders: a refit with
 `fit_lambda_model` (which `pgft rd-sweep` runs on its curve) means
 editing the two constants.
+
+The inter predictor's temporal precision w(Q) (`temporal_precision`) is
+fixed the same way, with no header field: encoder and decoder both take
+it from the header's qstep.  Its constants were chosen by coding RD
+ladders at every w = 2^k and keeping, per Q, the w of least
+J = D + lambda(Q) * bpip; to refit them, repeat that sweep on your
+content (the predictor is `transform.inter_predict`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,6 +32,25 @@ def lambda_from_q(q: float) -> float:
     if q <= 0:
         raise ValueError("quality factor must be positive")
     return ALPHA * q ** BETA
+
+
+# w(Q) is W_Q / Q rounded up to a power of two, clipped to
+# [2^W_LOG2_MIN, 2^W_LOG2_MAX]; the clip keeps lambda / w finite.
+W_Q_LOG2 = 5        # W_Q = 32
+W_LOG2_MIN = -4
+W_LOG2_MAX = 6
+
+
+def temporal_precision(q: float) -> float:
+    """The precision w of every temporal edge of the GMRF the inter
+    predictor assumes, for quantizer step q: a coarser reference is
+    trusted less.  Built from exact operations only (frexp, integers,
+    ldexp), so every platform derives the same w from the same q."""
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"quantizer step {q!r} must be finite and positive")
+    _, e = math.frexp(q)  # 2^(e-1) <= q < 2^e
+    k = min(max(W_Q_LOG2 + 1 - e, W_LOG2_MIN), W_LOG2_MAX)
+    return math.ldexp(1.0, k)
 
 
 def distortion_yuv(orig: np.ndarray, recon: np.ndarray) -> float:

@@ -6,16 +6,21 @@ decomposition is canonicalized: eigenvalues ascending, every
 eigenvector's first nonzero component positive, and degenerate groups
 ordered lexicographically by entries.
 
-One basis per cluster serves every purpose.  The generalized Laplacian
-L + I has the eigenvectors of the combinatorial L with every eigenvalue
-raised by 1, so the eigenbasis U of L is also the GGFT basis that
-decorrelates the inter residual, and the optimal predictor
-(L + I)^{-1} x_ref is the spectral low-pass filter
-U diag(1 / (1 + lambda)) U^T x_ref; `inter_predict` returns its coefficients.
+One basis per cluster serves every purpose.  Under the GMRF whose
+joint precision is [[L + wI, -wI], [-wI, L_ref + wI]] (every temporal
+edge of precision w), the generalized Laplacian L + wI has the
+eigenvectors of the combinatorial L with every eigenvalue raised by w,
+so the eigenbasis U of L is also the GGFT basis that decorrelates the
+inter residual, and the optimal predictor w (L + wI)^{-1} x_ref is the
+spectral low-pass filter U diag(w / (w + lambda)) U^T x_ref;
+`inter_predict` returns its coefficients.  The codec takes w from the
+quantizer step (`rdo.temporal_precision`), so any w costs no extra
+eigendecomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +107,18 @@ def gft_inverse(coeffs: np.ndarray, basis: TransformBasis) -> np.ndarray:
     return basis.basis @ coeffs
 
 
-def inter_predict(basis: TransformBasis, ref_attrs: np.ndarray) -> np.ndarray:
+def inter_predict(basis: TransformBasis, ref_attrs: np.ndarray,
+                  w: float) -> np.ndarray:
     """Coefficients g * U^T x_ref of the temporal prediction
-    (L + I)^{-1} x_ref, per channel.
+    w (L + wI)^{-1} x_ref, per channel, for temporal precision w > 0.
 
     `basis` is the eigenbasis U of the target cluster's combinatorial
-    Laplacian L; g = 1 / (1 + lambda) scales each graph frequency lambda.
+    Laplacian L; g = 1 / (1 + lambda / w) = w / (w + lambda) scales each
+    graph frequency lambda, so the DC gain is 1 and w = 1 gives
+    1 / (1 + lambda) bit for bit.
     """
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"temporal precision w={w!r} must be finite and positive")
     ref = np.asarray(ref_attrs, dtype=np.float64)
     if ref.shape[0] != basis.n:
         raise ValueError("reference attribute length does not match cluster size")
@@ -116,6 +126,6 @@ def inter_predict(basis: TransformBasis, ref_attrs: np.ndarray) -> np.ndarray:
     if basis.n and abs(basis.eigenvalues[0]) > _DEGENERACY_TOL * scale:
         raise ValueError("inter_predict expects the eigenbasis of the "
                          "combinatorial Laplacian")
-    gain = 1.0 / (1.0 + basis.eigenvalues)
+    gain = 1.0 / (1.0 + basis.eigenvalues / w)
     gain = gain.reshape(gain.shape + (1,) * (ref.ndim - 1))
     return gain * (basis.basis.T @ ref)

@@ -124,11 +124,13 @@ def eigendecompose_loop(matrix: np.ndarray):
     return values[order], vectors[:, order]
 
 
-def cholesky_predict(laplacian: np.ndarray, ref_attrs: np.ndarray) -> np.ndarray:
-    """Temporal prediction by solving (L + I) p = x_ref per channel."""
-    a = np.asarray(laplacian, dtype=np.float64) + np.eye(laplacian.shape[0])
+def cholesky_predict(laplacian: np.ndarray, ref_attrs: np.ndarray,
+                     w: float) -> np.ndarray:
+    """Temporal prediction by solving (L + wI) p = w x_ref per channel."""
+    a = np.asarray(laplacian, dtype=np.float64) + w * np.eye(laplacian.shape[0])
     c, low = scipy.linalg.cho_factor(a, lower=True)
-    return scipy.linalg.cho_solve((c, low), np.asarray(ref_attrs, dtype=np.float64))
+    return scipy.linalg.cho_solve((c, low),
+                                  w * np.asarray(ref_attrs, dtype=np.float64))
 
 
 def within_cluster_cost(points: np.ndarray, labels: np.ndarray,

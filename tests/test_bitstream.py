@@ -47,19 +47,20 @@ _OTHER_CONFIG = SequenceConfig(
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# for stream version 6.  Version 3 dropped sigma_sq, normal_k and
+# for stream version 7.  Version 3 dropped sigma_sq, normal_k and
 # box_expand (18 B) from the header, took the coded fields in
 # SequenceConfig order and dropped each frame record's type byte;
 # version 4 changed only the reconstruction arithmetic (the version byte
 # at offset 4); version 5 gives each cluster one length-prefixed payload
 # where versions 3 and 4 gave it three (Y, U, V), so the fixtures hold
 # one payload per cluster and the stream is 10 B of lengths shorter;
-# version 6 changed only the coder's contexts (the version byte again).
+# version 6 changed only the coder's contexts and version 7 only the
+# predictor's gain (the version byte again, each time).
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "29e935e526758c092e48ab4c5dbe8980ade9ec7ae9fb4ec369fe820731079abf"),
+     "a3839b3eb0cd0766aa0558580bb8ef9d2af8feec08f3be543d8776c83dba71a5"),
     (_OTHER_CONFIG,
-     "09068f7e647bf4fc7c22369577657443da2cfbbd1a4b2de2fe7e39a59d4d774d")],
+     "b7ac3df57e6ba50ea5da81b54ce043ca9fbe2af6d7d3edca31715c8ec41418f3")],
     ids=["default", "other"])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
@@ -188,7 +189,7 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    for version in (1, 2, 3, 4, 5):
+    for version in (1, 2, 3, 4, 5, 6):
         data[4] = version
         with pytest.raises(BitstreamError,
                            match=f"unsupported stream version {version}$"):

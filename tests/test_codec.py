@@ -16,6 +16,7 @@ from pgft import bitstream
 from pgft.bitstream import BitstreamError
 from pgft.codec import decode_sequence, encode_sequence
 from pgft.coding import ContextSet
+from pgft.metrics import bd_br
 from pgft.pointcloud import (RawPointCloud, SequenceConfig,
                              sequence_bounding_box)
 from pgft.synth import synthetic_sequence
@@ -443,12 +444,35 @@ def test_stats_bits_match_stream_size():
     assert 0 < header_bits <= 64 * 8
 
 
+def _rd_curve(frames, qs):
+    """(bpip, mean PSNR-Y) of each Q's encode, the pairs bd_br takes."""
+    points = sum(f.point_count for f in frames)
+    curve = []
+    for q in qs:
+        stats = encode_sequence(frames, _cfg(grid_dim=128, qstep=q)).stats
+        curve.append((sum(s.bits for s in stats) / points,
+                       float(np.mean([s.psnr_y for s in stats]))))
+    return curve
+
+
+@pytest.mark.parametrize("kind, bound", [("rigid-motion", -5.0), ("wave", 0.0)])
+def test_fitted_temporal_precision_saves_rate(monkeypatch, kind, bound):
+    """RD guard on the predictor's w(Q): over a small ladder, the fitted
+    model beats the unit temporal precision by a BD-rate of at least 5%
+    on rigid motion and does not lose on the wave."""
+    frames = synthetic_sequence(kind, 2, point_count=1500, seed=0)
+    qs = (4.0, 8.0, 16.0, 32.0)
+    model = _rd_curve(frames, qs)
+    monkeypatch.setattr(codec, "temporal_precision", lambda q: 1.0)
+    unit = _rd_curve(frames, qs)
+    assert bd_br(unit, model) <= bound
+
+
 # One rigid-motion I-frame whose cluster graphs are disconnected, so L
 # has repeated zero eigenvalues.
 _CROSS_BLAS_CODEC = """
 import sys
 from pgft.codec import decode_sequence, encode_sequence
-from pgft.coding import ContextSet
 from pgft.pointcloud import SequenceConfig
 from pgft.synth import synthetic_sequence
 frames = synthetic_sequence("rigid-motion", 1, 3000, seed=0)

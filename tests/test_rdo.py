@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pgft.metrics import psnr
-from pgft.rdo import (ALPHA, BETA, INTER, INTRA, choose_mode,
-                      distortion_from_psnr, distortion_yuv, fit_lambda_model,
-                      lambda_from_q)
+from pgft.pointcloud import MAX_CLUSTER_SIZE
+from pgft.rdo import (ALPHA, BETA, INTER, INTRA, W_LOG2_MAX, W_LOG2_MIN,
+                      choose_mode, distortion_from_psnr, distortion_yuv,
+                      fit_lambda_model, lambda_from_q, temporal_precision)
+from pgft.transform import TransformBasis, inter_predict
 
 # frozen by direct evaluation of alpha * Q^beta via exp/log
 LAMBDA_16 = math.exp(math.log(0.0624) + 1.6238 * math.log(16.0))
@@ -41,6 +44,52 @@ def test_lambda_rejects_nonpositive_q():
         lambda_from_q(0.0)
     with pytest.raises(ValueError):
         lambda_from_q(-2.0)
+
+
+# temporal_precision(q) by hand: 32 / q rounded up to a power of two,
+# clipped to [2^-4, 2^6].
+_PRECISION_TABLE = {5e-324: 64.0, 1e-300: 64.0, 0.5: 64.0, 1.0: 32.0,
+                    6.0: 8.0, 8.0: 4.0, 32.0: 1.0, 1e300: 0.0625,
+                    1.7e308: 0.0625}
+
+
+@pytest.mark.parametrize("q", sorted(_PRECISION_TABLE))
+def test_temporal_precision_is_a_clipped_power_of_two(q):
+    """From the smallest subnormal to near the largest double, w is an
+    exact, finite, positive power of two inside the clip, equal to the
+    hand-written table, computed without a warning; the predictor's
+    gains under it stay in (0, 1] with the DC gain exactly 1, up to the
+    largest eigenvalue a cluster's Laplacian can have (edge weights are
+    at most 1, so lambda <= 2 (n - 1))."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = temporal_precision(q)
+        assert w == _PRECISION_TABLE[q]
+        assert type(w) is float and math.isfinite(w) and w > 0
+        assert math.frexp(w)[0] == 0.5
+        assert 2.0 ** W_LOG2_MIN <= w <= 2.0 ** W_LOG2_MAX
+        eigenvalues = np.array([0.0, 1e-12, 0.37, 2.0, 31.5,
+                                2.0 * (MAX_CLUSTER_SIZE - 1)])
+        n = eigenvalues.size
+        with np.errstate(all="raise"):
+            gains = np.diag(inter_predict(
+                TransformBasis(basis=np.eye(n), eigenvalues=eigenvalues),
+                np.eye(n), w))
+    assert gains[0] == 1.0
+    assert np.all((gains > 0) & (gains <= 1))
+
+
+def test_temporal_precision_falls_as_q_grows():
+    qs = [2.0 ** e for e in range(-8, 16)]
+    ws = [temporal_precision(q) for q in qs]
+    assert all(b <= a for a, b in zip(ws, ws[1:]))
+    assert temporal_precision(16.0) == 2.0 and temporal_precision(63.9) == 1.0
+
+
+@pytest.mark.parametrize("q", [0.0, -8.0, float("inf"), float("nan")])
+def test_temporal_precision_rejects_bad_q(q):
+    with pytest.raises(ValueError, match="quantizer step"):
+        temporal_precision(q)
 
 
 def test_distortion_zero():

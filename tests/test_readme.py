@@ -11,8 +11,6 @@ import pytest
 from pgft import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-# Flags in the README that belong to other tools.
-_OTHER_TOOLS = {"--no-build-isolation"}  # pip's
 
 
 def _subparsers():
@@ -34,7 +32,7 @@ def _defaults_by_flag():
 def test_readme_flags_exist():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
     assert "--epsilon2" in documented
-    unknown = documented - set(_defaults_by_flag()) - _OTHER_TOOLS
+    unknown = documented - set(_defaults_by_flag())
     assert not unknown, f"README documents flags no subcommand accepts: {unknown}"
 
 

@@ -216,11 +216,15 @@ def test_gft_dimension_mismatch():
         gft_forward(np.ones(3), basis)
 
 
-def _predict(matrix, ref):
+# Temporal precisions across temporal_precision's clip range.
+PRECISIONS = [2.0 ** -4, 1.0, 4.0, 2.0 ** 6]
+
+
+def _predict(matrix, ref, w=1.0):
     """The predictor in the attribute domain: U applied to the
     coefficients inter_predict returns."""
     basis = eigendecompose(matrix)
-    return gft_inverse(inter_predict(basis, ref), basis)
+    return gft_inverse(inter_predict(basis, ref, w), basis)
 
 
 def test_inter_predict_edgeless_is_copy():
@@ -252,15 +256,15 @@ def test_inter_predict_residual_bound():
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 60), edge_prob=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.4]),
-       seed=st.integers(0, 2**32 - 1))
-def test_inter_predict_matches_cholesky_oracle(n, edge_prob, seed):
-    """The spectral filter equals the (L + I)^{-1} solve, including on
+       seed=st.integers(0, 2**32 - 1), w=st.sampled_from(PRECISIONS))
+def test_inter_predict_matches_cholesky_oracle(n, edge_prob, seed, w):
+    """The spectral filter equals the w (L + wI)^{-1} solve, including on
     disconnected graphs whose L has a repeated zero eigenvalue."""
     rng = np.random.default_rng(seed)
     lap = combinatorial_laplacian(random_spatial_graph(n, edge_prob, rng))
     ref = rng.normal(size=(n, 3)) * 100
-    pred = _predict(lap, ref)
-    assert np.max(np.abs(pred - cholesky_predict(lap, ref))) < 1e-9
+    pred = _predict(lap, ref, w)
+    assert np.max(np.abs(pred - cholesky_predict(lap, ref, w))) < 1e-9
 
 
 def test_inter_predict_matches_oracle_on_components_and_isolated_vertices():
@@ -273,14 +277,59 @@ def test_inter_predict_matches_oracle_on_components_and_isolated_vertices():
     components, _ = connected_components(matrix != 0, directed=False)
     assert components == 6
     ref = rng.normal(size=(25, 3)) * 100
-    pred = _predict(matrix, ref)
-    assert np.max(np.abs(pred - cholesky_predict(matrix, ref))) < 1e-9
+    for w in PRECISIONS:
+        pred = _predict(matrix, ref, w)
+        assert np.max(np.abs(pred - cholesky_predict(matrix, ref, w))) < 1e-9
+
+
+def test_inter_predict_unit_precision_is_the_unit_gain():
+    """w = 1 gives 1 / (1 + lambda) bit for bit."""
+    rng = np.random.default_rng(19)
+    basis = eigendecompose(combinatorial_laplacian(
+        random_spatial_graph(40, 0.2, rng)))
+    ref = rng.normal(size=(40, 3)) * 100
+    gain = (1.0 / (1.0 + basis.eigenvalues))[:, None]
+    assert np.array_equal(inter_predict(basis, ref, 1.0),
+                          gain * (basis.basis.T @ ref))
+
+
+def test_inter_predict_beats_unit_precision_on_its_own_field():
+    """Samples of the GMRF [[L + wI, -wI], [-wI, L_ref + wI]] with w = 4:
+    the predictor with w = 4, its conditional mean, leaves a smaller
+    residual than the w = 1 predictor, and each residual coefficient's
+    variance is the conditional one, 1 / (lambda + w)."""
+    rng = np.random.default_rng(20)
+    n, w = 20, 4.0
+    eye = np.eye(n)
+    lap = combinatorial_laplacian(random_spatial_graph(n, 0.25, rng))
+    lap_ref = combinatorial_laplacian(random_spatial_graph(n, 0.25, rng))
+    joint = np.block([[lap + w * eye, -w * eye], [-w * eye, lap_ref + w * eye]])
+    joint += 1e-3 * np.eye(2 * n)  # the shared-DC direction is otherwise free
+    x = sample_gmrf(joint, 20_000, rng=rng)
+    current, reference = x[:, :n], x[:, n:]
+    basis = eigendecompose(lap)
+    coeffs = current @ basis.basis
+
+    def residual(precision):
+        return coeffs - inter_predict(basis, reference.T, precision).T
+
+    mse_w, mse_unit = (float(np.mean(residual(p) ** 2)) for p in (w, 1.0))
+    assert mse_w < 0.9 * mse_unit
+    variances = residual(w).var(axis=0)
+    assert np.allclose(variances, 1.0 / (basis.eigenvalues + w), rtol=0.1)
+
+
+@pytest.mark.parametrize("w", [0.0, -1.0, float("inf"), float("nan")])
+def test_inter_predict_rejects_bad_precision(w):
+    basis = eigendecompose(np.array([[1.0, -1], [-1, 1]]))
+    with pytest.raises(ValueError, match="temporal precision"):
+        inter_predict(basis, np.zeros(2), w)
 
 
 def test_inter_predict_rejects_generalized_basis():
     basis = eigendecompose(_random_generalized(10, seed=18))
     with pytest.raises(ValueError, match="combinatorial"):
-        inter_predict(basis, np.zeros(10))
+        inter_predict(basis, np.zeros(10), 1.0)
 
 
 # The residual transform (GGFT) is the eigenbasis of L, shared with intra.
