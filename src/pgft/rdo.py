@@ -9,10 +9,12 @@ editing the two constants.
 
 The inter predictor's temporal precision w(Q) (`temporal_precision`) is
 fixed the same way, with no header field: encoder and decoder both take
-it from the header's qstep.  Its constants were chosen by coding RD
-ladders at every w = 2^k and keeping, per Q, the w of least
-J = D + lambda(Q) * bpip; to refit them, repeat that sweep on your
-content (the predictor is `transform.inter_predict`).
+it from the header's qstep.  W_Q_LOG2 was chosen by coding RD ladders
+(0.5 <= Q <= 128) at every w = 2^k and keeping, per Q, the w of least
+J = D + lambda(Q) * bpip; to refit it, repeat that sweep on your
+content (the predictor is `transform.inter_predict`).  The clip bounds
+were not fitted: they keep lambda / w finite and bind only outside the
+fitted range (Q < 0.5 and Q >= 1024).
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ def lambda_from_q(q: float) -> float:
 
 
 # w(Q) is W_Q / Q rounded up to a power of two, clipped to
-# [2^W_LOG2_MIN, 2^W_LOG2_MAX]; the clip keeps lambda / w finite.
+# [2^W_LOG2_MIN, 2^W_LOG2_MAX].  Only W_Q is fitted; the clip is a
+# finiteness bound on lambda / w.  It binds at Q < 0.5, where the best w
+# is still 2^6, and at Q >= 1024 (below ~23 dB PSNR-Y), where the best w
+# is 2^-5 to 2^-6 and the clip costs 1.4-3.5% of J on rigid motion.
 W_Q_LOG2 = 5        # W_Q = 32
 W_LOG2_MIN = -4
 W_LOG2_MAX = 6
