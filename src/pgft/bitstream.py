@@ -3,8 +3,8 @@
 Geometry travels out of band (the original PLY files); the stream holds
 only the header, per-frame geometry/reconstruction hashes, per-cluster
 mode flags (P-frames) and one arithmetic-coded payload per cluster (Y, U
-and V by coefficient; one context set per frame, whose prefix contexts
-each coefficient's rank bucket selects).  The header is magic,
+and V by coefficient; one context set per frame, whose prefix and
+top-suffix contexts each coefficient's rank bucket selects).  The header is magic,
 version, every `SequenceConfig` field (grid_dim, target_cluster_size,
 epsilon_sq, gop_size, qstep) in field order, each packed with the struct
 code its "header" metadata names, then the frame count.  A frame record
@@ -31,7 +31,9 @@ MAGIC = b"PGFT"
 # 5: one payload per cluster, not one per channel; one context set per frame.
 # 6: prefix contexts are chosen by the coefficient's rank bucket.
 # 7: the predictor's gain is w / (w + lambda) with w = temporal_precision(qstep).
-VERSION = 7
+# 8: each nonzero magnitude's top suffix bit is coded on an adaptive context
+# (per rank bucket and prefix length); indices and reconstructions are as in 7.
+VERSION = 8
 
 # (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])

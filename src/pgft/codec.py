@@ -195,13 +195,14 @@ def _reconstruct(plan: _ClusterPlan, indices: np.ndarray, qstep: float,
 def _trial(coeffs: np.ndarray, prediction, qstep: float, contexts):
     """Code one cluster intra (prediction None) or inter on `contexts`,
     which it adapts in place.  Returns (indices, payload, contexts,
-    (distortion, rate)); U is orthonormal, so the coefficients' error is
-    the attributes'."""
+    (distortion, rate)): the mean YUV MSE and the payload's bits plus
+    the mode flag per voxel, the units lambda_from_q is fitted in (U is
+    orthonormal, so the coefficients' error is the attributes')."""
     target = coeffs if prediction is None else coeffs - prediction
     indices = quantize(target, qstep)
     payload = encode_block(indices.ravel(), contexts)  # Y, U, V per coefficient
     cost = (distortion_yuv(target, dequantize(indices, qstep)),
-            8 * len(payload) + 1)  # + the mode flag
+            (8 * len(payload) + 1) / len(coeffs))
     return indices, payload, contexts, cost
 
 

@@ -2,17 +2,22 @@
 
 Coefficient indices are binarized as an exponential-Golomb magnitude
 (the prefix doubles as a unary length code) plus a sign bit.  Prefix
-bins use adaptive per-depth contexts; suffix and sign bins are coded as
+bins use adaptive per-depth contexts.  So does the top suffix bit of
+each nonzero magnitude (the bin right after a prefix of d >= 1 zeros),
+on a context per d: the indices of a Laplacian-like source are skewed
+within each exp-Golomb class (|index| = 1 is far likelier than 2), so
+that bin is far from even.  Lower suffix bins and the sign are coded as
 bypass (fixed half probability).  A context is a `[zeros, ones]` count
-pair, and a bin's probability of 0 is zeros / (zeros + ones).
+pair, and a bin's probability of 0 is zeros / (zeros + ones); a fresh
+`[1, 1]` pair codes like a bypass bin.
 
 A block is one cluster's coefficients in the order of its
 eigenvalue-ascending basis, CHANNELS indices (Y, U, V) per coefficient,
 so the index at position p belongs to the coefficient of rank
 i = p // CHANNELS.  A coefficient's variance falls as its graph
 frequency rises, and the frequency rises with the rank, so each rank
-bucket b = floor(log2(i + 1)) adapts its own prefix contexts; Y, U and
-V of one coefficient share them.
+bucket b = floor(log2(i + 1)) adapts its own prefix and suffix
+contexts; Y, U and V of one coefficient share them.
 
 The coder is two functions, `encode_block` and `decode_block`.  Each
 keeps the classic integer low/high range state (with underflow-bit
@@ -34,7 +39,7 @@ _SECOND = _TOP >> 1
 CHANNELS = 3               # indices per coefficient in a block: Y, U, V
 
 _CONTEXT_CAP = 1 << 12     # halve counts past this total to stay adaptive
-_NUM_PREFIX_CONTEXTS = 16
+_NUM_DEPTHS = 16           # prefix lengths from 15 up share their contexts
 _NUM_RANK_BUCKETS = 16     # ranks from 2^15 - 1 up share the last bucket
 _MAX_MAGNITUDE_BITS = 62   # int64 indices; longer prefixes mean corruption
 # The largest |index| the prefix can spell: index + 1 < 2^(bits + 1).
@@ -51,59 +56,78 @@ class EndOfStreamError(Exception):
 
 class ContextSet:
     """Adaptive contexts of one frame, shared by all its clusters and by
-    Y, U and V alike: `prefix[b][depth]` is the `[zeros, ones]` count
-    pair of one prefix depth in rank bucket b."""
+    Y, U and V alike, each a `[zeros, ones]` count pair: `prefix[b][depth]`
+    codes one prefix depth in rank bucket b, and `suffix[b][min(d, 15)]`
+    the top suffix bit after a prefix of length d >= 1 (`suffix[b][0]`
+    is never read)."""
 
-    def __init__(self, prefix=None):
-        self.prefix = prefix or [[[1, 1] for _ in range(_NUM_PREFIX_CONTEXTS)]
-                                 for _ in range(_NUM_RANK_BUCKETS)]
+    def __init__(self, prefix=None, suffix=None):
+        self.prefix = prefix or _fresh_pairs()
+        self.suffix = suffix or _fresh_pairs()
 
     def copy(self) -> "ContextSet":
-        return ContextSet([[pair[:] for pair in bucket]
-                           for bucket in self.prefix])
+        prefix, suffix = ([[pair[:] for pair in bucket] for bucket in pairs]
+                          for pairs in (self.prefix, self.suffix))
+        return ContextSet(prefix, suffix)
 
     def spans(self, count: int):
-        """Yield (prefix, start, stop) over a block of `count` indices:
-        the positions [start, stop) hold the ranks 2^b - 1 to 2^(b+1) - 2
-        of bucket b (the last bucket also every higher rank), and
-        `prefix` is that bucket's contexts."""
-        for b, prefix in enumerate(self.prefix):
+        """Yield (prefix, suffix, start, stop) over a block of `count`
+        indices: the positions [start, stop) hold the ranks 2^b - 1 to
+        2^(b+1) - 2 of bucket b (the last bucket also every higher rank),
+        and `prefix` and `suffix` are that bucket's contexts."""
+        for b, (prefix, suffix) in enumerate(zip(self.prefix, self.suffix)):
             start = CHANNELS * ((1 << b) - 1)
             if start >= count:
                 return
             stop = (count if b == _NUM_RANK_BUCKETS - 1
                     else min(count, CHANNELS * ((2 << b) - 1)))
-            yield prefix, start, stop
+            yield prefix, suffix, start, stop
 
 
-def _binarize(code_bin, prefix, value: int = 0) -> int:
+def _fresh_pairs():
+    return [[[1, 1] for _ in range(_NUM_DEPTHS)]
+            for _ in range(_NUM_RANK_BUCKETS)]
+
+
+def _count(pair, bit: int):
+    """Count one coded bin on its context, halving past _CONTEXT_CAP."""
+    pair[bit] += 1
+    if pair[0] + pair[1] >= _CONTEXT_CAP:
+        pair[0] = (pair[0] + 1) >> 1
+        pair[1] = (pair[1] + 1) >> 1
+
+
+def _binarize(code_bin, prefix, suffix, value: int = 0) -> int:
     """Code one index as bins through `code_bin(zeros, ones, bit) -> bit`,
     which codes a bin whose probability of 0 is zeros / (zeros + ones).
     The encoder passes the index and its step returns the bit it is
     given; the decoder's step ignores `bit` and returns the bit it reads.
-    Prefix contexts are updated here; bypass bins are coded as (1, 1).
-    Returns the index the bins spell."""
+    The prefix bins and the top suffix bit code on (and count on) their
+    contexts; the lower suffix bits and the sign are bypass, coded as
+    (1, 1).  Returns the index the bins spell."""
     magnitude = -value if value < 0 else value
     x = magnitude + 1
     last = x.bit_length() - 1
     depth = 0
     while True:
-        pair = prefix[min(depth, _NUM_PREFIX_CONTEXTS - 1)]
+        pair = prefix[min(depth, _NUM_DEPTHS - 1)]
         bit = code_bin(pair[0], pair[1], depth == last)
-        pair[bit] += 1
-        if pair[0] + pair[1] >= _CONTEXT_CAP:
-            pair[0] = (pair[0] + 1) >> 1
-            pair[1] = (pair[1] + 1) >> 1
+        _count(pair, bit)
         if bit:
             break
         depth += 1
         if depth > _MAX_MAGNITUDE_BITS:
             raise EndOfStreamError("unexpected end of stream")
-    coded = 1
-    for i in range(depth - 1, -1, -1):
+    if not depth:
+        return 0
+    pair = suffix[min(depth, _NUM_DEPTHS - 1)]
+    bit = code_bin(pair[0], pair[1], (x >> (depth - 1)) & 1)
+    _count(pair, bit)
+    coded = 2 | bit
+    for i in range(depth - 2, -1, -1):
         coded = (coded << 1) | code_bin(1, 1, (x >> i) & 1)
     magnitude = coded - 1
-    if magnitude and code_bin(1, 1, value < 0):
+    if code_bin(1, 1, value < 0):
         return -magnitude
     return magnitude
 
@@ -142,9 +166,9 @@ def encode_block(indices, contexts: ContextSet) -> bytes:
             high = ((high << 1) & _HALF_MASK) | _TOP | 1
         return bit
 
-    for prefix, start, stop in contexts.spans(len(values)):
+    for prefix, suffix, start, stop in contexts.spans(len(values)):
         for v in values[start:stop]:
-            _binarize(code_bin, prefix, v)
+            _binarize(code_bin, prefix, suffix, v)
     bits.append(1)  # disambiguates; the decoder reads missing bits as 0
     return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
 
@@ -189,9 +213,9 @@ def decode_block(payload: bytes, count: int, contexts: ContextSet) -> np.ndarray
 
     out = np.empty(count, dtype=np.int64)
     try:
-        for prefix, start, stop in contexts.spans(count):
+        for prefix, suffix, start, stop in contexts.spans(count):
             for i in range(start, stop):
-                out[i] = _binarize(code_bin, prefix)
+                out[i] = _binarize(code_bin, prefix, suffix)
     except IndexError:
         raise EndOfStreamError("unexpected end of stream") from None
     if pos < 8 * len(payload) + STATE_SIZE - 8:

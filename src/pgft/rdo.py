@@ -75,9 +75,10 @@ def distortion_from_psnr(psnr_y: float, psnr_u: float, psnr_v: float) -> float:
 
 def choose_mode(intra, inter, lambda_: float) -> str:
     """Each mode's cost is a (distortion, rate) pair: the mean YUV MSE
-    over the cluster and its exact payload bits plus the mode bit.
-    Smaller J = D + lambda * R wins; ties go to intra (error
-    containment)."""
+    over the cluster and its exact payload bits plus the mode bit, per
+    voxel of the cluster (lambda_from_q is a slope of mean MSE per bit
+    per point).  Smaller J = D + lambda * R wins; ties go to intra
+    (error containment)."""
     j_intra = intra[0] + lambda_ * intra[1]
     j_inter = inter[0] + lambda_ * inter[1]
     return INTER if j_inter < j_intra else INTRA

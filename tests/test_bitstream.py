@@ -47,20 +47,21 @@ _OTHER_CONFIG = SequenceConfig(
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# for stream version 7.  Version 3 dropped sigma_sq, normal_k and
+# for stream version 8.  Version 3 dropped sigma_sq, normal_k and
 # box_expand (18 B) from the header, took the coded fields in
 # SequenceConfig order and dropped each frame record's type byte;
 # version 4 changed only the reconstruction arithmetic (the version byte
 # at offset 4); version 5 gives each cluster one length-prefixed payload
 # where versions 3 and 4 gave it three (Y, U, V), so the fixtures hold
 # one payload per cluster and the stream is 10 B of lengths shorter;
-# version 6 changed only the coder's contexts and version 7 only the
-# predictor's gain (the version byte again, each time).
+# version 6 changed only the coder's contexts, version 7 only the
+# predictor's gain and version 8 only the coder's contexts again (the
+# version byte again, each time).
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "a3839b3eb0cd0766aa0558580bb8ef9d2af8feec08f3be543d8776c83dba71a5"),
+     "11ae7e2bc7cfda6cdf3c6387af25b1bd125c5418ccf815f1b3ad9f232e72f1a9"),
     (_OTHER_CONFIG,
-     "b7ac3df57e6ba50ea5da81b54ce043ca9fbe2af6d7d3edca31715c8ec41418f3")],
+     "6e7415b7b2da009193c6eea7936842ae4231f0524d86a9e2b6a15ffcb4ba8e08")],
     ids=["default", "other"])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
@@ -189,7 +190,7 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    for version in (1, 2, 3, 4, 5, 6):
+    for version in (1, 2, 3, 4, 5, 6, 7):
         data[4] = version
         with pytest.raises(BitstreamError,
                            match=f"unsupported stream version {version}$"):

@@ -101,6 +101,31 @@ def test_contexts_copied_only_ahead_of_two_trials(monkeypatch):
     assert not copies
 
 
+def test_mode_decision_rates_are_bits_per_voxel(monkeypatch):
+    """Both trials' rates are the payload's bits plus the mode flag per
+    voxel of the cluster, the units lambda_from_q is fitted in."""
+    frames = synthetic_sequence("rigid-motion", 2, point_count=900, seed=12)
+    coded, decisions = [], []
+    original_encode, original_choose = codec.encode_block, codec.choose_mode
+
+    def logging_encode(indices, contexts):
+        coded.append((len(indices) // 3, original_encode(indices, contexts)))
+        return coded[-1][1]
+
+    def logging_choose(intra, inter, lam):
+        decisions.append((intra[1], inter[1], coded[-2], coded[-1]))
+        return original_choose(intra, inter, lam)
+
+    monkeypatch.setattr(codec, "encode_block", logging_encode)
+    monkeypatch.setattr(codec, "choose_mode", logging_choose)
+    encode_sequence(frames, _cfg())
+    assert decisions
+    for intra_rate, inter_rate, (n, intra), (m, inter) in decisions:
+        assert n == m > 1
+        assert intra_rate == (8 * len(intra) + 1) / n
+        assert inter_rate == (8 * len(inter) + 1) / n
+
+
 def test_at_most_two_bases_alive(monkeypatch):
     """Plans are produced and dropped one cluster at a time: when a basis
     is computed, only the previous cluster's basis may still be alive."""

@@ -68,6 +68,7 @@ def test_encode_block_refuses_uncodable_index(value):
     with pytest.raises(ValueError, match="magnitude above 9223372036854775806"):
         encode_block([0] * 9 + [value], contexts)
     assert contexts.prefix == ContextSet().prefix
+    assert contexts.suffix == ContextSet().suffix
 
 
 def test_largest_codable_index_roundtrips():
@@ -134,6 +135,9 @@ def test_contexts_persist_across_blocks():
     for block, payload in zip(blocks, payloads):
         out = decode_block(payload, len(block), dec_ctx)
         assert np.array_equal(out, block)
+    # the decoder adapts every pair as the encoder did
+    assert dec_ctx.prefix == enc_ctx.prefix != ContextSet().prefix
+    assert dec_ctx.suffix == enc_ctx.suffix != ContextSet().suffix
     # adaptation across blocks should beat fresh contexts on skewed data
     skewed = [np.zeros(500, dtype=np.int64) for _ in range(6)]
     shared = ContextSet()
@@ -147,10 +151,12 @@ def test_context_copy_isolated():
     encode_block(np.arange(-100, 100), ctx)
     clone = ctx.copy()
     encode_block(np.arange(200), clone)
-    before = [[list(pair) for pair in bucket] for bucket in ctx.prefix]
+    before = [[[list(pair) for pair in bucket] for bucket in pairs]
+              for pairs in (ctx.prefix, ctx.suffix)]
     encode_block(np.arange(200), clone)
-    assert ctx.prefix == before
-    assert clone.prefix != before
+    assert [ctx.prefix, ctx.suffix] == before
+    assert clone.prefix != before[0]
+    assert clone.suffix != before[1]
 
 
 @pytest.mark.parametrize("ranks, touched", [(1, 1), (3, 2), (7, 3), (100, 7)])
@@ -166,6 +172,41 @@ def test_contexts_adapt_per_rank_bucket(ranks, touched):
             if ctx.prefix[b] != fresh[b]] == list(range(touched))
 
 
+@pytest.mark.parametrize("rank, value, bucket, depth", [
+    (0, 1, 0, 1), (0, -2, 0, 1), (5, 6, 2, 2), (100, -1000, 6, 9),
+    (3, 2**15 - 1, 2, 15)])
+def test_suffix_pair_adapts_per_bucket_and_prefix_length(rank, value, bucket,
+                                                         depth):
+    """A nonzero index of rank i whose magnitude + 1 has a prefix of
+    length d codes its top suffix bit on suffix[floor(log2(i + 1))][d]
+    alone; zeros code no suffix bin."""
+    block = np.zeros(3 * (rank + 1), dtype=np.int64)
+    block[3 * rank + 1] = value  # the U index of that coefficient
+    ctx = ContextSet()
+    payload = encode_block(block, ctx)
+    fresh = ContextSet().suffix
+    moved = [(b, d) for b in range(len(fresh)) for d in range(len(fresh[b]))
+             if ctx.suffix[b][d] != fresh[b][d]]
+    assert moved == [(bucket, depth)]
+    assert sum(ctx.suffix[bucket][depth]) == 3
+    assert np.array_equal(decode_block(payload, block.size, ContextSet()), block)
+
+
+def test_large_indices_share_the_capped_suffix_pair():
+    """Prefix lengths from 15 up share one pair: indices from 2^16 on
+    (d >= 16) count on the d = 15 pair and still round-trip."""
+    block = np.array([2**16, -2**20, 2**40, -(2**62)], dtype=np.int64)
+    ctx = ContextSet()
+    payload = encode_block(block, ctx)
+    dec = ContextSet()
+    assert np.array_equal(decode_block(payload, block.size, dec), block)
+    assert dec.suffix == ctx.suffix
+    fresh = ContextSet().suffix
+    assert [sum(ctx.suffix[b][15]) - sum(fresh[b][15]) for b in (0, 1)] == [3, 1]
+    ctx.suffix[0][15], ctx.suffix[1][15] = fresh[0][15], fresh[1][15]
+    assert ctx.suffix == fresh
+
+
 def test_payload_reads_only_its_rank_buckets():
     """A block of ranks 0 to 6 (buckets 0 to 2) codes the same payload
     whatever the counts of the higher buckets, and another payload once
@@ -173,7 +214,7 @@ def test_payload_reads_only_its_rank_buckets():
     values = np.random.default_rng(5).integers(-9, 10, size=3 * 7)
     plain = encode_block(values, ContextSet())
     skewed = ContextSet()
-    for bucket in skewed.prefix[3:]:
+    for bucket in skewed.prefix[3:] + skewed.suffix[3:]:
         for pair in bucket:
             pair[:] = [1000, 1]
     assert encode_block(values, skewed.copy()) == plain
@@ -197,17 +238,19 @@ def _golden_blocks():
 
 # sha256 of each payload of _golden_blocks() coded in order with one
 # shared ContextSet: the coder's bitstream, pinned byte for byte.
-# Recorded with rank-bucket contexts (stream version 6); the first two
-# blocks (empty, and one index) reach only rank 0, whose bucket codes as
-# the one shared set did.
+# Recorded with adaptive top-suffix contexts (stream version 8).  The
+# empty, [-3] and all-zero blocks code as they did with a bypass top
+# suffix bit (versions up to 7): [-3] codes its one suffix bin on a
+# fresh [1, 1] pair, which splits the range as a bypass bin does, and
+# zeros have no suffix.
 _GOLDEN_DIGESTS = [
     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "951dcee3a7a4f3aac67ec76a2ce4469cc76df650f134bf2572bf60a65c982338",
     "e164cf5279619ef20bf3426badb278fe32ec86204d3af804b2e052da7295bcc7",
-    "384a3f1929cccacb0e72a772239e7a84a4a6b2464a7941d6a2ba853a85de3d7e",
-    "042673447589a4c02206098c1ec7eedfb94822ba7284144d87c7cca198d37ffc",
-    "bf54c867b997863facfc1ed16626a25a907f7b6e1399eb1097033aa942ae80ba",
-    "cc4ba6c7a2cc630d4f6371f47163a05615001165d640b9c6b347b02c32f670d1",
+    "71db0838f52bb50db3c82525603930ac042026d9488af5a496ec9c913911dd34",
+    "99673fa1ab6c35780591357193e409397cfaa17078eb3065d8a711ef87dcfb3b",
+    "4ff910f0c5295087b77f5cf0dd4ec578bb984f87421675eaccf6625a5563040b",
+    "3acca34f400a224e726657e168ce275671f6393f7451f332a5c60b1a8d2af2ff",
 ]
 
 
