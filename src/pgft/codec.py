@@ -17,9 +17,12 @@ immediately previous reconstructed frame (low-delay).
 The decoder recomputes every geometry-derived quantity (clusters,
 normals, graphs, bases, motion) from the shared point positions and the
 `SequenceConfig` the stream header carries, so the bitstream holds only
-that header, mode flags and one payload per cluster.  `cluster_laplacian`
-and `reference_index` are one cluster's graph and motion steps; the GMRF
-study in `cli` calls them too; the normal neighbourhood
+that header, mode flags and one payload per cluster.  The header's
+epsilon_sq is the graph radius the encoder derived from frame 0
+(`with_derived_epsilon`); the decoder reads it and derives nothing.
+`cluster_laplacian` and `reference_index` are one cluster's graph and
+motion steps; the GMRF study in `cli` calls them and
+`with_derived_epsilon` too; the normal neighbourhood
 (`graph.NORMAL_K`), edge kernel (`graph.SIGMA_SQ`) and motion search
 region (`BOX_EXPAND`) they use are constants, not coded parameters.
 Both directions share one per-cluster path: `_plans` derives each
@@ -39,6 +42,7 @@ instead of the dense n x n basis.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import numbers
 from collections import deque
@@ -131,6 +135,16 @@ def cluster_laplacian(pts: np.ndarray, config: SequenceConfig) -> np.ndarray:
     normals = graph.estimate_normals(pts)
     g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq)
     return graph.combinatorial_laplacian(g)
+
+
+def with_derived_epsilon(config: SequenceConfig,
+                         voxel_coords: np.ndarray) -> SequenceConfig:
+    """`config` with epsilon_sq raised to the point spacing of frame 0's
+    voxels (`graph.spacing_epsilon_sq`) where that is larger: the
+    config's epsilon_sq is a floor, and the header carries the result."""
+    spacing = graph.spacing_epsilon_sq(voxel_coords)
+    return dataclasses.replace(config,
+                               epsilon_sq=max(config.epsilon_sq, spacing))
 
 
 def reference_index(pts: np.ndarray, ref_coords: np.ndarray):
@@ -280,6 +294,8 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     prev: ReconstructedFrame = None
     for t, raw in enumerate(raw_frames):
         frame = voxelize(raw, config.grid_dim, box)
+        if t == 0:
+            config = with_derived_epsilon(config, frame.voxel_coords)
         partition = kmeans_geometry(frame, config.target_cluster_size)
         is_p = config.is_p_frame(t)
         prev_coords = prev.frame.voxel_coords if is_p else None

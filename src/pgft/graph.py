@@ -5,7 +5,10 @@ Gaussian kernel of the sine of the angle between the two point normals,
 w = exp(-sin(theta)^2 / SIGMA_SQ).  sin(theta) is taken as the norm of
 the cross product of the unit normals, which makes the weight invariant
 to normal sign flips.  SIGMA_SQ and the normal neighbourhood NORMAL_K
-are fixed; only epsilon varies with the content.  Laplacians are dense
+are fixed; only epsilon varies with the content: the encoder takes
+epsilon^2 as the larger of `SequenceConfig.epsilon_sq`, a floor, and
+`spacing_epsilon_sq` of frame 0, the median squared distance from a
+voxel to its SPACING_K-th nearest other voxel.  Laplacians are dense
 (n, n) arrays: L = D - W and L + I, whose unit diagonal potential
 stands in for the unit-weight temporal edges to the corresponded
 reference points.
@@ -20,6 +23,7 @@ from scipy.spatial import cKDTree
 
 SIGMA_SQ = 0.4   # edge kernel width on sin^2 of the normal angle
 NORMAL_K = 15    # neighbours per normal estimate
+SPACING_K = 8    # neighbour rank whose distance sets the derived epsilon
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,23 @@ def estimate_normals(points: np.ndarray) -> np.ndarray:
     signs = np.sign(normals[np.arange(n), pick])
     signs[signs == 0] = 1.0
     return normals * signs[:, None]
+
+
+def spacing_epsilon_sq(voxel_coords: np.ndarray) -> float:
+    """Median over voxels of the exact squared distance to the
+    SPACING_K-th nearest other voxel (the farthest one in a frame of at
+    most SPACING_K voxels; 0 for a single voxel).
+
+    One KD-tree query picks each voxel's neighbour; its squared distance
+    is recomputed from the integer coordinates, so the result is a
+    median of exact integers and scales by exactly s^2 when the
+    coordinates scale by s.
+    """
+    coords = np.asarray(voxel_coords, dtype=np.int64)
+    k = min(SPACING_K + 1, coords.shape[0])   # rank k counts the voxel itself
+    _, nearest = cKDTree(coords).query(coords, k=[k])
+    d2 = np.sum((coords - coords[nearest[:, 0]]) ** 2, axis=1)
+    return float(np.median(d2))
 
 
 def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,

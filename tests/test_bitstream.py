@@ -78,9 +78,11 @@ def _doubled(config):
 
 
 def test_header_carries_every_field():
-    """Every SequenceConfig field is coded in the stream header."""
+    """Every SequenceConfig field is coded in the stream header.  The
+    doubled epsilon_sq (2000) is above the content's point spacing
+    (1277 at grid 128), so the encoder keeps it as given."""
     frames = synthetic_sequence("wave", 1, point_count=100, seed=0)
-    config = _doubled(SequenceConfig(grid_dim=64))
+    config = _doubled(SequenceConfig(grid_dim=64, epsilon_sq=1000.0))
     header, _ = read_bitstream(codec.encode_sequence(frames, config).data)
     assert header == config
     for f in dataclasses.fields(config):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pgft import cli, rdo
+from pgft.bitstream import read_bitstream
 from pgft.cli import main
 from pgft.codec import encode_sequence
 from pgft.pointcloud import SequenceConfig, read_ply
@@ -221,10 +222,26 @@ def test_validate_gmrf_dataset_mode(tmp_path, capsys):
     write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
     rc = main(["validate-gmrf", "--input", str(frames_dir), "--patches", "3"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "support size: 0 " in out  # the default grid leaves no edges
-    assert "sign agreement on support: nan" in out
-    assert "support correlation: nan" in out
+    out, err = capsys.readouterr()
+    assert _support_size(out) == 1440  # frame 0's spacing connects the graph
+    assert "nan" not in out
+    assert "no edges" not in err
+
+
+def test_validate_gmrf_builds_the_encoders_graph(tmp_path):
+    """At default flags (grid 4096) an 800-point input is sparse: the
+    floor of 50 would leave the tracked cluster without edges.  The study
+    builds its Laplacian with the epsilon_sq the encoder writes to the
+    header, so it has edges."""
+    paths = [str(p) for p in
+             write_synthetic_sequence(tmp_path, "wave", 4, 800, seed=4)]
+    frames = [read_ply(p) for p in paths]
+    header, _ = read_bitstream(encode_sequence(frames[:1],
+                                               SequenceConfig()).data)
+    assert header.epsilon_sq > 50.0
+    lap, _ = cli._aligned_patch_samples(paths, 3, SequenceConfig())
+    assert np.array_equal(lap, cli._aligned_patch_samples(paths, 3, header)[0])
+    assert np.count_nonzero(lap - np.diag(np.diag(lap))) > 0
 
 
 def _count_reads(monkeypatch):
@@ -293,37 +310,39 @@ def _support_size(out):
 
 
 def test_validate_gmrf_dataset_mode_takes_graph_flags(tmp_path, capsys):
-    """At the default grid (4096) the tracked cluster of an 800-point
-    input has no edges; the encoder's --grid-dim brings them back, and
-    --cluster-size changes the graph."""
+    """--grid-dim and --cluster-size change the tracked cluster's graph,
+    and a cluster of one voxel has no edges, which the study warns of."""
     frames_dir = tmp_path / "frames"
     write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
     argv = ["validate-gmrf", "--input", str(frames_dir), "--patches", "3"]
-    assert main(argv) == 0
+    assert main(argv + ["--cluster-size", "1"]) == 0
     out, err = capsys.readouterr()
     assert _support_size(out) == 0
+    assert "sign agreement on support: nan" in out
+    assert "support correlation: nan" in out
     assert "no edges" in err
     argv += ["--grid-dim", "128"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    assert _support_size(out) == 260
+    assert _support_size(out) == 1456
     assert "no edges" not in err
     assert main(argv + ["--cluster-size", "200"]) == 0  # a smaller cluster
-    assert _support_size(capsys.readouterr().out) == 125
+    assert _support_size(capsys.readouterr().out) == 687
 
 
 def test_validate_gmrf_dataset_mode_takes_epsilon(tmp_path, capsys):
-    """The tracked cluster's graph is built with --epsilon2, not a fixed
-    radius: a wider radius gives more edges."""
+    """--epsilon2 is a floor under frame 0's point spacing (158 at grid
+    128): below it the graph does not change, above it a wider radius
+    gives more edges."""
     frames_dir = tmp_path / "frames"
     write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
     argv = ["validate-gmrf", "--input", str(frames_dir), "--patches", "3",
             "--grid-dim", "128"]
     sizes = []
-    for epsilon_sq in ("50", "300"):
+    for epsilon_sq in ("50", "158", "300"):
         assert main(argv + ["--epsilon2", epsilon_sq]) == 0
         sizes.append(_support_size(capsys.readouterr().out))
-    assert sizes == [260, 3097]
+    assert sizes == [1456, 1456, 3097]
 
 
 @pytest.mark.parametrize("flag,field", [
@@ -339,9 +358,8 @@ def test_validate_gmrf_bad_graph_flag_is_usage_error(tmp_path, capsys, flag,
 
 def test_aligned_patch_samples_digest(tmp_path):
     """The dataset mode's Laplacian and patch samples on
-    test_validate_gmrf_dataset_mode's input, pinned byte for byte at a
-    grid where the tracked cluster's graph has edges (at the default
-    grid L + I = I, and the digest would pin no graph)."""
+    test_validate_gmrf_dataset_mode's input, pinned byte for byte at grid
+    128, where frame 0's point spacing sets epsilon^2 to 158."""
     frames_dir = tmp_path / "frames"
     write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
     paths = sorted(str(p) for p in frames_dir.glob("*.ply"))
@@ -349,12 +367,12 @@ def test_aligned_patch_samples_digest(tmp_path):
                                               SequenceConfig(grid_dim=128))
     assert lap.shape == (406, 406)
     assert samples.shape == (4, 406)
-    assert np.count_nonzero(lap - np.diag(np.diag(lap))) == 520
+    assert np.count_nonzero(lap - np.diag(np.diag(lap))) == 2912
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(lap, dtype="<f8").tobytes())
     digest.update(np.ascontiguousarray(samples, dtype="<f8").tobytes())
     assert digest.hexdigest() == (
-        "40db7e967dcf802d3d78be804eeb25f3fca9bf1ba9ffdd60aaf0cd214de2c32f")
+        "ad36d9d124403c2bebdbaad13fed79887951ef0dc4529e55f98dc6184445724c")
 
 
 def test_encode_flags_set_every_config_field():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgft.graph import (build_epsilon_graph, combinatorial_laplacian,
-                        estimate_normals, generalized_laplacian)
+from pgft.graph import (SPACING_K, build_epsilon_graph, combinatorial_laplacian,
+                        estimate_normals, generalized_laplacian,
+                        spacing_epsilon_sq)
 from reference import dense_epsilon_graph, random_spatial_graph
 
 
@@ -151,6 +152,52 @@ def test_epsilon_graph_memory_grows_with_edges():
         tracemalloc.stop()
     assert g.edge_count == 2000 * 7 - 28
     assert peak < 16 * 2**20
+
+
+def _dense_spacing(coords):
+    """spacing_epsilon_sq from all pairwise squared distances."""
+    d2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2)
+    d2.sort(axis=1)  # column 0 is each voxel itself
+    return float(np.median(d2[:, min(SPACING_K, len(coords) - 1)]))
+
+
+def _random_voxels(rng, n, span):
+    coords = np.unique(rng.integers(0, span, size=(n, 3)), axis=0)
+    return coords.astype(np.int32)
+
+
+@pytest.mark.parametrize("seed, n, span", [(0, 300, 40), (1, 301, 400),
+                                           (2, 2000, 4096)])
+def test_spacing_matches_dense_distances(seed, n, span):
+    coords = _random_voxels(np.random.default_rng(seed), n, span)
+    assert spacing_epsilon_sq(coords) == _dense_spacing(coords.astype(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spacing_scales_exactly_with_the_grid(seed):
+    """Doubling integer coordinates multiplies the result by 4 exactly,
+    also when an even voxel count makes the median a half-integer."""
+    coords = _random_voxels(np.random.default_rng(seed), 250 + seed, 100)
+    assert spacing_epsilon_sq(2 * coords) == 4 * spacing_epsilon_sq(coords)
+
+
+@pytest.mark.parametrize("n", range(1, SPACING_K + 2))
+def test_spacing_of_a_few_voxels(n):
+    """A frame of at most SPACING_K voxels takes each voxel's farthest
+    other voxel; a single voxel gives 0."""
+    coords = np.zeros((n, 3), dtype=np.int32)
+    coords[:, 0] = 3 * np.arange(n) ** 2
+    assert spacing_epsilon_sq(coords) == _dense_spacing(coords.astype(np.int64))
+    if n == 1:
+        assert spacing_epsilon_sq(coords) == 0.0
+
+
+def test_spacing_of_a_dense_plane():
+    """On a full plane of voxels the 8th nearest other voxel is a
+    diagonal neighbour (distance^2 2) for all but the border."""
+    ii, jj = np.meshgrid(np.arange(30), np.arange(30), indexing="ij")
+    coords = np.stack([ii.ravel(), jj.ravel(), np.full(900, 7)], axis=1)
+    assert spacing_epsilon_sq(coords) == 2.0
 
 
 def test_combinatorial_laplacian_two_nodes():
