@@ -6,7 +6,7 @@ mode flags (P-frames) and one arithmetic-coded payload per cluster (Y, U
 and V by coefficient; one context set per frame, whose prefix and
 top-suffix contexts each coefficient's rank bucket selects).  The header is magic,
 version, every `SequenceConfig` field (grid_dim, target_cluster_size,
-epsilon_sq, gop_size, qstep) in field order, each packed with the struct
+gop_size, qstep) in field order, each packed with the struct
 code its "header" metadata names, then the frame count.  A frame record
 holds no type: frame t is a P-frame iff `SequenceConfig.is_p_frame(t)`,
 and only a P-frame carries mode flags, one per cluster.  All fixed-width
@@ -33,7 +33,9 @@ MAGIC = b"PGFT"
 # 7: the predictor's gain is w / (w + lambda) with w = temporal_precision(qstep).
 # 8: each nonzero magnitude's top suffix bit is coded on an adaptive context
 # (per rank bucket and prefix length); indices and reconstructions are as in 7.
-VERSION = 8
+# 9: the header drops epsilon_sq (8 B); both sides derive the graph radius
+# from frame 0's voxels, so payloads and reconstructions are as in 8.
+VERSION = 9
 
 # (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])

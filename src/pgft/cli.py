@@ -18,7 +18,7 @@ import numpy as np
 
 from . import codec, gmrf, metrics, rdo, synth
 from .clustering import kmeans_geometry
-from .graph import generalized_laplacian
+from .graph import derived_epsilon_sq, generalized_laplacian
 from .pointcloud import (SequenceConfig, read_ply, sequence_bounding_box,
                          voxelize, write_ply, yuv_to_rgb)
 
@@ -33,11 +33,6 @@ def _add_config_flags(parser, with_q=True, graph_only=False):
                             help="quantization step (quality factor)")
     if not graph_only:
         parser.add_argument("--gop", dest="gop_size", type=int)
-    parser.add_argument("--epsilon2", dest="epsilon_sq", type=float,
-                        help="smallest squared neighborhood radius; the "
-                             "graphs use the larger of this and frame 0's "
-                             "median squared distance to a voxel's 8th "
-                             "nearest neighbor")
     parser.add_argument("--cluster-size", dest="target_cluster_size", type=int)
     parser.add_argument("--grid-dim", type=int)
 
@@ -203,8 +198,8 @@ def _cmd_validate_gmrf(args, parser):
                                           _config_from_args(args))
     if np.count_nonzero(lap) == lap.shape[0]:  # L + I is diagonal
         print("warning: the tracked cluster's graph has no edges; its "
-              "points lie farther apart than the larger of --epsilon2 and "
-              "frame 0's point spacing", file=sys.stderr)
+              "points lie farther apart than the graph radius derived from "
+              "frame 0", file=sys.stderr)
     estimate = gmrf.empirical_precision(samples)
     report = gmrf.compare_to_laplacian(estimate, lap)
     print(f"samples: {estimate.sample_count}  "
@@ -220,15 +215,15 @@ def _aligned_patch_samples(paths, patches, config):
     """The first cluster of frame 0 is tracked through the next
     `patches` frames via motion correspondence; its correspondence-ordered
     attribute vectors are the patch observations.  Its graph takes the
-    epsilon the encoder would derive.  Only those frames are read."""
+    epsilon the codec derives.  Only those frames are read."""
     frames = [_read_ply(p) for p in paths[:patches + 1]]
     box = sequence_bounding_box(frames[0])
     vox = [voxelize(f, config.grid_dim, box) for f in frames]
-    config = codec.with_derived_epsilon(config, vox[0].voxel_coords)
     partition = kmeans_geometry(vox[0], config.target_cluster_size)
     members = partition.members(0)
     pts = vox[0].voxel_coords[members].astype(np.float64)
-    lap = generalized_laplacian(codec.cluster_laplacian(pts, config))
+    epsilon_sq = derived_epsilon_sq(vox[0].voxel_coords)
+    lap = generalized_laplacian(codec.cluster_laplacian(pts, epsilon_sq))
 
     samples = [vox[0].attributes[members][:, 0]]  # Y channel
     for other in vox[1:]:

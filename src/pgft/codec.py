@@ -17,14 +17,15 @@ immediately previous reconstructed frame (low-delay).
 The decoder recomputes every geometry-derived quantity (clusters,
 normals, graphs, bases, motion) from the shared point positions and the
 `SequenceConfig` the stream header carries, so the bitstream holds only
-that header, mode flags and one payload per cluster.  The header's
-epsilon_sq is the graph radius the encoder derived from frame 0
-(`with_derived_epsilon`); the decoder reads it and derives nothing.
-`cluster_laplacian` and `reference_index` are one cluster's graph and
-motion steps; the GMRF study in `cli` calls them and
-`with_derived_epsilon` too; the normal neighbourhood
-(`graph.NORMAL_K`), edge kernel (`graph.SIGMA_SQ`) and motion search
-region (`BOX_EXPAND`) they use are constants, not coded parameters.
+that header, mode flags and one payload per cluster.  The graph radius
+is geometry-derived too: both sides call `graph.derived_epsilon_sq` on
+frame 0's voxels, once per sequence, and pass the result down to every
+cluster's graph.  `cluster_laplacian` and `reference_index` are one
+cluster's graph and motion steps; the GMRF study in `cli` calls them
+too; the normal neighbourhood (`graph.NORMAL_K`), edge kernel
+(`graph.SIGMA_SQ`), radius floor (`graph.EPSILON_SQ_FLOOR`) and motion
+search region (`BOX_EXPAND`) they use are constants, not coded
+parameters.
 Both directions share one per-cluster path: `_plans` derives each
 cluster's basis and reference in cluster order, at most `threads`
 clusters ahead of the one being coded, and a plan is dropped once its
@@ -42,7 +43,6 @@ instead of the dense n x n basis.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import numbers
 from collections import deque
@@ -129,22 +129,12 @@ class _ClusterPlan:
     ref_index: np.ndarray = None      # reference voxel indices in frame t-1
 
 
-def cluster_laplacian(pts: np.ndarray, config: SequenceConfig) -> np.ndarray:
+def cluster_laplacian(pts: np.ndarray, epsilon_sq: float) -> np.ndarray:
     """Dense combinatorial Laplacian of the normal-weighted epsilon-graph
     on a cluster's (n, 3) float64 voxel coordinates."""
     normals = graph.estimate_normals(pts)
-    g = graph.build_epsilon_graph(pts, normals, config.epsilon_sq)
+    g = graph.build_epsilon_graph(pts, normals, epsilon_sq)
     return graph.combinatorial_laplacian(g)
-
-
-def with_derived_epsilon(config: SequenceConfig,
-                         voxel_coords: np.ndarray) -> SequenceConfig:
-    """`config` with epsilon_sq raised to the point spacing of frame 0's
-    voxels (`graph.spacing_epsilon_sq`) where that is larger: the
-    config's epsilon_sq is a floor, and the header carries the result."""
-    spacing = graph.spacing_epsilon_sq(voxel_coords)
-    return dataclasses.replace(config,
-                               epsilon_sq=max(config.epsilon_sq, spacing))
 
 
 def reference_index(pts: np.ndarray, ref_coords: np.ndarray):
@@ -161,10 +151,10 @@ def reference_index(pts: np.ndarray, ref_coords: np.ndarray):
 
 
 def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
-                     config: SequenceConfig, prev_coords,
+                     epsilon_sq: float, prev_coords,
                      need_inter: bool) -> _ClusterPlan:
     pts = frame.voxel_coords[members].astype(np.float64)
-    basis = eigendecompose(cluster_laplacian(pts, config))
+    basis = eigendecompose(cluster_laplacian(pts, epsilon_sq))
     ref_index = None
     if need_inter and prev_coords is not None:
         ref_index = reference_index(pts, prev_coords)
@@ -177,12 +167,13 @@ def _check_threads(threads):
         raise ValueError(f"threads={threads!r} must be an integer >= 1")
 
 
-def _plans(frame, partition, config, prev_coords, need_inter, threads: int):
+def _plans(frame, partition, epsilon_sq, prev_coords, need_inter,
+           threads: int):
     """Yield every cluster's plan in cluster order, lazily, so the caller
     can drop each plan once its cluster is coded.  `need_inter[cid]`
     says whether cluster cid needs a motion-compensated reference."""
     def analyze(cid):
-        return _analyze_cluster(frame, partition.members(cid), config,
+        return _analyze_cluster(frame, partition.members(cid), epsilon_sq,
                                 prev_coords, bool(need_inter[cid]))
 
     if threads > 1:
@@ -295,7 +286,7 @@ def encode_sequence(raw_frames, config: SequenceConfig,
     for t, raw in enumerate(raw_frames):
         frame = voxelize(raw, config.grid_dim, box)
         if t == 0:
-            config = with_derived_epsilon(config, frame.voxel_coords)
+            epsilon_sq = graph.derived_epsilon_sq(frame.voxel_coords)
         partition = kmeans_geometry(frame, config.target_cluster_size)
         is_p = config.is_p_frame(t)
         prev_coords = prev.frame.voxel_coords if is_p else None
@@ -305,7 +296,8 @@ def encode_sequence(raw_frames, config: SequenceConfig,
         recon_attrs = np.zeros_like(frame.attributes)
         clusters = []
         flags = np.zeros(partition.k, dtype=bool)
-        for cid, plan in enumerate(_plans(frame, partition, config, prev_coords,
+        for cid, plan in enumerate(_plans(frame, partition, epsilon_sq,
+                                          prev_coords,
                                           np.full(partition.k, is_p), threads)):
             coeffs = gft_forward(frame.attributes[plan.members], plan.basis)
             prediction = None
@@ -350,7 +342,8 @@ def decode_sequence(data: bytes, geometry_frames,
     Each frame is checked against its record before the work it sizes:
     first the geometry hash, then the cluster count that the header's
     cluster size gives for the frame's voxels (`cluster_count`), so a
-    corrupted header never sizes k-means."""
+    corrupted header never sizes k-means.  The graph radius is derived
+    from frame 0 after both checks pass."""
     _check_threads(threads)
     config, records = bitstream.read_bitstream(data)
     if not records:
@@ -376,6 +369,8 @@ def decode_sequence(data: bytes, geometry_frames,
             raise BitstreamError(
                 f"cluster count mismatch in frame {t}: stream has "
                 f"{record.cluster_count}, geometry gives {k}")
+        if t == 0:
+            epsilon_sq = graph.derived_epsilon_sq(frame.voxel_coords)
         is_p = config.is_p_frame(t)
         partition = kmeans_geometry(frame, config.target_cluster_size)
         prev_coords = prev.frame.voxel_coords if is_p else None
@@ -384,8 +379,8 @@ def decode_sequence(data: bytes, geometry_frames,
         contexts = ContextSet()
         mirror = _MirrorHash(partition.labels)
         recon_attrs = np.zeros_like(frame.attributes)
-        for cid, plan in enumerate(_plans(frame, partition, config, prev_coords,
-                                          flags, threads)):
+        for cid, plan in enumerate(_plans(frame, partition, epsilon_sq,
+                                          prev_coords, flags, threads)):
             n = plan.members.shape[0]
             try:
                 indices = decode_block(record.clusters[cid], CHANNELS * n,

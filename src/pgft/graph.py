@@ -5,10 +5,11 @@ Gaussian kernel of the sine of the angle between the two point normals,
 w = exp(-sin(theta)^2 / SIGMA_SQ).  sin(theta) is taken as the norm of
 the cross product of the unit normals, which makes the weight invariant
 to normal sign flips.  SIGMA_SQ and the normal neighbourhood NORMAL_K
-are fixed; only epsilon varies with the content: the encoder takes
-epsilon^2 as the larger of `SequenceConfig.epsilon_sq`, a floor, and
-`spacing_epsilon_sq` of frame 0, the median squared distance from a
-voxel to its SPACING_K-th nearest other voxel.  Laplacians are dense
+are fixed; only epsilon varies with the content: `derived_epsilon_sq`
+of frame 0's voxels, which encoder and decoder each compute, is the
+larger of EPSILON_SQ_FLOOR and `spacing_epsilon_sq`, the median squared
+distance from a voxel to its SPACING_K-th nearest other voxel.  The
+stream does not carry it.  Laplacians are dense
 (n, n) arrays: L = D - W and L + I, whose unit diagonal potential
 stands in for the unit-weight temporal edges to the corresponded
 reference points.
@@ -24,6 +25,7 @@ from scipy.spatial import cKDTree
 SIGMA_SQ = 0.4   # edge kernel width on sin^2 of the normal angle
 NORMAL_K = 15    # neighbours per normal estimate
 SPACING_K = 8    # neighbour rank whose distance sets the derived epsilon
+EPSILON_SQ_FLOOR = 50.0  # smallest squared graph radius
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,22 @@ def spacing_epsilon_sq(voxel_coords: np.ndarray) -> float:
     One KD-tree query picks each voxel's neighbour; its squared distance
     is recomputed from the integer coordinates, so the result is a
     median of exact integers and scales by exactly s^2 when the
-    coordinates scale by s.
+    coordinates scale by s.  Each |difference| is squared as uint64:
+    voxel coordinates lie in [0, 2^31 - 1), so a sum of three squares
+    stays below 3 * 2^62 < 2^64 and cannot wrap.
     """
     coords = np.asarray(voxel_coords, dtype=np.int64)
     k = min(SPACING_K + 1, coords.shape[0])   # rank k counts the voxel itself
     _, nearest = cKDTree(coords).query(coords, k=[k])
-    d2 = np.sum((coords - coords[nearest[:, 0]]) ** 2, axis=1)
-    return float(np.median(d2))
+    diff = np.abs(coords - coords[nearest[:, 0]]).astype(np.uint64)
+    return float(np.median(np.sum(diff * diff, axis=1)))
+
+
+def derived_epsilon_sq(voxel_coords: np.ndarray) -> float:
+    """The squared graph radius of a sequence whose frame 0 has these
+    voxels: the larger of EPSILON_SQ_FLOOR and `spacing_epsilon_sq`.
+    Both sides compute it from the shared geometry alone."""
+    return max(EPSILON_SQ_FLOOR, spacing_epsilon_sq(voxel_coords))
 
 
 def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,

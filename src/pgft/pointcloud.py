@@ -97,19 +97,15 @@ class SequenceConfig:
     (`bitstream._HEADER`), so the decoder rebuilds the config from the
     stream alone.  qstep is the uniform quantization step and doubles as
     the quality factor Q of the fixed lambda-Q model (`rdo.ALPHA`,
-    `rdo.BETA`).  epsilon_sq is the smallest squared graph radius the
-    encoder may use: it codes with the larger of it and frame 0's median
-    squared distance from a voxel to its 8th nearest other voxel
-    (`codec.with_derived_epsilon`), and the header carries the result.
-    Frame t is a P-frame iff `is_p_frame(t)`: every GOP opens with an
-    I-frame.
+    `rdo.BETA`).  The graph radius is no field: both sides derive it
+    from frame 0's voxels (`graph.derived_epsilon_sq`).  Frame t is a
+    P-frame iff `is_p_frame(t)`: every GOP opens with an I-frame.
     """
 
     # int32, the dtype of VoxelizedFrame.voxel_coords
     grid_dim: int = field(default=4096, metadata={"header": "i"})
     target_cluster_size: int = field(
         default=600, metadata={"header": "I", "max": MAX_CLUSTER_SIZE})
-    epsilon_sq: float = field(default=50.0, metadata={"header": "d"})
     gop_size: int = field(default=8, metadata={"header": "H"})
     qstep: float = field(default=8.0, metadata={"header": "d"})
 

@@ -176,7 +176,7 @@ def test_criterion_05_codec_roundtrip():
 def test_criterion_06_inter_mode_efficacy():
     start = time.monotonic()
     static = synthetic_sequence("static", 2, point_count=2000, seed=0)
-    config = SequenceConfig(grid_dim=192, epsilon_sq=50.0, qstep=8.0)
+    config = SequenceConfig(grid_dim=192, qstep=8.0)
     result = encode_sequence(static, config)
     i_bits = result.stats[0].bits
     p_bits = result.stats[1].bits

@@ -42,12 +42,11 @@ def _fixed_frames():
 
 
 _OTHER_CONFIG = SequenceConfig(
-    grid_dim=1024, target_cluster_size=300, epsilon_sq=300.0, gop_size=4,
-    qstep=0.5)
+    grid_dim=1024, target_cluster_size=300, gop_size=4, qstep=0.5)
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# for stream version 8.  Version 3 dropped sigma_sq, normal_k and
+# for stream version 9.  Version 3 dropped sigma_sq, normal_k and
 # box_expand (18 B) from the header, took the coded fields in
 # SequenceConfig order and dropped each frame record's type byte;
 # version 4 changed only the reconstruction arithmetic (the version byte
@@ -56,16 +55,17 @@ _OTHER_CONFIG = SequenceConfig(
 # one payload per cluster and the stream is 10 B of lengths shorter;
 # version 6 changed only the coder's contexts, version 7 only the
 # predictor's gain and version 8 only the coder's contexts again (the
-# version byte again, each time).
+# version byte again, each time); version 9 dropped epsilon_sq (8 B)
+# from the header.
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "11ae7e2bc7cfda6cdf3c6387af25b1bd125c5418ccf815f1b3ad9f232e72f1a9"),
+     "63a587d3e678f7d66ccbe735ee0eb24324dda7570687cbe3349be3edfd07aad6"),
     (_OTHER_CONFIG,
-     "6e7415b7b2da009193c6eea7936842ae4231f0524d86a9e2b6a15ffcb4ba8e08")],
+     "ce1f8084a819bec0514d5d6c6bd95ff3cb2c666e8f3f1a9fd7f81d6ec772d859")],
     ids=["default", "other"])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
-    assert len(data) == 427
+    assert len(data) == 419
     assert hashlib.sha256(data).hexdigest() == digest
     parsed_config, parsed = read_bitstream(data)
     assert write_bitstream(parsed_config, parsed) == data
@@ -78,11 +78,9 @@ def _doubled(config):
 
 
 def test_header_carries_every_field():
-    """Every SequenceConfig field is coded in the stream header.  The
-    doubled epsilon_sq (2000) is above the content's point spacing
-    (1277 at grid 128), so the encoder keeps it as given."""
+    """Every SequenceConfig field is coded in the stream header."""
     frames = synthetic_sequence("wave", 1, point_count=100, seed=0)
-    config = _doubled(SequenceConfig(grid_dim=64, epsilon_sq=1000.0))
+    config = _doubled(SequenceConfig(grid_dim=64))
     header, _ = read_bitstream(codec.encode_sequence(frames, config).data)
     assert header == config
     for f in dataclasses.fields(config):
@@ -192,7 +190,7 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    for version in (1, 2, 3, 4, 5, 6, 7):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8):
         data[4] = version
         with pytest.raises(BitstreamError,
                            match=f"unsupported stream version {version}$"):

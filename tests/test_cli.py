@@ -6,8 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from pgft import cli, rdo
-from pgft.bitstream import read_bitstream
+from pgft import cli, graph, rdo
 from pgft.cli import main
 from pgft.codec import encode_sequence
 from pgft.pointcloud import SequenceConfig, read_ply
@@ -70,7 +69,7 @@ def test_encode_q_zero_rejected(tmp_path):
     ["encode", "--q", "8", "--gop", "0"],
     ["encode", "--q", "8", "--cluster-size", "0"],
     ["encode", "--q", "8", "--gop", "70000"],
-    ["encode", "--q", "8", "--epsilon2", "inf"],
+    ["encode", "--q", "8", "--grid-dim", "0"],
     ["rd-sweep", "--q-list", "4,nan"],
     ["encode", "--q", "8", "--cluster-size", "2049"],
 ])
@@ -228,19 +227,20 @@ def test_validate_gmrf_dataset_mode(tmp_path, capsys):
     assert "no edges" not in err
 
 
-def test_validate_gmrf_builds_the_encoders_graph(tmp_path):
+def test_validate_gmrf_builds_the_encoders_graph(tmp_path, graph_radii):
     """At default flags (grid 4096) an 800-point input is sparse: the
     floor of 50 would leave the tracked cluster without edges.  The study
-    builds its Laplacian with the epsilon_sq the encoder writes to the
-    header, so it has edges."""
+    builds its Laplacian with the radius the encoder derives from frame
+    0, so it has edges."""
     paths = [str(p) for p in
              write_synthetic_sequence(tmp_path, "wave", 4, 800, seed=4)]
     frames = [read_ply(p) for p in paths]
-    header, _ = read_bitstream(encode_sequence(frames[:1],
-                                               SequenceConfig()).data)
-    assert header.epsilon_sq > 50.0
+    encode_sequence(frames[:1], SequenceConfig())
+    encoder_radii = set(graph_radii)
+    graph_radii.clear()
     lap, _ = cli._aligned_patch_samples(paths, 3, SequenceConfig())
-    assert np.array_equal(lap, cli._aligned_patch_samples(paths, 3, header)[0])
+    assert graph_radii == encoder_radii
+    assert min(graph_radii) > graph.EPSILON_SQ_FLOOR
     assert np.count_nonzero(lap - np.diag(np.diag(lap))) > 0
 
 
@@ -330,24 +330,8 @@ def test_validate_gmrf_dataset_mode_takes_graph_flags(tmp_path, capsys):
     assert _support_size(capsys.readouterr().out) == 687
 
 
-def test_validate_gmrf_dataset_mode_takes_epsilon(tmp_path, capsys):
-    """--epsilon2 is a floor under frame 0's point spacing (158 at grid
-    128): below it the graph does not change, above it a wider radius
-    gives more edges."""
-    frames_dir = tmp_path / "frames"
-    write_synthetic_sequence(frames_dir, "wave", 5, 800, seed=4)
-    argv = ["validate-gmrf", "--input", str(frames_dir), "--patches", "3",
-            "--grid-dim", "128"]
-    sizes = []
-    for epsilon_sq in ("50", "158", "300"):
-        assert main(argv + ["--epsilon2", epsilon_sq]) == 0
-        sizes.append(_support_size(capsys.readouterr().out))
-    assert sizes == [1456, 1456, 3097]
-
-
 @pytest.mark.parametrize("flag,field", [
-    ("--grid-dim", "grid_dim"), ("--epsilon2", "epsilon_sq"),
-    ("--cluster-size", "target_cluster_size")])
+    ("--grid-dim", "grid_dim"), ("--cluster-size", "target_cluster_size")])
 def test_validate_gmrf_bad_graph_flag_is_usage_error(tmp_path, capsys, flag,
                                                      field):
     with pytest.raises(SystemExit) as info:
@@ -378,7 +362,7 @@ def test_aligned_patch_samples_digest(tmp_path):
 def test_encode_flags_set_every_config_field():
     args = cli.build_parser().parse_args([
         "encode", "--input", "x", "--output", "x.bin", "--q", "7",
-        "--gop", "7", "--epsilon2", "7", "--cluster-size", "7",
+        "--gop", "7", "--cluster-size", "7",
         "--grid-dim", "7"])
     config = cli._config_from_args(args)
     assert dataclasses.asdict(config) == {
@@ -403,6 +387,20 @@ def test_synthetic_flag_is_gone(tmp_path, command):
     with pytest.raises(SystemExit) as info:
         main(command + ["--synthetic", "wave", "--input", str(tmp_path),
                         "--output", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["encode", "--q", "8"],
+                                     ["rd-sweep", "--q-list", "8"],
+                                     ["validate-gmrf"]], ids=lambda c: c[0])
+def test_epsilon2_flag_is_gone(tmp_path, command):
+    """The graph radius is derived from frame 0, not set."""
+    argv = command + ["--epsilon2", "50", "--input", str(tmp_path)]
+    if command[0] != "validate-gmrf":
+        argv += ["--output", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
     assert info.value.code == 2
     assert not list(tmp_path.iterdir())
 
@@ -457,8 +455,8 @@ def test_argument_slots_per_subcommand():
     slots = {name: sum(not isinstance(a, argparse._HelpAction)
                        for a in subparser._actions)
              for name, subparser in subparsers.items()}
-    assert slots == {"synth": 5, "encode": 8, "decode": 4, "rd-sweep": 8,
-                     "validate-gmrf": 5}
+    assert slots == {"synth": 5, "encode": 7, "decode": 4, "rd-sweep": 7,
+                     "validate-gmrf": 4}
 
 
 def test_malformed_ply_names_file_and_vertex(tmp_path, capsys):

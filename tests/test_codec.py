@@ -258,7 +258,7 @@ _HEADER_FIELDS = (("magic", "version")
 
 
 @pytest.mark.parametrize("field, value", [
-    ("target_cluster_size", 0), ("epsilon_sq", float("nan")),
+    ("target_cluster_size", 0), ("qstep", -1.0),
     ("qstep", float("nan")), ("qstep", float("inf")), ("grid_dim", 0),
     ("gop_size", 0)])
 def test_invalid_header_rejected_before_voxelizing(monkeypatch, field, value):
@@ -471,7 +471,7 @@ def test_stats_bits_match_stream_size():
 
 def _sparse_frames():
     """Two rigid-motion frames whose point spacing at grid 256 is above
-    the default epsilon_sq floor of 50."""
+    graph.EPSILON_SQ_FLOOR."""
     return synthetic_sequence("rigid-motion", 2, point_count=900, seed=5)
 
 
@@ -481,51 +481,44 @@ def _frame0_spacing(frames, grid_dim):
         voxelize(frames[0], grid_dim, box).voxel_coords)
 
 
-def test_header_carries_the_derived_epsilon():
-    """Frame 0's point spacing replaces a smaller epsilon_sq in the
-    header, and re-encoding with the header's config gives the same
-    stream."""
+def test_encoder_graphs_take_frame0_spacing(graph_radii):
+    """Frame 0's point spacing, not the floor, is the radius of every
+    graph the encoder builds, and re-encoding with the header's config
+    gives the same stream."""
     frames = _sparse_frames()
     result = encode_sequence(frames, _cfg(grid_dim=256))
+    assert graph_radii == {_frame0_spacing(frames, 256)}
+    assert _frame0_spacing(frames, 256) > graph.EPSILON_SQ_FLOOR
     header, _ = bitstream.read_bitstream(result.data)
-    assert header.epsilon_sq == _frame0_spacing(frames, 256) > 50.0
     assert encode_sequence(frames, header).data == result.data
-
-
-def test_epsilon_above_the_spacing_is_kept():
-    frames = _sparse_frames()
-    epsilon_sq = _frame0_spacing(frames, 256) + 0.25
-    data = encode_sequence(frames, _cfg(grid_dim=256,
-                                        epsilon_sq=epsilon_sq)).data
-    assert bitstream.read_bitstream(data)[0].epsilon_sq == epsilon_sq
 
 
 def test_dense_lattice_resolves_to_the_floor():
     ii, jj = np.meshgrid(np.arange(40), np.arange(40), indexing="ij")
     plane = np.stack([ii.ravel(), jj.ravel(), np.zeros(1600, int)], axis=1)
-    config = SequenceConfig()
-    assert codec.with_derived_epsilon(config, plane) == config
+    assert graph.spacing_epsilon_sq(plane) == 2.0
+    assert graph.derived_epsilon_sq(plane) == graph.EPSILON_SQ_FLOOR == 50.0
 
 
-def test_stream_below_the_spacing_still_decodes(monkeypatch):
-    """The decoder takes epsilon_sq from the header and derives nothing:
-    a stream coded at the floor of 50 on sparse content, as every stream
-    was before the radius was derived, decodes to the encoder's mirror
-    hashes and reconstruction."""
+def test_both_sides_derive_the_radius(monkeypatch):
+    """The stream carries no radius: a decoder whose spacing rule differs
+    from the encoder's builds other graphs, and frame 0's reconstruction
+    checksum catches it.  The rule runs only once frame 0's geometry
+    hash has matched."""
     frames = _sparse_frames()
-    monkeypatch.setattr(graph, "spacing_epsilon_sq", lambda coords: 0.0)
-    result = encode_sequence(frames, _cfg(grid_dim=256))
-    assert bitstream.read_bitstream(result.data)[0].epsilon_sq == 50.0
+    data = encode_sequence(frames, _cfg(grid_dim=256)).data
 
     def derive(coords):
-        raise AssertionError("the decoder derived epsilon_sq")
+        raise AssertionError("derived before the geometry check")
 
     monkeypatch.setattr(graph, "spacing_epsilon_sq", derive)
-    decoded = decode_sequence(result.data, frames)
-    assert ([s.mirror_hash for s in decoded.stats]
-            == [s.mirror_hash for s in result.stats])
-    for enc, dec in zip(result.recon, decoded.recon):
-        assert np.array_equal(enc.attributes, dec.attributes)
+    other = synthetic_sequence("rigid-motion", 2, point_count=900, seed=6)
+    with pytest.raises(BitstreamError, match="geometry mismatch in frame 0"):
+        decode_sequence(data, other)
+    monkeypatch.setattr(graph, "spacing_epsilon_sq", lambda coords: 0.0)
+    with pytest.raises(BitstreamError,
+                       match="reconstruction checksum mismatch in frame 0"):
+        decode_sequence(data, frames)
 
 
 def _rd_curve(frames, qs):

@@ -200,6 +200,14 @@ def test_spacing_of_a_dense_plane():
     assert spacing_epsilon_sq(coords) == 2.0
 
 
+def test_spacing_at_the_largest_grid():
+    """At grid 2^31 - 1, the largest the header holds, squared
+    differences reach 3 * (2^31 - 2)^2 > 2^63 and must not wrap."""
+    top = 2**31 - 2
+    coords = np.array([[0, 0, 0], [top] * 3, [0, top, 0]], dtype=np.int32)
+    assert spacing_epsilon_sq(coords) == float(3 * top**2)
+
+
 def test_combinatorial_laplacian_two_nodes():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     normals = np.array([[0, 0, 1.0]] * 2)

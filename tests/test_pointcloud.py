@@ -161,7 +161,7 @@ def test_non_finite_positions_rejected(bad, rows):
 
 
 @pytest.mark.parametrize("field", [
-    "grid_dim", "target_cluster_size", "epsilon_sq", "gop_size", "qstep"])
+    "grid_dim", "target_cluster_size", "gop_size", "qstep"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0, -1])
 def test_config_requires_finite_positive_fields(field, value):
     with pytest.raises(ValueError, match=f"{field}=.* finite and positive"):
@@ -178,7 +178,7 @@ def test_config_requires_finite_positive_fields(field, value):
     pytest.param("qstep", 10**400,
                  "does not fit the stream header's float64 field",
                  id="huge-int-in-float-slot"),
-    pytest.param("epsilon_sq", -10**400, "finite and positive",
+    pytest.param("qstep", -10**400, "finite and positive",
                  id="huge-negative-int"),
     pytest.param("grid_dim", 2**31,
                  "does not fit the stream header's int32 field", id="int32-max+1"),
@@ -218,7 +218,7 @@ def test_config_rejects_wrong_types_by_name(field, value, message):
     ("grid_dim", 2**31 - 1), ("target_cluster_size", MAX_CLUSTER_SIZE),
     ("gop_size", 65535), ("qstep", 1e308), ("qstep", sys.float_info.max),
     ("grid_dim", np.int64(7)), ("qstep", np.uint64(2**64 - 1)),
-    ("qstep", np.float32(8)), ("epsilon_sq", np.float32(3e38))])
+    ("qstep", np.float32(8)), ("qstep", np.float32(3e38))])
 def test_config_accepts_what_its_header_slot_holds(field, value):
     config = SequenceConfig(**{field: value})
     assert config.validate() is config

@@ -31,7 +31,7 @@ def _defaults_by_flag():
 
 def test_readme_flags_exist():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
-    assert "--epsilon2" in documented
+    assert "--cluster-size" in documented
     unknown = documented - set(_defaults_by_flag())
     assert not unknown, f"README documents flags no subcommand accepts: {unknown}"
 
