@@ -26,14 +26,18 @@ too; the normal neighbourhood (`graph.NORMAL_K`), edge kernel
 (`graph.SIGMA_SQ`), radius floor (`graph.EPSILON_SQ_FLOOR`) and motion
 search region (`BOX_EXPAND`) they use are constants, not coded
 parameters.
-Both directions share one per-cluster path: `_plans` derives each
-cluster's basis and reference in cluster order, at most `threads`
-clusters ahead of the one being coded, and a plan is dropped once its
-cluster is coded, so at most two dense bases are alive at once
-(`threads` + 2 with a worker pool).
+Both directions run one frame walker, `_walk`, and differ in three
+pieces only: the decoder's `check_frame` hook (geometry hash, then
+cluster count, before k-means), the per-cluster step (trial coding and
+mode decision, or `decode_block`) and which P clusters get a reference
+(all of them, or the coded flags).  `_plans` derives each cluster's
+basis and reference in cluster order, at most `threads` clusters ahead
+of the one being coded, and a plan is dropped once its cluster is coded,
+so at most two dense bases are alive at once (`threads` + 2 with a
+worker pool).
 `_reconstruct` is the only reconstruction arithmetic and inverse
-transform; both paths call it once per cluster, on the kept mode.
-Both paths fold their derived state into a per-frame mirror hash;
+transform; the walker calls it once per cluster, on the kept mode.
+Both directions fold their derived state into a per-frame mirror hash;
 equality of those hashes is the bit-exactness check.  It covers the
 labels and each cluster's mode, eigenvalues, reference indices,
 predictor coefficients and reconstruction exactly, and the basis U
@@ -71,7 +75,9 @@ BOX_EXPAND = 3.0  # growth of a cluster's box into the motion search region
 class ReconstructedFrame:
     """Voxel geometry of the input frame plus decoded attributes."""
 
-    frame: VoxelizedFrame       # original geometry (and original attributes)
+    # Voxel geometry and input colours; when decoding, the colours of
+    # the supplied geometry files, which no decoded value depends on.
+    frame: VoxelizedFrame
     attributes: np.ndarray      # (v, 3) decoded, mid-level centered
 
 
@@ -161,12 +167,6 @@ def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
     return _ClusterPlan(members=members, basis=basis, ref_index=ref_index)
 
 
-def _check_threads(threads):
-    if (isinstance(threads, bool) or not isinstance(threads, numbers.Integral)
-            or threads < 1):
-        raise ValueError(f"threads={threads!r} must be an integer >= 1")
-
-
 def _plans(frame, partition, epsilon_sq, prev_coords, need_inter,
            threads: int):
     """Yield every cluster's plan in cluster order, lazily, so the caller
@@ -242,11 +242,6 @@ class _MirrorHash:
         return self._h.hexdigest()
 
 
-def _decoded_points(raw: RawPointCloud, rec: ReconstructedFrame) -> np.ndarray:
-    """The reconstruction spread back onto the frame's points (YUV)."""
-    return devoxelize(rec.attributes, rec.frame.point_map, raw.point_count)
-
-
 def _frame_stats(t: int, is_p: bool, record: FrameRecord,
                  raw: RawPointCloud, decoded: np.ndarray,
                  mirror: _MirrorHash) -> FrameStats:
@@ -261,78 +256,94 @@ def _frame_stats(t: int, is_p: bool, record: FrameRecord,
         mirror_hash=mirror.hexdigest())
 
 
-def _check_frames_have_points(raw_frames):
+def _walk(raw_frames, config: SequenceConfig, threads: int, code_cluster,
+          check_frame=None, inter_flags=None):
+    """Yield (record, stats, ReconstructedFrame, decoded points) per frame.
+
+    `check_frame(t, frame, geometry_hash)` runs before frame t is
+    clustered.  A P-frame t's clusters get a reference where
+    `inter_flags[t]` is set, or all of them.  `code_cluster(t, cid,
+    frame, plan, candidate, contexts)` returns (indices, prediction,
+    payload, contexts): `candidate` is predicted from the cluster's
+    reference (None without one), `prediction` is None for intra."""
+    if (isinstance(threads, bool) or not isinstance(threads, numbers.Integral)
+            or threads < 1):
+        raise ValueError(f"threads={threads!r} must be an integer >= 1")
+    if not raw_frames:
+        raise ValueError("need at least one frame")
     for t, raw in enumerate(raw_frames):
         if raw.point_count < 1:
             raise ValueError(f"frame {t} has no points")
-
-
-def encode_sequence(raw_frames, config: SequenceConfig,
-                    threads: int = 1) -> EncodeResult:
-    """Encode an ordered list of RawPointCloud frames."""
-    _check_threads(threads)
-    if not raw_frames:
-        raise ValueError("need at least one frame")
-    _check_frames_have_points(raw_frames)
-    config.validate()
-    lam = lambda_from_q(config.qstep)
     w = temporal_precision(config.qstep)
     box = sequence_bounding_box(raw_frames[0])
 
-    records = []
-    stats = []
-    recon_frames = []
     prev: ReconstructedFrame = None
     for t, raw in enumerate(raw_frames):
         frame = voxelize(raw, config.grid_dim, box)
+        geo_hash = geometry_hash(frame.voxel_coords)
+        if check_frame is not None:
+            check_frame(t, frame, geo_hash)
         if t == 0:
             epsilon_sq = graph.derived_epsilon_sq(frame.voxel_coords)
         partition = kmeans_geometry(frame, config.target_cluster_size)
         is_p = config.is_p_frame(t)
         prev_coords = prev.frame.voxel_coords if is_p else None
+        need_inter = (inter_flags[t] if is_p and inter_flags is not None
+                      else np.full(partition.k, is_p))
 
         contexts = ContextSet()
         mirror = _MirrorHash(partition.labels)
         recon_attrs = np.zeros_like(frame.attributes)
-        clusters = []
         flags = np.zeros(partition.k, dtype=bool)
+        payloads = []
         for cid, plan in enumerate(_plans(frame, partition, epsilon_sq,
-                                          prev_coords,
-                                          np.full(partition.k, is_p), threads)):
-            coeffs = gft_forward(frame.attributes[plan.members], plan.basis)
-            prediction = None
-            # A lone trial is always kept, so it adapts the frame's
-            # contexts in place; of two, the first codes on a copy.
-            two_trials = plan.ref_index is not None
-            kept = _trial(coeffs, None, config.qstep,
-                          contexts.copy() if two_trials else contexts)
-            if two_trials:
+                                          prev_coords, need_inter, threads)):
+            candidate = None
+            if plan.ref_index is not None:
                 candidate = inter_predict(plan.basis,
                                           prev.attributes[plan.ref_index], w)
-                inter = _trial(coeffs, candidate, config.qstep, contexts)
-                if choose_mode(kept[3], inter[3], lam) == INTER:
-                    prediction, kept = candidate, inter
-            indices, payload, contexts, _ = kept
+            indices, prediction, payload, contexts = code_cluster(
+                t, cid, frame, plan, candidate, contexts)
             flags[cid] = prediction is not None
             recon = _reconstruct(plan, indices, config.qstep, prediction)
             recon_attrs[plan.members] = recon
-            clusters.append(payload)
+            payloads.append(payload)
             mirror.add_cluster(plan, prediction, recon)
 
         record = FrameRecord(
-            geometry_hash=geometry_hash(frame.voxel_coords),
-            recon_checksum=recon_checksum(recon_attrs),
+            geometry_hash=geo_hash, recon_checksum=recon_checksum(recon_attrs),
             inter_flags=flags if is_p else np.zeros(0, dtype=bool),
-            clusters=clusters)
-        records.append(record)
-
+            clusters=payloads)
         prev = ReconstructedFrame(frame=frame, attributes=recon_attrs)
-        recon_frames.append(prev)
-        stats.append(_frame_stats(t, is_p, record, raw,
-                                  _decoded_points(raw, prev), mirror))
+        points = devoxelize(recon_attrs, frame.point_map, raw.point_count)
+        yield (record, _frame_stats(t, is_p, record, raw, points, mirror),
+               prev, points)
 
-    data = bitstream.write_bitstream(config, records)
-    return EncodeResult(data=data, stats=stats, recon=recon_frames)
+
+def encode_sequence(raw_frames, config: SequenceConfig,
+                    threads: int = 1) -> EncodeResult:
+    """Encode an ordered list of RawPointCloud frames."""
+    config.validate()
+    lam = lambda_from_q(config.qstep)
+
+    def encode_cluster(t, cid, frame, plan, candidate, contexts):
+        coeffs = gft_forward(frame.attributes[plan.members], plan.basis)
+        # A lone trial is always kept, so it adapts the frame's contexts
+        # in place; of two, the first codes on a copy.
+        kept = _trial(coeffs, None, config.qstep,
+                      contexts if candidate is None else contexts.copy())
+        prediction = None
+        if candidate is not None:
+            inter = _trial(coeffs, candidate, config.qstep, contexts)
+            if choose_mode(kept[3], inter[3], lam) == INTER:
+                prediction, kept = candidate, inter
+        indices, payload, contexts, _ = kept
+        return indices, prediction, payload, contexts
+
+    records, stats, recon, _ = zip(*_walk(raw_frames, config, threads,
+                                          encode_cluster))
+    return EncodeResult(data=bitstream.write_bitstream(config, records),
+                        stats=list(stats), recon=list(recon))
 
 
 def decode_sequence(data: bytes, geometry_frames,
@@ -344,7 +355,6 @@ def decode_sequence(data: bytes, geometry_frames,
     cluster size gives for the frame's voxels (`cluster_count`), so a
     corrupted header never sizes k-means.  The graph radius is derived
     from frame 0 after both checks pass."""
-    _check_threads(threads)
     config, records = bitstream.read_bitstream(data)
     if not records:
         raise BitstreamError("stream holds no frames")
@@ -352,61 +362,39 @@ def decode_sequence(data: bytes, geometry_frames,
         raise BitstreamError(
             f"stream has {len(records)} frames but "
             f"{len(geometry_frames)} geometry frames were supplied")
-    _check_frames_have_points(geometry_frames)
-    w = temporal_precision(config.qstep)
-    box = sequence_bounding_box(geometry_frames[0])
 
-    recon_frames = []
-    point_attrs = []
-    stats = []
-    prev: ReconstructedFrame = None
-    for t, (raw, record) in enumerate(zip(geometry_frames, records)):
-        frame = voxelize(raw, config.grid_dim, box)
-        if geometry_hash(frame.voxel_coords) != record.geometry_hash:
+    def check_frame(t, frame, geo_hash):
+        if geo_hash != records[t].geometry_hash:
             raise BitstreamError(f"reference geometry mismatch in frame {t}")
         k = cluster_count(frame.voxel_count, config.target_cluster_size)
-        if k != record.cluster_count:
+        if k != records[t].cluster_count:
             raise BitstreamError(
                 f"cluster count mismatch in frame {t}: stream has "
-                f"{record.cluster_count}, geometry gives {k}")
-        if t == 0:
-            epsilon_sq = graph.derived_epsilon_sq(frame.voxel_coords)
-        is_p = config.is_p_frame(t)
-        partition = kmeans_geometry(frame, config.target_cluster_size)
-        prev_coords = prev.frame.voxel_coords if is_p else None
-        flags = record.inter_flags if is_p else np.zeros(partition.k, dtype=bool)
+                f"{records[t].cluster_count}, geometry gives {k}")
 
-        contexts = ContextSet()
-        mirror = _MirrorHash(partition.labels)
-        recon_attrs = np.zeros_like(frame.attributes)
-        for cid, plan in enumerate(_plans(frame, partition, epsilon_sq,
-                                          prev_coords, flags, threads)):
-            n = plan.members.shape[0]
-            try:
-                indices = decode_block(record.clusters[cid], CHANNELS * n,
-                                       contexts).reshape(n, CHANNELS)
-            except EndOfStreamError as exc:
-                raise BitstreamError(f"frame {t} cluster {cid}: {exc}") from exc
-            prediction = None
-            if flags[cid]:
-                if plan.ref_index is None:
-                    raise BitstreamError(
-                        f"frame {t} cluster {cid} is inter-coded but has no "
-                        "reference candidates")
-                prediction = inter_predict(plan.basis,
-                                           prev.attributes[plan.ref_index], w)
-            recon = _reconstruct(plan, indices, config.qstep, prediction)
-            recon_attrs[plan.members] = recon
-            mirror.add_cluster(plan, prediction, recon)
+    def decode_cluster(t, cid, frame, plan, candidate, contexts):
+        n = plan.members.shape[0]
+        payload = records[t].clusters[cid]
+        try:
+            indices = decode_block(payload, CHANNELS * n,
+                                   contexts).reshape(n, CHANNELS)
+        except EndOfStreamError as exc:
+            raise BitstreamError(f"frame {t} cluster {cid}: {exc}") from exc
+        if (candidate is None and config.is_p_frame(t)
+                and records[t].inter_flags[cid]):
+            raise BitstreamError(
+                f"frame {t} cluster {cid} is inter-coded but has no "
+                "reference candidates")
+        return indices, candidate, payload, contexts
 
-        if recon_checksum(recon_attrs) != record.recon_checksum:
+    recon_frames, point_attrs, stats = [], [], []
+    for t, (record, frame_stats, rec, points) in enumerate(_walk(
+            geometry_frames, config, threads, decode_cluster, check_frame,
+            [r.inter_flags for r in records])):
+        if record.recon_checksum != records[t].recon_checksum:
             raise BitstreamError(f"reconstruction checksum mismatch in frame {t}")
-
-        prev = ReconstructedFrame(frame=frame, attributes=recon_attrs)
-        recon_frames.append(prev)
-        point_attrs.append(_decoded_points(raw, prev))
-        stats.append(_frame_stats(t, is_p, record, raw, point_attrs[-1],
-                                  mirror))
-
+        recon_frames.append(rec)
+        point_attrs.append(points)
+        stats.append(frame_stats)
     return DecodeResult(recon=recon_frames, point_attributes=point_attrs,
                         stats=stats)

@@ -293,13 +293,14 @@ def test_single_frame_is_intra_only():
     assert result.stats[0].inter_clusters == 0
 
 
-def test_roundtrip_bit_exact_and_mirror():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_roundtrip_bit_exact_and_mirror(threads):
+    """The decoder's stats equal the encoder's in every field: bits,
+    mode counts, PSNR-Y/U/V and the mirror hash."""
     frames = synthetic_sequence("wave", 3, point_count=1000, seed=1)
-    result = encode_sequence(frames, _cfg())
-    decoded = decode_sequence(result.data, frames)
-    for enc, dec in zip(result.stats, decoded.stats):
-        assert enc.mirror_hash == dec.mirror_hash
-        assert enc.psnr_y == dec.psnr_y
+    result = encode_sequence(frames, _cfg(), threads=threads)
+    decoded = decode_sequence(result.data, frames, threads=threads)
+    assert decoded.stats == result.stats
     for enc, dec in zip(result.recon, decoded.recon):
         assert np.array_equal(enc.attributes, dec.attributes)
 
@@ -425,8 +426,8 @@ def test_inter_flag_without_reference_closes_pool(monkeypatch):
     assert result.stats[1].inter_clusters > 0
     real = codec._analyze_cluster
 
-    def no_reference(frame, members, config, prev_coords, need_inter):
-        plan = real(frame, members, config, prev_coords, need_inter)
+    def no_reference(frame, members, epsilon_sq, prev_coords, need_inter):
+        plan = real(frame, members, epsilon_sq, prev_coords, need_inter)
         return codec._ClusterPlan(members=plan.members, basis=plan.basis)
 
     monkeypatch.setattr(codec, "_analyze_cluster", no_reference)
