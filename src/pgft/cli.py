@@ -2,7 +2,7 @@
 
 Subcommands: synth, encode, decode, rd-sweep, validate-gmrf.
 `synth` writes PLY frames, and the other four read them.
-`rd-sweep` also fits the lambda-Q model to the curve it writes.
+`rd-sweep` also fits the lambda-Q model to the curve rows it writes.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import glob
+import json
 import os
 import sys
 
@@ -84,14 +85,11 @@ def _read_frames(paths, parser):
     return [_read_ply(p) for p in _resolve_ply_paths(paths, parser)]
 
 
-def _write_stats(path, stats):
+def _write_records(path, rows):
+    """One JSON object per row and line; json.loads reads every float
+    back exactly (an infinite PSNR is written as Infinity)."""
     with open(path, "w") as fh:
-        fh.write("frame\ttype\tbits\tpsnr_y\tpsnr_u\tpsnr_v\t"
-                 "intra_clusters\tinter_clusters\n")
-        for s in stats:
-            fh.write(f"{s.index}\t{s.frame_type}\t{s.bits}\t{s.psnr_y:.4f}\t"
-                     f"{s.psnr_u:.4f}\t{s.psnr_v:.4f}\t{s.intra_clusters}\t"
-                     f"{s.inter_clusters}\n")
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
 
 
 def _print_stats(stats):
@@ -116,7 +114,8 @@ def _cmd_encode(args, parser):
     result = codec.encode_sequence(frames, config, threads=args.threads)
     with open(args.output, "wb") as fh:
         fh.write(result.data)
-    _write_stats(args.output + ".stats.tsv", result.stats)
+    _write_records(args.output + ".stats.jsonl",
+                   map(dataclasses.asdict, result.stats))
     _print_stats(result.stats)
     total_points = sum(f.point_count for f in frames)
     rate = metrics.bpip(result.total_bits, total_points)
@@ -136,7 +135,8 @@ def _cmd_decode(args, parser):
         rgb = np.clip(np.round(yuv_to_rgb(yuv)), 0, 255).astype(np.uint8)
         write_ply(os.path.join(args.output, f"decoded_{t:04d}.ply"),
                   raw.positions, rgb)
-    _write_stats(os.path.join(args.output, "decode.stats.tsv"), result.stats)
+    _write_records(os.path.join(args.output, "decode.stats.jsonl"),
+                   map(dataclasses.asdict, result.stats))
     _print_stats(result.stats)
     print(f"decoded {len(frames)} frames into {args.output}")
     return 0
@@ -163,22 +163,20 @@ def _cmd_rd_sweep(args, parser):
         result = codec.encode_sequence(frames, config, threads=args.threads)
         rate = metrics.bpip(result.total_bits, total_points)
         mean = lambda key: float(np.mean([getattr(s, key) for s in result.stats]))
-        rows.append((q, rate, mean("psnr_y"), mean("psnr_u"), mean("psnr_v")))
-        print(f"q={q:g}: {rate:.4f} bpip, PSNR-Y {rows[-1][2]:.2f} dB")
+        rows.append({"q": q, "bpip": rate, "psnr_y": mean("psnr_y"),
+                     "psnr_u": mean("psnr_u"), "psnr_v": mean("psnr_v")})
+        print(f"q={q:g}: {rate:.4f} bpip, PSNR-Y {rows[-1]['psnr_y']:.2f} dB")
 
-    rates = [r[1] for r in rows]
+    rates = [row["bpip"] for row in rows]
     if any(rates[i] <= rates[i + 1] for i in range(len(rates) - 1)):
         print("warning: rate is not strictly decreasing over the q ladder",
               file=sys.stderr)
-    lines = ["\t".join(f"{v:.6g}" for v in row) for row in rows]
-    with open(args.output, "w") as fh:
-        fh.write("q\tbpip\tpsnr_y\tpsnr_u\tpsnr_v\n")
-        fh.writelines(line + "\n" for line in lines)
+    _write_records(args.output, rows)
     print(f"rd curve written to {args.output}")
-    try:  # fit the rows as written, so the curve file reproduces the fit
+    try:
         alpha, beta = rdo.fit_lambda_model(
-            (q, rate, rdo.distortion_from_psnr(*psnrs))
-            for q, rate, *psnrs in (map(float, line.split()) for line in lines))
+            (row["q"], row["bpip"], rdo.distortion_from_psnr(
+                row["psnr_y"], row["psnr_u"], row["psnr_v"])) for row in rows)
     except ValueError as exc:
         print(f"warning: no lambda-Q fit: {exc}", file=sys.stderr)
     else:

@@ -340,8 +340,9 @@ def encode_sequence(raw_frames, config: SequenceConfig,
         indices, payload, contexts, _ = kept
         return indices, prediction, payload, contexts
 
-    records, stats, recon, _ = zip(*_walk(raw_frames, config, threads,
-                                          encode_cluster))
+    # drop each frame's decoded points as it is yielded, not at the end
+    records, stats, recon = zip(*(frame[:3] for frame in _walk(
+        raw_frames, config, threads, encode_cluster)))
     return EncodeResult(data=bitstream.write_bitstream(config, records),
                         stats=list(stats), recon=list(recon))
 

@@ -10,9 +10,9 @@ of frame 0's voxels, which encoder and decoder each compute, is the
 larger of EPSILON_SQ_FLOOR and `spacing_epsilon_sq`, the median squared
 distance from a voxel to its SPACING_K-th nearest other voxel.  The
 stream does not carry it.  Laplacians are dense
-(n, n) arrays: L = D - W and L + I, whose unit diagonal potential
-stands in for the unit-weight temporal edges to the corresponded
-reference points.
+(n, n) arrays: the codec's L = D - W, and `generalized_laplacian`'s
+L + I, the w = 1 model that the GMRF study (`validate-gmrf`, acceptance
+criterion 09, demo 06) compares against.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import hashlib
+import json
+import math
 import os
 
 import numpy as np
@@ -13,11 +15,9 @@ from pgft.pointcloud import SequenceConfig, read_ply
 from pgft.synth import synthetic_sequence, write_synthetic_sequence
 
 
-def _read_tsv(path):
+def _read_jsonl(path):
     with open(path) as fh:
-        header = fh.readline().strip().split("\t")
-        rows = [line.strip().split("\t") for line in fh if line.strip()]
-    return header, rows
+        return [json.loads(line) for line in fh]
 
 
 def test_encode_synthetic_smoke(tmp_path, capsys):
@@ -29,8 +29,8 @@ def test_encode_synthetic_smoke(tmp_path, capsys):
                "--output", str(out)])
     assert rc == 0
     assert out.exists()
-    _, rows = _read_tsv(str(out) + ".stats.tsv")
-    assert len(rows) == 2
+    assert len(_read_jsonl(str(out) + ".stats.jsonl")) == 2
+    assert not os.path.exists(str(out) + ".stats.tsv")
 
 
 def test_encode_ignores_threads_environment(tmp_path, monkeypatch):
@@ -95,7 +95,9 @@ def test_encode_q_too_small_for_coder_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_encode_decode_psnr_matches(tmp_path):
+def test_encode_decode_stats_records_match(tmp_path):
+    """Both sides write every FrameStats field, mirror hash included, as
+    one JSON object per frame, equal to the library's stats exactly."""
     frames_dir = tmp_path / "frames"
     paths = write_synthetic_sequence(frames_dir, "wave", 2, 800, seed=0)
     out = tmp_path / "seq.bin"
@@ -106,11 +108,24 @@ def test_encode_decode_psnr_matches(tmp_path):
     rc = main(["decode", "--bitstream", str(out), "--geometry", str(frames_dir),
                "--output", str(dec_dir)])
     assert rc == 0
-    assert sorted(os.listdir(dec_dir))[:2] == ["decode.stats.tsv", "decoded_0000.ply"]
-    _, enc_rows = _read_tsv(str(out) + ".stats.tsv")
-    _, dec_rows = _read_tsv(dec_dir / "decode.stats.tsv")
-    for e, d in zip(enc_rows, dec_rows):
-        assert e[3] == d[3]  # psnr_y column identical
+    assert sorted(os.listdir(dec_dir))[:2] == ["decode.stats.jsonl",
+                                               "decoded_0000.ply"]
+    enc_rows = _read_jsonl(str(out) + ".stats.jsonl")
+    dec_rows = _read_jsonl(dec_dir / "decode.stats.jsonl")
+    result = encode_sequence([read_ply(p) for p in paths],
+                             SequenceConfig(qstep=8.0, grid_dim=64))
+    assert enc_rows == dec_rows == [dataclasses.asdict(s)
+                                    for s in result.stats]
+    assert all(row["mirror_hash"] for row in enc_rows)
+
+
+def test_records_read_back_exactly(tmp_path):
+    """json.loads reads back every value _write_records writes, an
+    infinite PSNR (an exactly reconstructed frame) included."""
+    rows = [{"psnr_y": math.inf, "bpip": 1 / 3}, {"q": 0.1, "bits": 2 ** 60}]
+    cli._write_records(tmp_path / "rows.jsonl", rows)
+    assert "Infinity" in (tmp_path / "rows.jsonl").read_text()
+    assert _read_jsonl(tmp_path / "rows.jsonl") == rows
 
 
 def test_decode_wrong_geometry_fails_cleanly(tmp_path, capsys):
@@ -144,21 +159,32 @@ def test_decode_truncated_stream_fails_cleanly(tmp_path, capsys):
     assert not dec_dir.exists()
 
 
-def test_rd_sweep(tmp_path, capsys):
-    """The printed fit is `fit_lambda_model` on the curve file's rows."""
-    curve = tmp_path / "curve.tsv"
+def test_rd_sweep(tmp_path, capsys, monkeypatch):
+    """The printed fit is `fit_lambda_model` on the curve file's rows as
+    json.loads reads them, which are the rows it was fitted to, unrounded."""
+    fitted = []
+    real_fit = rdo.fit_lambda_model
+
+    def spy(points):
+        fitted.extend(points)
+        return real_fit(fitted)
+
+    monkeypatch.setattr(cli.rdo, "fit_lambda_model", spy)
+    curve = tmp_path / "curve.jsonl"
     write_synthetic_sequence(tmp_path / "frames", "wave", 2, 800, seed=0)
     rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
                "--grid-dim", "64", "--q-list", "2,4,8,16,32",
                "--output", str(curve)])
     assert rc == 0
-    _, rows = _read_tsv(curve)
-    assert len(rows) == 5
-    bpips = [float(r[1]) for r in rows]
+    rows = _read_jsonl(curve)
+    assert [list(r) for r in rows] == [["q", "bpip", "psnr_y", "psnr_u",
+                                        "psnr_v"]] * 5
+    bpips = [r["bpip"] for r in rows]
     assert all(b < a for a, b in zip(bpips, bpips[1:]))
-    alpha, beta = rdo.fit_lambda_model(
-        (float(q), float(rate), rdo.distortion_from_psnr(*map(float, psnrs)))
-        for q, rate, *psnrs in rows)
+    points = [(r["q"], r["bpip"], rdo.distortion_from_psnr(
+        r["psnr_y"], r["psnr_u"], r["psnr_v"])) for r in rows]
+    assert fitted == points
+    alpha, beta = real_fit(points)
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == [f"alpha = {alpha:.6g}", f"beta = {beta:.6g}"]
 
@@ -180,13 +206,13 @@ def test_rd_sweep_encodes_each_q_once_and_never_decodes(tmp_path,
     write_synthetic_sequence(tmp_path / "frames", "static", 1, 500, seed=0)
     rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
                "--grid-dim", "64", "--q-list", "8,4,8",
-               "--output", str(tmp_path / "curve.tsv")])
+               "--output", str(tmp_path / "curve.jsonl")])
     assert rc == 0
     assert encoded == [4.0, 8.0]
 
 
 def test_rd_sweep_single_q(tmp_path, capsys):
-    curve = tmp_path / "curve.tsv"
+    curve = tmp_path / "curve.jsonl"
     write_synthetic_sequence(tmp_path / "frames", "static", 1, 500, seed=0)
     rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
                "--grid-dim", "64", "--q-list", "8", "--output", str(curve)])
@@ -194,26 +220,24 @@ def test_rd_sweep_single_q(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "warning: no lambda-Q fit: need >= 3 points" in err
     assert "alpha" not in out
-    _, rows = _read_tsv(curve)
-    assert len(rows) == 1
+    assert len(_read_jsonl(curve)) == 1
 
 
 def test_fit_lambda_subcommand_is_gone(tmp_path):
     """rd-sweep prints the fit; there is no second command for it."""
     with pytest.raises(SystemExit) as info:
-        main(["fit-lambda", "--curve", str(tmp_path / "curve.tsv")])
+        main(["fit-lambda", "--curve", str(tmp_path / "curve.jsonl")])
     assert info.value.code == 2
 
 
 def test_rd_sweep_duplicate_q_warns(tmp_path, capsys):
-    curve = tmp_path / "curve.tsv"
+    curve = tmp_path / "curve.jsonl"
     write_synthetic_sequence(tmp_path / "frames", "static", 1, 500, seed=0)
     rc = main(["rd-sweep", "--input", str(tmp_path / "frames"),
                "--grid-dim", "64", "--q-list", "8,8", "--output", str(curve)])
     assert rc == 0
     assert "duplicate" in capsys.readouterr().err
-    _, rows = _read_tsv(curve)
-    assert len(rows) == 1
+    assert len(_read_jsonl(curve)) == 1
 
 
 def test_validate_gmrf_dataset_mode(tmp_path, capsys):

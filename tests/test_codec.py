@@ -180,6 +180,32 @@ def test_worker_pool_keeps_few_bases_alive(monkeypatch):
     assert max(peak) <= threads + 2
 
 
+def test_encoder_drops_decoded_points_before_writing(monkeypatch):
+    """The encoder keeps each frame's record, stats and reconstruction
+    until the stream is written, but not its decoded points (24 B per
+    input point): when write_bitstream runs, at most one is alive."""
+    frames = synthetic_sequence("rigid-motion", 3, point_count=600, seed=0)
+    points = []  # weakrefs to devoxelize's outputs
+    alive = []
+    original = codec.devoxelize
+    real_writer = bitstream.write_bitstream
+
+    def tracking(*args):
+        decoded = original(*args)
+        points.append(weakref.ref(decoded))
+        return decoded
+
+    def writer(*args):
+        alive.append(sum(ref() is not None for ref in points))
+        return real_writer(*args)
+
+    monkeypatch.setattr(codec, "devoxelize", tracking)
+    monkeypatch.setattr(bitstream, "write_bitstream", writer)
+    encode_sequence(frames, _cfg())
+    assert len(points) == 3
+    assert len(alive) == 1 and alive[0] <= 1
+
+
 @pytest.mark.parametrize("field, value", [
     ("gop_size", 70_000), ("gop_size", 8.5),
     ("target_cluster_size", 1 << 32), ("grid_dim", 1 << 32)])
