@@ -1,16 +1,17 @@
 """Bit-exact serialized representation of a coded sequence.
 
 Geometry travels out of band (the original PLY files); the stream holds
-only the header, per-frame geometry/reconstruction hashes, per-cluster
-mode flags (P-frames) and one arithmetic-coded payload per cluster (Y, U
-and V by coefficient; one context set per frame, whose prefix and
-top-suffix contexts each coefficient's rank bucket selects).  The header is magic,
-version, every `SequenceConfig` field (grid_dim, target_cluster_size,
-gop_size, qstep) in field order, each packed with the struct
-code its "header" metadata names, then the frame count.  A frame record
-holds no type: frame t is a P-frame iff `SequenceConfig.is_p_frame(t)`,
-and only a P-frame carries mode flags, one per cluster.  All fixed-width
-fields are little-endian; payload lengths use LEB128.
+only the header, per-frame geometry hashes and reconstruction
+projections, per-cluster mode flags (P-frames) and one arithmetic-coded
+payload per cluster (Y, U and V by coefficient; one context set per
+frame, whose prefix and top-suffix contexts each coefficient's rank
+bucket selects).  The header is magic, version, every `SequenceConfig`
+field (grid_dim, target_cluster_size, gop_size, qstep) in field order,
+each packed with the struct code its "header" metadata names, then the
+frame count.  A frame record holds no type: frame t is a P-frame iff
+`SequenceConfig.is_p_frame(t)`, and only a P-frame carries mode flags,
+one per cluster.  All fixed-width fields are little-endian; payload
+lengths use LEB128.
 """
 
 from __future__ import annotations
@@ -23,26 +24,17 @@ import numpy as np
 from .pointcloud import SequenceConfig
 
 MAGIC = b"PGFT"
-# 2: inter clusters reconstruct through the spectral predictor and the
-# residual basis of L (not L + I); a version 1 stream would not decode.
-# 3: the header drops sigma_sq, normal_k and box_expand (now constants)
-# and frame records drop the frame-type byte (the GOP decides it).
-# 4: inter reconstruction is U (deq + g * U^T x_ref); P-frame checksums change.
-# 5: one payload per cluster, not one per channel; one context set per frame.
-# 6: prefix contexts are chosen by the coefficient's rank bucket.
-# 7: the predictor's gain is w / (w + lambda) with w = temporal_precision(qstep).
-# 8: each nonzero magnitude's top suffix bit is coded on an adaptive context
-# (per rank bucket and prefix length); indices and reconstructions are as in 7.
-# 9: the header drops epsilon_sq (8 B); both sides derive the graph radius
-# from frame 0's voxels, so payloads and reconstructions are as in 8.
-VERSION = 9
+# Version 10: a frame record holds two float32 projections of its
+# reconstruction, which a decoder matches within a drift tolerance
+# (`codec.RECON_DRIFT`), so it decodes under any BLAS setting or CPU.
+VERSION = 10
 
 # (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])
                        for f in fields(SequenceConfig))
 _HEADER = struct.Struct("<4sB" + "".join(code for _, code in _HEADER_FIELDS)
                         + "I")
-_FRAME_FIXED = struct.Struct("<IQQ")
+_FRAME_FIXED = struct.Struct("<IQ2f")
 
 
 class BitstreamError(Exception):
@@ -52,7 +44,7 @@ class BitstreamError(Exception):
 @dataclass
 class FrameRecord:
     geometry_hash: int
-    recon_checksum: int
+    recon_projections: tuple     # two floats, stored as float32
     inter_flags: np.ndarray      # (k,) bool; empty for I-frames
     clusters: list = field(default_factory=list)  # one payload (bytes) each
 
@@ -92,7 +84,7 @@ def frame_record_bytes(frame: FrameRecord) -> bytes:
     """Serialize one frame record (also the unit of per-frame rate stats)."""
     out = bytearray()
     out += _FRAME_FIXED.pack(frame.cluster_count, frame.geometry_hash,
-                             frame.recon_checksum)
+                             *frame.recon_projections)
     out += np.packbits(np.asarray(frame.inter_flags, dtype=bool)).tobytes()
     for payload in frame.clusters:
         _write_varint(out, len(payload))
@@ -139,7 +131,7 @@ def read_bitstream(data: bytes):
     for t in range(frame_count):
         if pos + _FRAME_FIXED.size > len(data):
             raise BitstreamError("truncated stream (frame record)")
-        k, geo_hash, recon_sum = _FRAME_FIXED.unpack_from(data, pos)
+        k, geo_hash, *projections = _FRAME_FIXED.unpack_from(data, pos)
         pos += _FRAME_FIXED.size
         if config.is_p_frame(t):
             nbytes = (k + 7) // 8
@@ -158,8 +150,8 @@ def read_bitstream(data: bytes):
             clusters.append(data[pos:pos + length])
             pos += length
         frames.append(FrameRecord(geometry_hash=geo_hash,
-                                  recon_checksum=recon_sum, inter_flags=flags,
-                                  clusters=clusters))
+                                  recon_projections=tuple(projections),
+                                  inter_flags=flags, clusters=clusters))
     if pos != len(data):
         raise BitstreamError("trailing bytes after last frame")
     return config, frames

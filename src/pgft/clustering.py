@@ -3,8 +3,8 @@
 The decoder never receives cluster labels: it reruns the exact same
 K-means on the shared voxel geometry.  Everything here is therefore
 pinned down: farthest-point seeding from the lexicographically
-smallest coordinate, first-index tie-breaks in a canonical point
-order, and a fixed iteration cap.
+smallest coordinate, first-index tie-breaks in `voxelize`'s canonical
+(lexicographic) voxel order, and a fixed iteration cap.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ class ClusterPartition:
     def members(self, cluster_id: int) -> np.ndarray:
         """Indices of the cluster's points, in ascending order."""
         return np.flatnonzero(self.labels == cluster_id)
-
-
-def _lexicographic_order(points: np.ndarray) -> np.ndarray:
-    # np.lexsort keys: last key is primary, so feed columns reversed.
-    return np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
 
 
 def _farthest_point_seeds(points: np.ndarray, k: int) -> np.ndarray:
@@ -66,10 +61,10 @@ def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterP
     Work and memory grow with n * K (the assignment step holds an (n, K)
     distance array), so a decoder checks K against the stream first.
     Lloyd iterations run on 3D voxel coordinates until labels stop
-    changing (or the iteration cap).  The result is independent of the
-    input point order: points are processed in lexicographic coordinate
-    order internally and clusters are relabeled by their
-    lexicographically smallest member.
+    changing (or the iteration cap).  The voxels must be unique and in
+    lexicographic order, the canonical order `voxelize` gives them:
+    seeding and tie-breaks take the first index, and clusters are
+    relabeled by their lexicographically smallest member.
     """
     coords = np.asarray(frame.voxel_coords, dtype=np.float64)
     n = coords.shape[0]
@@ -77,13 +72,10 @@ def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterP
         raise ValueError("empty frame")
     k = cluster_count(n, target_cluster_size)
 
-    order = _lexicographic_order(coords)
-    pts = coords[order]
+    seeds = _farthest_point_seeds(coords, k)
+    centroids = coords[seeds].copy()
 
-    seeds = _farthest_point_seeds(pts, k)
-    centroids = pts[seeds].copy()
-
-    x, y, z = (pts[:, j, None] for j in range(3))
+    x, y, z = (coords[:, j, None] for j in range(3))
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(MAX_LLOYD_ITERATIONS):
         # Assignment; argmin takes the lowest cluster id on ties.  The
@@ -109,11 +101,12 @@ def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterP
         labels = new_labels
         # Coordinates are integers, so these sums are exact in any order
         # and each centroid equals its members' mean bit for bit.
-        centroids = np.stack([np.bincount(labels, weights=pts[:, j], minlength=k)
+        centroids = np.stack([np.bincount(labels, weights=coords[:, j],
+                                          minlength=k)
                               for j in range(3)], axis=1) / sizes[:, None]
 
     # Canonical relabeling: clusters ordered by lexicographically smallest
-    # member (pts is lex-sorted, so that member is the first occurrence).
+    # member (coords are lex-sorted, so that is the first occurrence).
     # The centroids and sizes above belong to the final labels.
     first_member = np.full(k, n, dtype=np.int64)
     np.minimum.at(first_member, labels, np.arange(n))
@@ -121,9 +114,7 @@ def kmeans_geometry(frame: VoxelizedFrame, target_cluster_size: int) -> ClusterP
     relabel = np.empty(k, dtype=np.int64)
     relabel[canonical] = np.arange(k)
 
-    out_labels = np.empty(n, dtype=np.int32)
-    out_labels[order] = relabel[labels].astype(np.int32)
-    return ClusterPartition(labels=out_labels, k=k,
+    return ClusterPartition(labels=relabel[labels].astype(np.int32), k=k,
                             cluster_sizes=sizes[canonical].astype(np.int64),
                             centroids=centroids[canonical])
 

@@ -45,9 +45,10 @@ def estimate_normals(points: np.ndarray) -> np.ndarray:
 
     The covariance of each point's NORMAL_K nearest neighbors (self
     included; every point of a smaller cluster) is eigendecomposed; the
-    normal is the eigenvector of the smallest eigenvalue, sign-fixed so
-    its largest-magnitude component is positive.  Clusters with fewer
-    than 3 points get (0, 0, 1).
+    normal is the eigenvector of the smallest eigenvalue, of either sign:
+    the edge weight reads only |n_i x n_j|^2, which a sign flip leaves
+    bit for bit unchanged.  Clusters with fewer than 3 points get
+    (0, 0, 1).
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -64,12 +65,7 @@ def estimate_normals(points: np.ndarray) -> np.ndarray:
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
 
     _, vecs = np.linalg.eigh(cov)
-    normals = vecs[:, :, 0]                        # smallest eigenvalue
-    # eigh returns unit vectors; fix sign by the largest-|.| component.
-    pick = np.argmax(np.abs(normals), axis=1)
-    signs = np.sign(normals[np.arange(n), pick])
-    signs[signs == 0] = 1.0
-    return normals * signs[:, None]
+    return vecs[:, :, 0]                           # smallest eigenvalue
 
 
 def spacing_epsilon_sq(voxel_coords: np.ndarray) -> float:
@@ -106,8 +102,9 @@ def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,
     np.sum((p_i - p_j) ** 2) is <= epsilon_sq.  A KD-tree pair search
     with a slightly larger radius proposes the candidates; that exact
     test decides each one, so rounding inside the tree cannot add or
-    drop an edge.  Edges come out sorted by (i, j), and memory grows
-    with the edge count, not with n^2.  Weights use SIGMA_SQ.
+    drop an edge.  Edges come in no particular order (the Laplacian does
+    not depend on it), and memory grows with the edge count, not with
+    n^2.  Weights use SIGMA_SQ.
     """
     points = np.asarray(points, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
@@ -118,8 +115,7 @@ def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,
     radius = np.sqrt(max(epsilon_sq, 0.0)) * (1.0 + 1e-9) + 1e-12
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     d2 = np.sum((points[pairs[:, 0]] - points[pairs[:, 1]]) ** 2, axis=1)
-    pairs = pairs[d2 <= epsilon_sq]
-    ii, jj = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+    ii, jj = pairs[d2 <= epsilon_sq].T
 
     cross = np.cross(normals[ii], normals[jj])
     sin_sq = np.sum(cross * cross, axis=1)

@@ -143,15 +143,17 @@ def kmeans_loops(coords: np.ndarray, target_cluster_size: int,
                  max_iterations: int = 100, refilled=None):
     """(labels, cluster sizes, centroids) of the library's k-means, with
     the dense (n, k, 3) difference array in the assignment, per-cluster
-    mean centroids and a per-point first-member scan.  The ids of the
-    clusters refilled after emptying are appended to `refilled`."""
-    from pgft.clustering import _farthest_point_seeds, _lexicographic_order
+    mean centroids and a per-point first-member scan.  Unique `coords`
+    in any order are put in lexicographic order first, and the labels
+    are those of the sorted rows.  The ids of the clusters refilled
+    after emptying are appended to `refilled`."""
+    from pgft.clustering import _farthest_point_seeds
 
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
     k = -(-n // target_cluster_size)
-    order = _lexicographic_order(coords)
-    pts = coords[order]
+    # np.lexsort keys: last key is primary, so feed columns reversed.
+    pts = coords[np.lexsort(coords.T[::-1])]
     centroids = pts[_farthest_point_seeds(pts, k)].copy()
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iterations):
@@ -176,12 +178,11 @@ def kmeans_loops(coords: np.ndarray, target_cluster_size: int,
         first_member[labels[i]] = i
     relabel = np.empty(k, dtype=np.int64)
     relabel[np.argsort(first_member)] = np.arange(k)
-    out_labels = np.empty(n, dtype=np.int32)
-    out_labels[order] = relabel[labels]
+    out_labels = relabel[labels].astype(np.int32)
     sizes = np.bincount(out_labels, minlength=k).astype(np.int64)
     centroids = np.zeros((k, 3))
     for cid in range(k):
-        centroids[cid] = coords[out_labels == cid].mean(axis=0)
+        centroids[cid] = pts[out_labels == cid].mean(axis=0)
     return out_labels, sizes, centroids
 
 

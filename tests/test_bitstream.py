@@ -23,7 +23,7 @@ def _random_frames(rng, count):
             for _ in range(k)]
         frames.append(FrameRecord(
             geometry_hash=int(rng.integers(0, 2**63)),
-            recon_checksum=int(rng.integers(0, 2**63)),
+            recon_projections=tuple(rng.normal(scale=1e4, size=2)),
             inter_flags=rng.integers(0, 2, size=k).astype(bool) if is_p
             else np.zeros(0, dtype=bool),
             clusters=clusters))
@@ -32,10 +32,10 @@ def _random_frames(rng, count):
 
 def _fixed_frames():
     return [
-        FrameRecord(0x0123456789ABCDEF, 0xFEDCBA9876543210,
+        FrameRecord(0x0123456789ABCDEF, (1234.5, -0.25),
                     np.zeros(0, dtype=bool),
                     [b"\x01\x02" + b"\xff" * 3, b"abcd"]),
-        FrameRecord(7, 2**64 - 1, np.array([True, False, True]),
+        FrameRecord(7, (-3.0e38, 2.0**-20), np.array([True, False, True]),
                     [b"", bytes(range(200)) + b"xyz",
                      b"\x00" + b"\x80" * 130 + b"\x7f"]),
     ]
@@ -46,22 +46,14 @@ _OTHER_CONFIG = SequenceConfig(
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# for stream version 9.  Version 3 dropped sigma_sq, normal_k and
-# box_expand (18 B) from the header, took the coded fields in
-# SequenceConfig order and dropped each frame record's type byte;
-# version 4 changed only the reconstruction arithmetic (the version byte
-# at offset 4); version 5 gives each cluster one length-prefixed payload
-# where versions 3 and 4 gave it three (Y, U, V), so the fixtures hold
-# one payload per cluster and the stream is 10 B of lengths shorter;
-# version 6 changed only the coder's contexts, version 7 only the
-# predictor's gain and version 8 only the coder's contexts again (the
-# version byte again, each time); version 9 dropped epsilon_sq (8 B)
-# from the header.
+# for stream version 10, whose frame records end their fixed part with
+# two float32 reconstruction projections.  Any change to the layout, the
+# version byte or a field's packing changes them.
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "63a587d3e678f7d66ccbe735ee0eb24324dda7570687cbe3349be3edfd07aad6"),
+     "b9f958be4895b78bb3795c6464a60cb4beaab3413968d616c45e795472ed3152"),
     (_OTHER_CONFIG,
-     "ce1f8084a819bec0514d5d6c6bd95ff3cb2c666e8f3f1a9fd7f81d6ec772d859")],
+     "93c25db16ce6b7f1fb5ca459bce6698180a87487920e272e60053145cc8ea138")],
     ids=["default", "other"])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
@@ -149,12 +141,13 @@ def test_zero_frame_stream_does_not_decode():
 
 def test_single_iframe_no_mode_flags():
     clusters = [b"abc" for _ in range(2)]
-    frame = FrameRecord(geometry_hash=1, recon_checksum=2,
+    frame = FrameRecord(geometry_hash=1, recon_projections=(2.0, 3.0),
                         inter_flags=np.zeros(0, dtype=bool), clusters=clusters)
     _, frames = read_bitstream(write_bitstream(SequenceConfig(), [frame]))
     assert frames[0].cluster_count == 2
     assert frames[0].inter_flags.size == 0
     assert frames[0].clusters[0] == b"abc"
+    assert frames[0].recon_projections == (2.0, 3.0)
 
 
 def test_byte_identical_reserialization():
@@ -190,7 +183,7 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    for version in (1, 2, 3, 4, 5, 6, 7, 8):
+    for version in range(1, 10):
         data[4] = version
         with pytest.raises(BitstreamError,
                            match=f"unsupported stream version {version}$"):

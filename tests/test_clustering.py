@@ -3,12 +3,15 @@ import pytest
 
 import pgft.clustering as clustering
 from pgft.clustering import kmeans_geometry
-from pgft.pointcloud import VoxelizedFrame
+from pgft.pointcloud import (RawPointCloud, VoxelizedFrame,
+                             sequence_bounding_box, voxelize)
 from reference import kmeans_loops, within_cluster_cost
 
 
 def _frame(coords):
-    coords = np.asarray(coords, dtype=np.int32)
+    """A frame of the unique `coords` in lexicographic order, the
+    canonical voxel order `voxelize` gives and k-means takes."""
+    coords = np.unique(np.asarray(coords, dtype=np.int32), axis=0)
     n = coords.shape[0]
     return VoxelizedFrame(voxel_coords=coords, attributes=np.zeros((n, 3)),
                           point_map=np.arange(n, dtype=np.int64))
@@ -68,12 +71,21 @@ def test_determinism():
 
 
 def test_permutation_invariance():
+    """The input point order reaches k-means only through `voxelize`,
+    whose canonical voxel order gives every point the same cluster
+    under any permutation of the input."""
     rng = np.random.default_rng(4)
-    coords = np.unique(rng.integers(0, 60, size=(900, 3)), axis=0)
-    part = kmeans_geometry(_frame(coords), 150)
-    perm = rng.permutation(coords.shape[0])
-    part_p = kmeans_geometry(_frame(coords[perm]), 150)
-    assert np.array_equal(part.labels[perm], part_p.labels)
+    pos = rng.uniform(0, 60, size=(900, 3))
+    col = np.zeros((900, 3), dtype=np.uint8)
+    box = sequence_bounding_box(RawPointCloud(pos, col))
+    frame = voxelize(RawPointCloud(pos, col), 64, box)
+    part = kmeans_geometry(frame, 150)
+    perm = rng.permutation(900)
+    frame_p = voxelize(RawPointCloud(pos[perm], col[perm]), 64, box)
+    part_p = kmeans_geometry(frame_p, 150)
+    assert part.k > 1
+    assert np.array_equal(part.labels[frame.point_map][perm],
+                          part_p.labels[frame_p.point_map])
 
 
 def test_lloyd_cost_monotone(monkeypatch):

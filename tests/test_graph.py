@@ -19,7 +19,6 @@ def test_normals_coplanar():
     normals = estimate_normals(pts)
     assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
     assert np.allclose(normals[:, :2], 0.0, atol=1e-9)
-    assert np.all(normals[:, 2] > 0)  # sign rule
 
 
 def test_normals_unit_length():
@@ -91,7 +90,8 @@ def test_weight_invariant_to_normal_sign():
     g1 = build_epsilon_graph(pts, normals, 9.0)
     flip = rng.choice([-1.0, 1.0], size=(40, 1))
     g2 = build_epsilon_graph(pts, normals * flip, 9.0)
-    assert np.allclose(g1.weights, g2.weights)
+    assert g1.edge_count > 0
+    assert g1.weights.tobytes() == g2.weights.tobytes()
 
 
 def _assert_same_graph(pts, epsilon_sq):
@@ -100,9 +100,12 @@ def _assert_same_graph(pts, epsilon_sq):
     g = build_epsilon_graph(pts, normals, epsilon_sq)
     ii, jj, weights = dense_epsilon_graph(pts, normals, epsilon_sq, 0.4)
     assert g.edges_i.dtype == g.edges_j.dtype == np.int64
-    assert np.array_equal(g.edges_i, ii)
-    assert np.array_equal(g.edges_j, jj)
-    assert g.weights.tobytes() == weights.tobytes()
+    assert np.all(g.edges_i < g.edges_j)
+    # The same edge set in any order, each edge's weight bit-equal.
+    order = np.lexsort((g.edges_j, g.edges_i))
+    assert np.array_equal(g.edges_i[order], ii)
+    assert np.array_equal(g.edges_j[order], jj)
+    assert g.weights[order].tobytes() == weights.tobytes()
 
 
 @given(coords=st.lists(st.tuples(*[st.integers(0, 10)] * 3), max_size=40),

@@ -374,6 +374,11 @@ def test_voxelize_deterministic_and_order_invariant():
     b = voxelize(raw, 64, box)
     assert np.array_equal(a.voxel_coords, b.voxel_coords)
     assert np.array_equal(a.point_map, b.point_map)
+    # Unique and in lexicographic order: the canonical voxel order that
+    # kmeans_geometry takes.
+    assert np.array_equal(a.voxel_coords, np.unique(a.voxel_coords, axis=0))
+    x, y, z = a.voxel_coords.T
+    assert np.array_equal(np.lexsort((z, y, x)), np.arange(a.voxel_count))
 
     perm = rng.permutation(500)
     c = voxelize(RawPointCloud(pos[perm], col[perm]), 64, box)
