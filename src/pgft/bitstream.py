@@ -95,9 +95,7 @@ def frame_record_bytes(frame: FrameRecord) -> bytes:
 def write_bitstream(config: SequenceConfig, frames) -> bytes:
     """Serialize the header of `config` and the frame records, each
     holding its clusters in canonical cluster order.  Raises ValueError
-    on an invalid config or on a record whose mode flags do not match
-    its GOP position."""
-    config.validate()
+    on a record whose mode flags do not match its GOP position."""
     for t, frame in enumerate(frames):
         expected = frame.cluster_count if config.is_p_frame(t) else 0
         if len(frame.inter_flags) != expected:
@@ -120,10 +118,9 @@ def read_bitstream(data: bytes):
         raise BitstreamError("bad magic; not a PGFT stream")
     if version != VERSION:
         raise BitstreamError(f"unsupported stream version {version}")
-    config = SequenceConfig(**{name: value for (name, _), value
-                               in zip(_HEADER_FIELDS, values)})
     try:
-        config.validate()
+        config = SequenceConfig(**{name: value for (name, _), value
+                                   in zip(_HEADER_FIELDS, values)})
     except ValueError as exc:
         raise BitstreamError(f"invalid stream header: {exc}") from exc
     pos = _HEADER.size
@@ -133,6 +130,10 @@ def read_bitstream(data: bytes):
             raise BitstreamError("truncated stream (frame record)")
         k, geo_hash, *projections = _FRAME_FIXED.unpack_from(data, pos)
         pos += _FRAME_FIXED.size
+        if not np.all(np.isfinite(projections)):
+            # codec's drift bound scales with |s|, so inf would pass it
+            raise BitstreamError(f"frame {t} stores non-finite "
+                                 "reconstruction projections")
         if config.is_p_frame(t):
             nbytes = (k + 7) // 8
             if pos + nbytes > len(data):

@@ -49,15 +49,13 @@ def _threads_flag(parser):
                              "independent of this)")
 
 
-def _config_from_args(args) -> SequenceConfig:
-    return SequenceConfig(**{f.name: getattr(args, f.name)
-                             for f in dataclasses.fields(SequenceConfig)})
-
-
-def _check_config(config, parser) -> SequenceConfig:
-    """A value the codec would refuse is a usage error, before any I/O."""
+def _config(args, parser, **changes) -> SequenceConfig:
+    """The config the flags set, with `changes` applied.  A value the
+    codec would refuse is a usage error, before any I/O."""
+    values = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(SequenceConfig)}
     try:
-        return config.validate()
+        return SequenceConfig(**(values | changes))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -109,7 +107,7 @@ def _cmd_synth(args, parser):
 
 
 def _cmd_encode(args, parser):
-    config = _config_from_args(args)
+    config = _config(args, parser)
     frames = _read_frames(args.input, parser)
     result = codec.encode_sequence(frames, config, threads=args.threads)
     with open(args.output, "wb") as fh:
@@ -149,9 +147,7 @@ def _cmd_rd_sweep(args, parser):
         q_values = []
     if not q_values:
         parser.error("--q-list must be a comma-separated list of numbers")
-    configs = {q: _check_config(dataclasses.replace(_config_from_args(args),
-                                                    qstep=q), parser)
-               for q in q_values}
+    configs = {q: _config(args, parser, qstep=q) for q in q_values}
     if len(configs) != len(q_values):
         print("warning: duplicate q values removed", file=sys.stderr)
     frames = _read_frames(args.input, parser)
@@ -186,14 +182,14 @@ def _cmd_rd_sweep(args, parser):
 
 
 def _cmd_validate_gmrf(args, parser):
+    config = _config(args, parser)
     if args.patches < 1:
         parser.error("--patches must be >= 1")
     paths = _resolve_ply_paths(args.input, parser)
     if len(paths) < args.patches + 1:
         parser.error(f"need at least {args.patches + 1} frames for "
                      f"{args.patches} patches")
-    lap, samples = _aligned_patch_samples(paths, args.patches,
-                                          _config_from_args(args))
+    lap, samples = _aligned_patch_samples(paths, args.patches, config)
     if np.count_nonzero(lap) == lap.shape[0]:  # L + I is diagonal
         print("warning: the tracked cluster's graph has no edges; its "
               "points lie farther apart than the graph radius derived from "
@@ -284,8 +280,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     parser = args.parser
 
-    if getattr(args, "qstep", None) is not None:  # all but synth and decode
-        _check_config(_config_from_args(args), parser)
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")
 

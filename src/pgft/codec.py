@@ -342,7 +342,6 @@ def _walk(raw_frames, config: SequenceConfig, threads: int, code_cluster,
 def encode_sequence(raw_frames, config: SequenceConfig,
                     threads: int = 1) -> EncodeResult:
     """Encode an ordered list of RawPointCloud frames."""
-    config.validate()
     lam = lambda_from_q(config.qstep)
 
     def encode_cluster(t, cid, frame, plan, candidate, contexts):

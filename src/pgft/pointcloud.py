@@ -88,7 +88,7 @@ class VoxelizedFrame:
         return self.voxel_coords.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceConfig:
     """Coding parameters, and the stream header.
 
@@ -99,7 +99,8 @@ class SequenceConfig:
     the quality factor Q of the fixed lambda-Q model (`rdo.ALPHA`,
     `rdo.BETA`).  The graph radius is no field: both sides derive it
     from frame 0's voxels (`graph.derived_epsilon_sq`).  Frame t is a
-    P-frame iff `is_p_frame(t)`: every GOP opens with an I-frame.
+    P-frame iff `is_p_frame(t)`: every GOP opens with an I-frame.  A
+    config is frozen and checked when built, so every config is valid.
     """
 
     # int32, the dtype of VoxelizedFrame.voxel_coords
@@ -109,11 +110,11 @@ class SequenceConfig:
     gop_size: int = field(default=8, metadata={"header": "H"})
     qstep: float = field(default=8.0, metadata={"header": "d"})
 
-    def validate(self):
+    def __post_init__(self):
         """Raise ValueError naming the first field that is not a real
         number, is not finite and positive, does not fit its header slot
-        when the header packs it (an integer slot takes only integers), or
-        exceeds its "max" metadata."""
+        (an integer slot takes only integers), or exceeds its "max"
+        metadata."""
         for f in fields(self):
             value = getattr(self, f.name)
             code = f.metadata["header"]
@@ -132,7 +133,6 @@ class SequenceConfig:
             if value > f.metadata.get("max", value):
                 raise ValueError(f"{f.name}={value!r} exceeds the limit of "
                                  f"{f.metadata['max']}")
-        return self
 
     def is_p_frame(self, t: int) -> bool:
         """Whether frame t predicts from frame t - 1 (else an I-frame)."""

@@ -1,10 +1,11 @@
 """Spectral transforms and the temporal predictor.
 
 The encoder and decoder independently eigendecompose identical dense
-Laplacian arrays and must land on the exact same basis, so the
-decomposition is canonicalized: eigenvalues ascending, every
-eigenvector's first nonzero component positive, and degenerate groups
-ordered lexicographically by entries.
+Laplacian arrays.  The bases agree exactly in one process and up to
+rounding across BLAS settings and CPUs, which is what the coded values
+need, provided the signs and order agree: eigenvalues ascend, every
+eigenvector's first nonzero component is positive, and degenerate
+groups are ordered lexicographically by entries.
 
 One basis per cluster serves every purpose.  Under the GMRF whose
 joint precision is [[L + wI, -wI], [-wI, L_ref + wI]] (every temporal

@@ -191,18 +191,16 @@ def test_previous_version_refused():
 
 
 def test_header_field_width_checked():
-    config = SequenceConfig(gop_size=1 << 16)
     with pytest.raises(ValueError, match="gop_size"):
-        write_bitstream(config, [])
+        SequenceConfig(gop_size=1 << 16)
 
 
 def test_grid_dim_fits_int32():
     """Voxel coordinates are int32, so a grid_dim of 2**31 or more is
-    refused by validate() and in a stream header."""
-    assert SequenceConfig(grid_dim=2**31 - 1).validate()
+    refused by the config and in a stream header."""
     with pytest.raises(ValueError, match="^grid_dim=2147483648 does not fit "
                                          "the stream header's int32 field$"):
-        SequenceConfig(grid_dim=2**31).validate()
+        SequenceConfig(grid_dim=2**31)
     data = bytearray(write_bitstream(SequenceConfig(grid_dim=2**31 - 1), []))
     assert read_bitstream(bytes(data))[0].grid_dim == 2**31 - 1
     data[5:9] = (2**31).to_bytes(4, "little")  # after magic and version

@@ -388,7 +388,7 @@ def test_encode_flags_set_every_config_field():
         "encode", "--input", "x", "--output", "x.bin", "--q", "7",
         "--gop", "7", "--cluster-size", "7",
         "--grid-dim", "7"])
-    config = cli._config_from_args(args)
+    config = cli._config(args, args.parser)
     assert dataclasses.asdict(config) == {
         f.name: 7 for f in dataclasses.fields(SequenceConfig)}
 

@@ -298,6 +298,21 @@ def test_invalid_header_rejected_before_voxelizing(monkeypatch, field, value):
         decode_sequence(bytes(data), frames)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_projections_refused_before_voxelizing(monkeypatch, value):
+    """The drift bound scales with the stored projection, so an infinite
+    one would accept any reconstruction: the reader refuses the record."""
+    frames = synthetic_sequence("wave", 1, point_count=200, seed=13)
+    data = bytearray(encode_sequence(frames, _cfg()).data)
+    record = bitstream._HEADER.size
+    k, geo_hash, *_ = bitstream._FRAME_FIXED.unpack_from(data, record)
+    bitstream._FRAME_FIXED.pack_into(data, record, k, geo_hash, value, value)
+    monkeypatch.setattr(codec, "voxelize", _never)
+    with pytest.raises(BitstreamError, match="^frame 0 stores non-finite "
+                                             "reconstruction projections$"):
+        decode_sequence(bytes(data), frames)
+
+
 @pytest.mark.parametrize("t", [0, 1])
 def test_empty_frame_named_before_voxelizing(monkeypatch, t):
     frames = synthetic_sequence("wave", 2, point_count=200, seed=13)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 
@@ -165,7 +166,7 @@ def test_non_finite_positions_rejected(bad, rows):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0, -1])
 def test_config_requires_finite_positive_fields(field, value):
     with pytest.raises(ValueError, match=f"{field}=.* finite and positive"):
-        SequenceConfig(**{field: value}).validate()
+        SequenceConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -211,7 +212,7 @@ def test_config_requires_finite_positive_fields(field, value):
 ])
 def test_config_rejects_wrong_types_by_name(field, value, message):
     with pytest.raises(ValueError, match=f"^{field}=.* {message}$"):
-        SequenceConfig(**{field: value}).validate()
+        SequenceConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -221,25 +222,35 @@ def test_config_rejects_wrong_types_by_name(field, value, message):
     ("qstep", np.float32(8)), ("qstep", np.float32(3e38))])
 def test_config_accepts_what_its_header_slot_holds(field, value):
     config = SequenceConfig(**{field: value})
-    assert config.validate() is config
+    assert getattr(config, field) is value
 
 
 def test_float_slot_takes_an_int_that_rounds_to_float_max():
-    """validate() asks the header's packer, so an integer less than half
+    """The config asks the header's packer, so an integer less than half
     an ulp above float64's maximum fits: it packs as that maximum, which
     the stream then holds.  (A hand-written `<= float max` rule refused
     it.)"""
     value = int(sys.float_info.max) + 2**970 - 1
-    config = SequenceConfig(qstep=value).validate()
+    config = SequenceConfig(qstep=value)
     decoded, _ = read_bitstream(write_bitstream(config, []))
     assert decoded.qstep == sys.float_info.max
 
 
 def test_default_config_valid():
+    SequenceConfig()
+    SequenceConfig(grid_dim=np.int64(7), qstep=np.float32(8))
+
+
+def test_config_is_checked_whenever_it_is_built():
+    """A config is frozen, and `dataclasses.replace` builds a new one,
+    which is checked like any other, so no invalid config exists."""
     config = SequenceConfig()
-    assert config.validate() is config
-    numpy_config = SequenceConfig(grid_dim=np.int64(7), qstep=np.float32(8))
-    assert numpy_config.validate() is numpy_config
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.qstep = -1.0
+    with pytest.raises(ValueError, match="^qstep=-1.0 must be finite and "
+                                         "positive$"):
+        dataclasses.replace(config, qstep=-1.0)
+    assert config == SequenceConfig()
 
 
 BAD_COLORS = [
