@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,17 @@ class ClusterPartition:
     cluster_sizes: np.ndarray  # (k,) int64
     centroids: np.ndarray      # (k, 3) float64
 
+    @cached_property
+    def _member_order(self):
+        """A stable argsort of the labels, and where each cluster's run
+        of it starts: one O(n log n) sort serves every cluster."""
+        order = np.argsort(self.labels, kind="stable")
+        return order, np.searchsorted(self.labels[order], np.arange(self.k + 1))
+
     def members(self, cluster_id: int) -> np.ndarray:
         """Indices of the cluster's points, in ascending order."""
-        return np.flatnonzero(self.labels == cluster_id)
+        order, starts = self._member_order
+        return order[starts[cluster_id]:starts[cluster_id + 1]].copy()
 
 
 def _farthest_point_seeds(points: np.ndarray, k: int) -> np.ndarray:

@@ -33,8 +33,8 @@ mode decision, or `decode_block`) and which P clusters get a reference
 (all of them, or the coded flags).  `_plans` derives each cluster's
 basis and reference in cluster order, at most `threads` clusters ahead
 of the one being coded, and a plan is dropped once its cluster is coded,
-so at most two dense bases are alive at once (`threads` + 2 with a
-worker pool).
+so at most two bases, each two n x n arrays, are alive at once
+(`threads` + 2 with a worker pool).
 `_reconstruct` is the only reconstruction arithmetic and inverse
 transform; the walker calls it once per cluster, on the kept mode.
 Bit-exact only where something reads the bits: a canonical order or
@@ -178,7 +178,8 @@ def _analyze_cluster(frame: VoxelizedFrame, members: np.ndarray,
                      epsilon_sq: float, prev_coords,
                      need_inter: bool) -> _ClusterPlan:
     pts = frame.voxel_coords[members].astype(np.float64)
-    basis = eigendecompose(cluster_laplacian(pts, epsilon_sq))
+    # Built inside the call, the Laplacian's buffer becomes the reflectors.
+    basis = eigendecompose(lambda: cluster_laplacian(pts, epsilon_sq))
     ref_index = None
     if need_inter:
         ref_index = reference_index(pts, prev_coords)
@@ -250,7 +251,7 @@ class _MirrorHash:
         basis = plan.basis
         self._h.update((INTRA if prediction is None else INTER).encode())
         self._update(basis.eigenvalues, "<f8")
-        self._update(basis.basis.T @ _probe(basis.n), "<f8")
+        self._update(basis.project(_probe(basis.n)), "<f8")
         if prediction is not None:
             self._update(plan.ref_index, "<i8")
             self._update(prediction, "<f8")

@@ -126,11 +126,14 @@ def build_epsilon_graph(points: np.ndarray, normals: np.ndarray,
 
 
 def combinatorial_laplacian(g: SpatialGraph) -> np.ndarray:
-    """L = D - W as a dense (n, n) array (clusters are small)."""
-    w = np.zeros((g.n, g.n))
-    w[g.edges_i, g.edges_j] = g.weights
-    w[g.edges_j, g.edges_i] = g.weights
-    return np.diag(w.sum(axis=1)) - w
+    """L = D - W as a dense (n, n) array (clusters are small), built in
+    the one array it returns: each degree is 0 minus its row's sum of -W,
+    bit for bit the row sum of W (and +0.0 for an isolated vertex)."""
+    lap = np.zeros((g.n, g.n))
+    lap[g.edges_i, g.edges_j] = -g.weights
+    lap[g.edges_j, g.edges_i] = -g.weights
+    lap[np.diag_indices(g.n)] = 0.0 - lap.sum(axis=1)
+    return lap
 
 
 def generalized_laplacian(lap: np.ndarray) -> np.ndarray:

@@ -21,9 +21,10 @@ MID_LEVEL = 128.0
 BOX_MARGIN = 0.05  # relative growth of the sequence bounding box
 # The largest target_cluster_size a config (and so a stream header) may
 # ask for.  Each cluster costs one dense n x n eigendecomposition; at one
-# OpenBLAS thread `eigh` took 0.07 s at the default 600 (51 MiB peak
-# RSS), 2.0 s at 2048 (a 32 MiB matrix, 201 MiB) and 16.5 s at 4096
-# (686 MiB).
+# OpenBLAS thread `np.linalg.eigh` took 0.07 s at the default 600 (51 MiB
+# peak RSS), 1.6 s at 2048 (a 32 MiB matrix, 233 MiB) and 16.5 s at 4096
+# (686 MiB), and `eigendecompose`, which never forms U, 1.0 s at 2048
+# (201 MiB).
 MAX_CLUSTER_SIZE = 2048
 
 # Full-range BT.601 (Kr=0.299, Kg=0.587, Kb=0.114).

@@ -3,13 +3,14 @@
 These deliberately avoid the library's own code paths: brute-force
 nearest neighbors, a per-query nearest-neighbor loop and a dense
 epsilon graph (the library's earlier searches, kept for exact
-comparison), a plain cyclic Jacobi eigensolver, the per-eigenvalue
-canonicalization loop, a Cholesky solve of the temporal predictor, a
-numerically-integrated Bjontegaard metric, the k-means objective, and
-k-means with a dense (n, k, 3) assignment and per-cluster and
-per-point loops, and the two-step motion search that moves the source
-region in ICP and then searches it again (the library's earlier code,
-kept for exact comparison).
+comparison), a plain cyclic Jacobi eigensolver, LAPACK's eigensolver
+stages through scipy's wrappers with the dense U formed as dsyevd
+forms it, the per-eigenvalue canonicalization loop, a Cholesky solve
+of the temporal predictor, a numerically-integrated Bjontegaard
+metric, the k-means objective, and k-means with a dense (n, k, 3)
+assignment and per-cluster and per-point loops, and the two-step
+motion search that moves the source region in ICP and then searches it
+again (the library's earlier code, kept for exact comparison).
 """
 
 import numpy as np
@@ -103,11 +104,30 @@ def jacobi_eigh(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
 
 
 def eigendecompose_loop(matrix: np.ndarray):
-    """(eigenvalues, basis) canonicalized as the library's earlier code
-    did: signs fixed on a copy, then one pass over all n eigenvalues that
-    lexsorts each degenerate group, and a column gather at the end."""
-    values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
-    n = values.shape[0]
+    """(eigenvalues, dense basis) from LAPACK's stages through scipy's
+    wrappers, as `dsyevd` runs them: `dsytrd` on the lower triangle,
+    `dstevd` on the tridiagonal T, and U = Q Z with Q applied by
+    `dormqr` to all of Z.  Canonicalized as the library's earlier code
+    did: signs fixed on a copy, then one pass over all n eigenvalues
+    that lexsorts each degenerate group, and a column gather at the end."""
+    a = np.asarray(matrix, dtype=np.float64)
+    n = a.shape[0]
+    if n < 2:
+        return a.diagonal() + 0.0, np.eye(n)
+    lapack = scipy.linalg.lapack
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)  # blocked, as in dsyevd
+    reflectors, diag, offdiag, tau, info = lapack.dsytrd(a, lower=1,
+                                                         lwork=int(lwork))
+    assert info == 0
+    values, z, info = lapack.dstevd(diag, offdiag, compute_v=1)
+    assert info == 0
+    values = values + 0.0
+    # Q = H_1 ... H_{n-1} leaves row 0 alone; ample workspace keeps
+    # dormqr's full block size, as dsyevd's does.
+    rows, _, info = lapack.dormqr("L", "N", reflectors[1:, :n - 1], tau,
+                                  z[1:], lwork=64 * n + 65 * 64)
+    assert info == 0
+    vectors = np.vstack((z[:1], rows))
     first = np.argmax(np.abs(vectors) > 1e-12, axis=0)
     signs = np.sign(vectors[first, np.arange(n)])
     signs[signs == 0] = 1.0

@@ -364,25 +364,27 @@ def test_mirror_hash_catches_basis_and_reference_divergence():
     path = np.diag([1.0, 2, 2, 1]) - np.eye(4, k=1) - np.eye(4, k=-1)
     lap = np.kron(np.eye(2), path)  # two equal paths: every eigenvalue twice
     basis = eigendecompose(lap)
-    u, values = basis.basis, basis.eigenvalues
+    z, values = basis.vectors, basis.eigenvalues
     assert values[1] - values[0] < 1e-9  # columns 0 and 1 share an eigenvalue
     ref_index = np.arange(8, dtype=np.int64) * 3
 
     def variant(vectors):
-        return TransformBasis(basis=np.asfortranarray(vectors),
+        """The basis with Z replaced: U = Q Z changes column for column."""
+        return TransformBasis(reflectors=basis.reflectors, tau=basis.tau,
+                              vectors=np.asfortranarray(vectors),
                               eigenvalues=values)
 
-    flipped = u.copy()
+    flipped = z.copy()
     flipped[:, 5] *= -1
-    swapped = u[:, [1, 0, 2, 3, 4, 5, 6, 7]]
+    swapped = z[:, [1, 0, 2, 3, 4, 5, 6, 7]]
     c, s = np.cos(0.3), np.sin(0.3)
-    rotated = u.copy()
-    rotated[:, 0], rotated[:, 1] = c * u[:, 0] + s * u[:, 1], c * u[:, 1] - s * u[:, 0]
+    rotated = z.copy()
+    rotated[:, 0], rotated[:, 1] = c * z[:, 0] + s * z[:, 1], c * z[:, 1] - s * z[:, 0]
     moved = ref_index.copy()
     moved[3] += 1
 
     digest = _mirror_digest(basis, ref_index)
-    assert _mirror_digest(variant(u.copy()), ref_index.copy()) == digest
+    assert _mirror_digest(variant(z.copy()), ref_index.copy()) == digest
     others = [_mirror_digest(variant(flipped), ref_index),
               _mirror_digest(variant(swapped), ref_index),
               _mirror_digest(variant(rotated), ref_index),
@@ -419,6 +421,18 @@ def test_encode_deterministic_across_threads():
     db = decode_sequence(a.data, frames, threads=4)
     for ra, rb in zip(da.recon, db.recon):
         assert np.array_equal(ra.attributes, rb.attributes)
+
+
+def test_encode_two_threads_gives_the_one_thread_stream():
+    """Two workers decompose clusters at once, their LAPACK calls outside
+    the GIL, and code the same stream and reconstruction as one."""
+    frames = synthetic_sequence("rigid-motion", 2, point_count=900, seed=12)
+    one = encode_sequence(frames, _cfg(), threads=1)
+    two = encode_sequence(frames, _cfg(), threads=2)
+    assert two.data == one.data
+    assert two.stats[1].inter_clusters > 0
+    for a, b in zip(one.recon, two.recon):
+        assert np.array_equal(a.attributes, b.attributes)
 
 
 def _pool_workers():
@@ -588,7 +602,7 @@ def test_fitted_temporal_precision_saves_rate(monkeypatch, kind, bound):
 
 
 def test_perturbed_decoder_basis_refused(monkeypatch):
-    """A decoder whose basis of one cluster is off by 1e-3 decodes every
+    """A decoder whose Z of one cluster is off by 1e-3 decodes every
     payload but reconstructs that frame wrongly: its projections refuse
     the stream and name the frame."""
     frames = synthetic_sequence("rigid-motion", 2, point_count=900, seed=12)
@@ -602,8 +616,9 @@ def test_perturbed_decoder_basis_refused(monkeypatch):
         if len(calls) - 1 != first_of_frame_1:
             return basis
         noise = np.random.default_rng(0).normal(scale=1e-3,
-                                                size=basis.basis.shape)
-        return TransformBasis(basis=basis.basis + noise,
+                                                size=basis.vectors.shape)
+        return TransformBasis(reflectors=basis.reflectors, tau=basis.tau,
+                              vectors=basis.vectors + noise,
                               eigenvalues=basis.eigenvalues)
 
     monkeypatch.setattr(codec, "eigendecompose", perturbed)

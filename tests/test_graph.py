@@ -227,6 +227,20 @@ def test_combinatorial_laplacian_edgeless():
     assert np.array_equal(lap, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_combinatorial_laplacian_is_d_minus_w_bit_for_bit(seed):
+    """Built in one array, L holds the bits of diag(W 1) - W, +0.0 on
+    isolated vertices included: the eigensolver reads those bits."""
+    rng = np.random.default_rng(seed)
+    g = random_spatial_graph(60, 0.03, rng)
+    w = np.zeros((60, 60))
+    w[g.edges_i, g.edges_j] = g.weights
+    w[g.edges_j, g.edges_i] = g.weights
+    assert np.any(w.sum(axis=1) == 0)
+    lap = combinatorial_laplacian(g)
+    assert lap.tobytes() == (np.diag(w.sum(axis=1)) - w).tobytes()
+
+
 def test_laplacian_psd_and_zero_row_sum():
     rng = np.random.default_rng(4)
     g = random_spatial_graph(50, 0.2, rng)

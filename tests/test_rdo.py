@@ -72,9 +72,10 @@ def test_temporal_precision_is_a_clipped_power_of_two(q):
                                 2.0 * (MAX_CLUSTER_SIZE - 1)])
         n = eigenvalues.size
         with np.errstate(all="raise"):
-            gains = np.diag(inter_predict(
-                TransformBasis(basis=np.eye(n), eigenvalues=eigenvalues),
-                np.eye(n), w))
+            identity = TransformBasis(  # Q = I: every reflector scale is 0
+                reflectors=np.zeros((n, n)), tau=np.zeros(n - 1),
+                vectors=np.eye(n), eigenvalues=eigenvalues)
+            gains = np.diag(inter_predict(identity, np.eye(n), w))
     assert gains[0] == 1.0
     assert np.all((gains > 0) & (gains <= 1))
 
