@@ -44,8 +44,8 @@ current, reference = samples[:, :n], samples[:, n:]
 # The codec's spectral form: the residual's coefficients are U^T x minus
 # the predictor's coefficients g * U^T x_ref, with g = w / (w + lambda).
 basis = eigendecompose(lap)
-residual_coeffs = (current @ basis.basis
-                   - inter_predict(basis, reference.T, w).T)
+residual_coeffs = (basis.project(current.T)
+                   - inter_predict(basis, reference.T, w)).T
 mse_pred = np.mean(residual_coeffs ** 2)  # U is orthonormal
 mse_copy = np.mean((current - reference) ** 2)
 improvement = (mse_copy - mse_pred) / mse_copy

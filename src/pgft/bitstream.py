@@ -24,10 +24,12 @@ import numpy as np
 from .pointcloud import SequenceConfig
 
 MAGIC = b"PGFT"
-# Version 10: a frame record holds two float32 projections of its
-# reconstruction, which a decoder matches within a drift tolerance
-# (`codec.RECON_DRIFT`), so it decodes under any BLAS setting or CPU.
-VERSION = 10
+# Version 11: each cluster's eigenbasis follows the probe rule of
+# `transform._canonicalize`.  Since version 10 a frame record holds two
+# float32 projections of its reconstruction, which a decoder matches
+# within a drift tolerance (`codec.RECON_DRIFT`), so it decodes under any
+# BLAS setting or CPU.
+VERSION = 11
 
 # (field name, struct code) of each SequenceConfig field, in order.
 _HEADER_FIELDS = tuple((f.name, f.metadata["header"])

@@ -39,13 +39,15 @@ so at most two bases, each two n x n arrays, are alive at once
 transform; the walker calls it once per cluster, on the kept mode.
 Bit-exact only where something reads the bits: a canonical order or
 sign is imposed only where a coded value depends on it (`voxelize`'s
-voxel order, `eigendecompose`'s eigenvector signs and order), and bit
-equality is demanded only in-process, by the per-frame mirror hash
-both directions fold their derived state into.  It covers the labels
-and each cluster's mode, eigenvalues, reference indices, predictor
-coefficients and reconstruction exactly, and the basis U through a
-fixed seeded probe p: it hashes U^T p, an O(n^2) product, instead of
-the dense n x n basis.  Other BLAS settings and CPUs round the bases
+voxel order; `eigendecompose`'s eigenvector signs and the basis of each
+group of repeated eigenvalues, both read from fixed seeded probes, so
+rounding moves them only by rounding), and bit equality is demanded
+only in-process, by the per-frame mirror hash both directions fold
+their derived state into.  It covers the labels and each cluster's
+mode, eigenvalues, reference indices, predictor coefficients and
+reconstruction exactly, and the basis U through a fixed seeded probe
+p: it hashes U^T p, an O(n^2) product, instead of the dense n x n
+basis.  Other BLAS settings and CPUs round the bases
 differently, so the decoder checks each frame's `recon_projections`
 only to within RECON_DRIFT.
 """

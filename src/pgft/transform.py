@@ -3,10 +3,13 @@
 The encoder and decoder independently eigendecompose identical dense
 Laplacian arrays.  The bases agree exactly in one process and up to
 rounding across BLAS settings and CPUs, which is what the coded values
-need, provided the signs and order agree: eigenvalues ascend, every
-eigenvector's first nonzero component is positive, and degenerate
-groups are ordered lexicographically by entries, read from U as
-LAPACK's `dsyevd` forms it.
+need, provided both fix each eigenvector's sign and the basis inside
+each group of repeated eigenvalues alike.  They read both from fixed
+seeded probes R (`_canonicalize`): eigenvalues ascend, a group's
+columns are its projector's images of the probes orthonormalised in
+probe order, and a lone column's sign makes u^T r_0 > 0, with r_0 a
+normal draw plus 1 so that a constant vector comes out positive.  The
+rule reads only U^T R, which rounding moves by rounding.
 
 A basis is held as its LAPACK factors, never as a dense U: the codec
 only applies U^T or U to a few columns per cluster.  `dsytrd` reduces
@@ -14,9 +17,7 @@ the symmetric L to a tridiagonal T = Q^T L Q, with Q kept as its
 Householder reflectors, and `dstedc` (divide and conquer) gives
 T = Z diag(lambda) Z^T.  Then U = Q Z, U^T x = Z^T (Q^T x) and
 U c = Q (Z c), with Q applied by `dormtr`.  These are `dsyevd`'s own
-stages without its last, which spends 2n^3 flops forming U.  Q's first
-row is e_1, so Z's first row is U's and settles most signs and orders;
-`_canonicalize` forms the few columns of U it does not settle.  The
+stages without its last, which spends 2n^3 flops forming U.  The
 routines are scipy's own LAPACK, called through ctypes on the function
 pointers `scipy.linalg.cython_lapack` exports, so each call releases
 the GIL and the codec's worker threads decompose clusters in parallel.
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cython_lapack
 
-_SIGN_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9
 
 
@@ -82,23 +82,20 @@ def _run(name: str, routine, *args):
 
 
 def _apply_q(reflectors: np.ndarray, tau: np.ndarray, c: np.ndarray,
-             trans: bytes, blocked: bool = False):
+             trans: bytes):
     """Overwrite the F-ordered (n, m) array c with Q c (trans b"N") or
-    Q^T c (b"T"); Q is dsytrd's, given by `reflectors` and `tau`.
-
-    `blocked` gives dormtr workspace for blocks of reflectors, as much
-    as dsyevd gives it to form U, so the product rounds as dsyevd's
-    does (dormtr's own workspace query leaves out the block reflector,
-    and narrower blocks round otherwise).  Without it, dormtr applies
-    one reflector at a time, which takes half as long on 1 to 3 columns."""
+    Q^T c (b"T"); Q is dsytrd's, given by `reflectors` and `tau`.  The
+    workspace is dormtr's own query, which applies one reflector at a
+    time to a few columns and blocks of them to many."""
     n, m = c.shape
     if n < 2 or m == 0:
         return  # Q = I
-    # dormqr's widest block (64 reflectors) and its block reflector
-    work = np.empty(64 * m + 65 * 64 if blocked else m)
-    _run("dormtr", _dormtr, b"L", b"L", trans, _int(n), _int(m),
-         reflectors.ctypes.data, _int(n), tau.ctypes.data, c.ctypes.data,
-         _int(n), work.ctypes.data, _int(work.size))
+    head = (b"L", b"L", trans, _int(n), _int(m), reflectors.ctypes.data,
+            _int(n), tau.ctypes.data, c.ctypes.data, _int(n))
+    size = np.zeros(1)  # lwork = -1 query
+    _run("dormtr", _dormtr, *head, size.ctypes.data, _int(-1))
+    work = np.empty(int(size[0]))
+    _run("dormtr", _dormtr, *head, work.ctypes.data, _int(work.size))
 
 
 def _tridiagonal_eigen(a: np.ndarray):
@@ -158,52 +155,41 @@ class TransformBasis:
         _apply_q(self.reflectors, self.tau, c, b"N")
         return c.reshape(np.shape(coeffs))
 
-    @property
-    def basis(self) -> np.ndarray:
-        """The dense (n, n) U, formed in O(n^3) on every access."""
-        u = np.array(self.vectors, order="F")
-        _apply_q(self.reflectors, self.tau, u, b"N", blocked=True)
-        return u
+
+def _probes(n: int, width: int) -> np.ndarray:
+    """The fixed probes R, an F-ordered (n, width) array: column k holds
+    the k-th n draws of one seeded normal stream, and column 0 is raised
+    by 1, so a constant vector's projection on it is positive."""
+    r = np.random.default_rng(0).standard_normal((width, n)).T
+    r[:, 0] += 1.0
+    return r
 
 
 def _canonicalize(values, reflectors, tau, z):
-    """Flip, in place, every column of Z whose column of U = Q Z has a
-    negative first nonzero entry, then order the columns of each group
-    of (numerically) equal eigenvalues lexicographically by their
-    entries in U.  Returns the reordered eigenvalues.
+    """Make, in place, the columns of Z those of the canonical U = Q Z.
 
-    Q's first row and column are e_1, so U[0, :] equals Z[0, :] bit for
-    bit.  A column of U is formed only when its first entry is within
-    _SIGN_TOL of zero or it belongs to a degenerate group; and all of U
-    is, as dsyevd forms it, when two columns of a group tie in row 0.
-    Then later rows decide their order, and entries there that are zero
-    but for rounding round differently when fewer columns are formed."""
+    Eigenvalues within _DEGENERACY_TOL * scale of their neighbour form a
+    group.  A group of k columns becomes the images of the first k
+    probes under its projector U_g U_g^T, orthonormalised in probe order
+    with each r_ii > 0; for a lone column that is the sign that makes
+    u^T r_0 > 0.  Both read only U^T R = Z^T (Q^T R), which rounding
+    moves by rounding, and give one U for any rotation and signs of the
+    columns within each group."""
     n = values.shape[0]
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
     bounds = np.concatenate(
         ([0], np.flatnonzero(np.diff(values) > _DEGENERACY_TOL * scale) + 1, [n]))
-    groups = np.flatnonzero(np.diff(bounds) > 1)
-    grouped = np.zeros(n, dtype=bool)
-    tied = False
-    for start, stop in zip(bounds[groups], bounds[groups + 1]):
-        grouped[start:stop] = True
-        tied |= np.unique(np.abs(z[0, start:stop])).size < stop - start
-    needed = grouped | (np.abs(z[0]) <= _SIGN_TOL) | tied
-    u = np.array(z[:, needed], order="F")  # those columns of U
-    _apply_q(reflectors, tau, u, b"N", blocked=tied)
-    signs = np.sign(z[0])
-    first = np.argmax(np.abs(u) > _SIGN_TOL, axis=0)
-    signs[needed] = np.sign(u[first, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
+    r = _probes(n, int(np.diff(bounds).max()))
+    _apply_q(reflectors, tau, r, b"T")
+    proj = z.T @ r  # U^T R
+    signs = np.copysign(1.0, proj[:, 0])
     z *= signs
-    u *= signs[needed]
-    order = np.arange(n)
-    column = np.cumsum(needed) - 1  # where u holds each column of U
-    for start, stop in zip(bounds[groups], bounds[groups + 1]):
-        # lexsort: last key is primary, so reverse the rows.
-        order[start:stop] = start + np.lexsort(u[::-1, column[start:stop]])
-        z[:, start:stop] = z[:, order[start:stop]]
-    return values[order]
+    proj *= signs[:, None]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            q, tri = np.linalg.qr(proj[start:stop, :stop - start])
+            q *= np.copysign(1.0, np.diag(tri))
+            z[:, start:stop] = z[:, start:stop] @ q
 
 
 def eigendecompose(matrix) -> TransformBasis:
@@ -238,7 +224,7 @@ def eigendecompose(matrix) -> TransformBasis:
                               eigenvalues=np.zeros(0))
     values, tau, z = _tridiagonal_eigen(reflectors)
     values += 0.0  # -0.0 becomes +0.0, so equal spectra hash alike
-    values = _canonicalize(values, reflectors, tau, z)
+    _canonicalize(values, reflectors, tau, z)
     return TransformBasis(reflectors=reflectors, tau=tau, vectors=z,
                           eigenvalues=values)
 

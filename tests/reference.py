@@ -3,11 +3,10 @@
 These deliberately avoid the library's own code paths: brute-force
 nearest neighbors, a per-query nearest-neighbor loop and a dense
 epsilon graph (the library's earlier searches, kept for exact
-comparison), a plain cyclic Jacobi eigensolver, LAPACK's eigensolver
-stages through scipy's wrappers with the dense U formed as dsyevd
-forms it, the per-eigenvalue canonicalization loop, a Cholesky solve
-of the temporal predictor, a numerically-integrated Bjontegaard
-metric, the k-means objective, and k-means with a dense (n, k, 3)
+comparison), a plain cyclic Jacobi eigensolver, the canonical-basis
+rule applied one column at a time to any eigensolver's pairs, a
+Cholesky solve of the temporal predictor, a numerically-integrated
+Bjontegaard metric, the k-means objective, and k-means with a dense (n, k, 3)
 assignment and per-cluster and per-point loops, and the two-step
 motion search that moves the source region in ICP and then searches it
 again (the library's earlier code, kept for exact comparison).
@@ -103,45 +102,36 @@ def jacobi_eigh(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
     return values[order], v[:, order]
 
 
-def eigendecompose_loop(matrix: np.ndarray):
-    """(eigenvalues, dense basis) from LAPACK's stages through scipy's
-    wrappers, as `dsyevd` runs them: `dsytrd` on the lower triangle,
-    `dstevd` on the tridiagonal T, and U = Q Z with Q applied by
-    `dormqr` to all of Z.  Canonicalized as the library's earlier code
-    did: signs fixed on a copy, then one pass over all n eigenvalues
-    that lexsorts each degenerate group, and a column gather at the end."""
+def eigendecompose_loop(matrix: np.ndarray, solver=np.linalg.eigh):
+    """(eigenvalues, dense basis) of a symmetric matrix: `solver`'s pairs
+    (np.linalg.eigh, or jacobi_eigh), canonicalised by the probe rule one
+    column at a time.  Eigenvalues within 1e-9 * max(1, |lambda|) of
+    their neighbour form a group.  Probe k is the k-th n draws of the
+    normal stream seeded 0, with probe 0 raised by 1.  A group's k-th
+    column is V V^T (probe k), V the solver's columns of the group, less
+    its parts along the group's earlier columns, normalised."""
     a = np.asarray(matrix, dtype=np.float64)
     n = a.shape[0]
-    if n < 2:
-        return a.diagonal() + 0.0, np.eye(n)
-    lapack = scipy.linalg.lapack
-    lwork, info = lapack.dsytrd_lwork(n, lower=1)  # blocked, as in dsyevd
-    reflectors, diag, offdiag, tau, info = lapack.dsytrd(a, lower=1,
-                                                         lwork=int(lwork))
-    assert info == 0
-    values, z, info = lapack.dstevd(diag, offdiag, compute_v=1)
-    assert info == 0
+    values, vectors = solver(a)
     values = values + 0.0
-    # Q = H_1 ... H_{n-1} leaves row 0 alone; ample workspace keeps
-    # dormqr's full block size, as dsyevd's does.
-    rows, _, info = lapack.dormqr("L", "N", reflectors[1:, :n - 1], tau,
-                                  z[1:], lwork=64 * n + 65 * 64)
-    assert info == 0
-    vectors = np.vstack((z[:1], rows))
-    first = np.argmax(np.abs(vectors) > 1e-12, axis=0)
-    signs = np.sign(vectors[first, np.arange(n)])
-    signs[signs == 0] = 1.0
-    vectors = vectors * signs[None, :]
     tol = 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
-    start = 0
-    order = np.arange(n)
+    groups, start = [], 0
     for i in range(1, n + 1):
         if i == n or values[i] - values[i - 1] > tol:
-            if i - start > 1:
-                cols = order[start:i]
-                order[start:i] = cols[np.lexsort(vectors[::-1, cols])]
+            groups.append(range(start, i))
             start = i
-    return values[order], vectors[:, order]
+    width = max((len(g) for g in groups), default=1)
+    probes = np.random.default_rng(0).standard_normal((width, n))
+    probes[0] += 1.0
+    out = np.empty((n, n))
+    for group in groups:
+        v = vectors[:, group]
+        for k, j in enumerate(group):
+            col = v @ (v.T @ probes[k])
+            for prev in range(group.start, j):
+                col -= (out[:, prev] @ col) * out[:, prev]
+            out[:, j] = col / np.linalg.norm(col)
+    return values, out
 
 
 def cholesky_predict(laplacian: np.ndarray, ref_attrs: np.ndarray,

@@ -18,7 +18,8 @@ from pgft.pointcloud import SequenceConfig, sequence_bounding_box, voxelize
 from pgft.clustering import kmeans_geometry
 from pgft.rdo import fit_lambda_model, lambda_from_q
 from pgft.synth import synthetic_sequence
-from pgft.transform import eigendecompose, gft_forward, gft_inverse
+from pgft.transform import (_apply_q, eigendecompose, gft_forward,
+                            gft_inverse)
 from reference import brute_force_nearest, random_spatial_graph
 
 # independently evaluated alpha * Q^beta (exp/log path)
@@ -48,7 +49,10 @@ def test_criterion_01_transform_correctness():
         n = int(rng.integers(10, 601))
         gen = generalized_laplacian(_random_cluster_laplacian(n, rng))
         basis = eigendecompose(gen)
-        u = basis.basis  # formed once: O(n^3) per access
+        # The dense U = Q Z, Q applied to a copy of Z: one O(n^3)
+        # product, where basis.synthesize(np.eye(n)) adds Z @ I.
+        u = np.array(basis.vectors, order="F")
+        _apply_q(basis.reflectors, basis.tau, u, b"N")
         eye = np.eye(n)
         worst_ortho = max(worst_ortho, np.linalg.norm(u.T @ u - eye, "fro"))
         worst_spectral = max(worst_spectral, np.linalg.norm(
@@ -106,7 +110,7 @@ def test_criterion_03_ggft_decorrelation():
         combinatorial_laplacian(random_spatial_graph(20, 0.25, rng)))
     basis = eigendecompose(gen)
     residuals = sample_gmrf(gen, 10_000, rng=rng)
-    coeffs = residuals @ basis.basis
+    coeffs = basis.project(residuals.T).T
     corr = np.corrcoef(coeffs, rowvar=False)
     max_off = float(np.max(np.abs(corr - np.diag(np.diag(corr)))))
     elapsed = time.monotonic() - start

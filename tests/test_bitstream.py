@@ -46,14 +46,15 @@ _OTHER_CONFIG = SequenceConfig(
 
 
 # sha256 of the stream of _fixed_frames() under each config, recorded
-# for stream version 10, whose frame records end their fixed part with
-# two float32 reconstruction projections.  Any change to the layout, the
+# for stream version 11 (version 10's bytes but for the version byte),
+# whose frame records end their fixed part with two float32
+# reconstruction projections.  Any change to the layout, the
 # version byte or a field's packing changes them.
 @pytest.mark.parametrize("config, digest", [
     (SequenceConfig(),
-     "b9f958be4895b78bb3795c6464a60cb4beaab3413968d616c45e795472ed3152"),
+     "aa503dd8d5c1196679ff49415c2101d4c07868a29435cb61913a3d2556d72807"),
     (_OTHER_CONFIG,
-     "93c25db16ce6b7f1fb5ca459bce6698180a87487920e272e60053145cc8ea138")],
+     "ca6c70888f3d1b213ffb8a6380dad06e339bd12f0e8f137ea154706646391d22")],
     ids=["default", "other"])
 def test_golden_stream_digests(config, digest):
     data = write_bitstream(config, _fixed_frames())
@@ -183,7 +184,7 @@ def test_version_mismatch():
 
 def test_previous_version_refused():
     data = bytearray(write_bitstream(SequenceConfig(), []))
-    for version in range(1, 10):
+    for version in range(1, 11):
         data[4] = version
         with pytest.raises(BitstreamError,
                            match=f"unsupported stream version {version}$"):

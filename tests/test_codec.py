@@ -645,21 +645,22 @@ def test_projections_tolerate_drift_not_swaps():
         codec._check_reconstruction(0, swapped, stored)
 
 
-# A rigid-motion sequence at grid 256.  Its point spacing sets epsilon^2
-# to 168, so every cluster graph is connected and L has no repeated
-# eigenvalue; the bases still differ by rounding between BLAS thread
-# counts and CPU kernels, and the decoder accepts that drift.  Each step
-# saves the reconstructions it ends with next to the stream.
+# A synthetic sequence at grid 256, by kind, points, seed and Q.  The
+# bases differ by rounding between BLAS thread counts and CPU kernels,
+# and the decoder accepts that drift.  Each step saves the
+# reconstructions it ends with next to the stream.
 _CROSS_BLAS_CODEC = """
 import sys
 import numpy as np
 from pgft.codec import decode_sequence, encode_sequence
 from pgft.pointcloud import SequenceConfig
 from pgft.synth import synthetic_sequence
-step, frame_count, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-frames = synthetic_sequence("rigid-motion", frame_count, 3000, seed=0)
+step, frame_count, path, kind, points, seed, qstep = sys.argv[1:]
+frames = synthetic_sequence(kind, int(frame_count), int(points),
+                            seed=int(seed))
 if step == "encode":
-    result = encode_sequence(frames, SequenceConfig(grid_dim=256, qstep=8.0))
+    result = encode_sequence(frames, SequenceConfig(grid_dim=256,
+                                                    qstep=float(qstep)))
     with open(path, "wb") as f:
         f.write(result.data)
 else:
@@ -668,24 +669,29 @@ else:
 np.save(f"{path}.{step}.npy",
         np.concatenate([r.attributes for r in result.recon]))
 """
+# Rigid motion, whose point spacing sets epsilon^2 to 168, so every
+# cluster graph is connected and L has no repeated eigenvalue.
+_RIGID = ("rigid-motion", 3000, 0, 8.0)
 
 
-def _run_codec(step, frame_count, path, env_vars):
+def _run_codec(step, frame_count, path, env_vars, sequence):
     src = str(Path(pgft.__file__).resolve().parent.parent)
     env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
         [sys.executable, "-c", _CROSS_BLAS_CODEC, step, str(frame_count),
-         str(path)], capture_output=True, env=env, timeout=300)
+         str(path), *map(str, sequence)], capture_output=True, env=env,
+        timeout=300)
     assert run.returncode == 0, run.stderr.decode()[-300:]
 
 
-def _decode_elsewhere(tmp_path, frame_count, encode_env, decode_env):
+def _decode_elsewhere(tmp_path, frame_count, encode_env, decode_env,
+                      sequence=_RIGID):
     """Encode in one subprocess and decode in another; the decoded
     reconstructions lie within 1e-6 of the encoded ones."""
     path = tmp_path / "s.pgft"
-    _run_codec("encode", frame_count, path, encode_env)
-    _run_codec("decode", frame_count, path, decode_env)
+    _run_codec("encode", frame_count, path, encode_env, sequence)
+    _run_codec("decode", frame_count, path, decode_env, sequence)
     drift = np.load(f"{path}.decode.npy") - np.load(f"{path}.encode.npy")
     assert np.max(np.abs(drift)) < 1e-6
 
@@ -700,5 +706,10 @@ def test_decode_under_another_blas_thread_count(tmp_path, encode_threads,
 
 def test_decode_under_another_cpu_kernel(tmp_path):
     """1 I + 3 P frames decode under OpenBLAS's Nehalem kernels, set
-    only in the decoding subprocess."""
+    only in the decoding subprocess.  So does frame 0 of the fine-q
+    workload at seed 1, whose cluster 8 has an eigenvalue of
+    multiplicity 2 on a few voxels: the kernel rotates that pair of
+    eigenvectors, and the probe rule takes one basis from either."""
     _decode_elsewhere(tmp_path, 4, {}, {"OPENBLAS_CORETYPE": "Nehalem"})
+    _decode_elsewhere(tmp_path, 1, {}, {"OPENBLAS_CORETYPE": "Nehalem"},
+                      ("wave", 6000, 1, 0.5))

@@ -3,6 +3,7 @@ import ctypes
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -27,56 +28,65 @@ def _random_generalized(n, seed, edge_prob=0.15):
     return generalized_laplacian(_random_combinatorial(n, seed, edge_prob))
 
 
+def _dense(basis):
+    """The dense U, formed in O(n^3)."""
+    return basis.synthesize(np.eye(basis.n))
+
+
 def test_eigendecompose_two_node():
     basis = eigendecompose(np.array([[1.0, -1], [-1, 1]]))
     assert np.allclose(basis.eigenvalues, [0.0, 2.0])
-    assert np.allclose(basis.basis[:, 0], [INV_SQRT2, INV_SQRT2])
-    assert np.allclose(basis.basis[:, 1], [INV_SQRT2, -INV_SQRT2])
+    u = _dense(basis)
+    assert np.allclose(u[:, 0], [INV_SQRT2, INV_SQRT2])
+    assert np.allclose(u[:, 1], [INV_SQRT2, -INV_SQRT2])
 
 
 def test_eigendecompose_shifted():
     basis = eigendecompose(np.array([[2.0, -1], [-1, 2]]))
     assert np.allclose(basis.eigenvalues, [1.0, 3.0])
-    assert np.allclose(basis.basis[:, 0], [INV_SQRT2, INV_SQRT2])
-    assert np.allclose(basis.basis[:, 1], [INV_SQRT2, -INV_SQRT2])
+    u = _dense(basis)
+    assert np.allclose(u[:, 0], [INV_SQRT2, INV_SQRT2])
+    assert np.allclose(u[:, 1], [INV_SQRT2, -INV_SQRT2])
 
 
 def test_eigendecompose_residuals_random_100():
     gen = _random_generalized(100, seed=0)
     basis = eigendecompose(gen)
-    ortho = basis.basis.T @ basis.basis - np.eye(100)
+    u = _dense(basis)
+    ortho = u.T @ u - np.eye(100)
     assert np.linalg.norm(ortho, "fro") < 1e-9
-    spectral = gen @ basis.basis - basis.basis * basis.eigenvalues
+    spectral = gen @ u - u * basis.eigenvalues
     assert np.linalg.norm(spectral, "fro") < 1e-8
     assert np.all(np.diff(basis.eigenvalues) >= -1e-12)
 
 
 def test_eigendecompose_matches_jacobi_oracle():
+    """The probe rule applied to Jacobi's pairs gives the same basis."""
     gen = _random_generalized(12, seed=1, edge_prob=0.3)
     basis = eigendecompose(gen)
     j_values, j_vectors = jacobi_eigh(gen)
     assert np.allclose(basis.eigenvalues, j_values, atol=1e-9)
-    # the oracle's basis diagonalizes too, and both agree up to sign
+    # the oracle's basis diagonalizes too
     diag = j_vectors.T @ gen @ j_vectors
     assert np.max(np.abs(diag - np.diag(j_values))) < 1e-9
-    overlap = np.abs(basis.basis.T @ j_vectors)
-    assert np.allclose(np.diag(overlap), 1.0, atol=1e-7)
+    _, canonical = eigendecompose_loop(gen, solver=jacobi_eigh)
+    assert np.allclose(_dense(basis), canonical, atol=1e-9)
 
 
 def test_eigendecompose_sign_rule():
+    """Every column of U has a positive projection on probe 0."""
     gen = _random_generalized(30, seed=2)
     basis = eigendecompose(gen)
-    for col in basis.basis.T:
-        first = col[np.abs(col) > 1e-12][0]
-        assert first > 0
+    assert _degenerate_groups(basis.eigenvalues) == 0
+    assert np.all(_dense(basis).T @ transform._probes(30, 1)[:, 0] > 0)
 
 
 def test_eigendecompose_deterministic():
     gen = _random_generalized(40, seed=3)
     a = eigendecompose(gen)
     b = eigendecompose(gen)
-    assert np.array_equal(a.basis, b.basis)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    for field in ("reflectors", "tau", "vectors", "eigenvalues"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_eigendecompose_zero_eigenvalue_is_positive_zero(monkeypatch):
@@ -97,15 +107,16 @@ def test_eigendecompose_zero_eigenvalue_is_positive_zero(monkeypatch):
     signed = eigendecompose(laplacian)
     assert np.count_nonzero(plain.eigenvalues == 0) >= 1
     assert signed.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
-    assert np.array_equal(signed.basis, plain.basis)
+    assert np.array_equal(signed.vectors, plain.vectors)
 
 
 def test_eigendecompose_identity_tie_rule():
-    # all eigenvalues equal: columns ordered lexicographically
+    """All eigenvalues equal: the one group's projector is I, so the
+    columns are the probes orthonormalised in order, each r_kk > 0."""
     basis = eigendecompose(np.eye(3))
     assert np.allclose(basis.eigenvalues, 1.0)
-    cols = [tuple(c) for c in basis.basis.T]
-    assert cols == sorted(cols)
+    q, r = np.linalg.qr(transform._probes(3, 3))
+    assert np.allclose(_dense(basis), q * np.sign(np.diag(r)), atol=1e-14)
 
 
 def test_eigendecompose_rejects_non_symmetric():
@@ -127,19 +138,17 @@ def test_eigendecompose_rejects_non_finite(matrix):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_eigendecompose_smallest_sizes(n):
     """Down to n = 0 the factors have their shapes, U is orthonormal,
-    diagonalizes the matrix and keeps the sign rule, and project and
+    diagonalizes the matrix and is the canonical basis, and project and
     synthesize are U^T and U."""
     matrix = _random_generalized(n, seed=n, edge_prob=0.8)
     basis = eigendecompose(matrix)
     assert basis.n == n
     assert basis.reflectors.shape == basis.vectors.shape == (n, n)
     assert basis.tau.shape == (max(n - 1, 0),)
-    u = basis.basis
+    u = _assert_same_canonical_basis(matrix)
     assert np.allclose(u.T @ u, np.eye(n), atol=1e-14)
     assert np.allclose(matrix @ u, u * basis.eigenvalues, atol=1e-12)
     assert np.all(np.diff(basis.eigenvalues) >= 0)
-    for col in u.T:
-        assert col[np.abs(col) > 1e-12][0] > 0
     x = np.random.default_rng(n).normal(size=(n, 3))
     assert np.allclose(basis.project(x), u.T @ x, atol=1e-13)
     assert np.allclose(basis.synthesize(x), u @ x, atol=1e-13)
@@ -148,17 +157,14 @@ def test_eigendecompose_smallest_sizes(n):
 
 def test_eigendecompose_signs_where_vertex_zero_is_off_the_support():
     """Vertex 0 is isolated from a weighted path, so U[0, j] = 0 for the
-    path's eigenvectors: their signs come from the first entry of U
-    beyond row 0, as the dense rule reads it."""
+    path's eigenvectors: the probe sets their signs as any other's."""
     path = _path_laplacian(5) * np.linspace(0.5, 1.5, 5)
     path = (path + path.T) / 2
     lap = scipy.linalg.block_diag(np.zeros((1, 1)), path)
-    basis = _assert_same_canonical_basis(lap)
-    u = basis.basis
+    u = _assert_same_canonical_basis(lap)
     off = np.flatnonzero(np.abs(u[0]) <= 1e-12)
     assert off.size >= 3
-    for col in u[:, off].T:
-        assert col[np.abs(col) > 1e-12][0] > 0
+    assert np.all(u[:, off].T @ transform._probes(6, 1)[:, 0] > 0)
 
 
 def test_lapack_calls_release_the_gil():
@@ -209,16 +215,23 @@ def _grid_laplacian(rows, cols):
             + np.kron(np.eye(rows), _path_laplacian(cols)))
 
 
+def _random_disconnected(rng):
+    n = int(rng.integers(2, 60))
+    return combinatorial_laplacian(random_spatial_graph(n, 1.5 / n, rng))
+
+
 def _assert_same_canonical_basis(lap):
+    """The library's basis is the probe rule applied in loops to
+    np.linalg.eigh's pairs, every column within 1e-12 * scale, degenerate
+    groups included; returns the dense U."""
     basis = eigendecompose(lap)
     values, vectors = eigendecompose_loop(lap)
-    assert basis.eigenvalues.tobytes() == values.tobytes()
-    # Both form the dense U by the same dormqr product, but from Z's
-    # columns in their canonical and their raw places: a column rounds by
-    # up to ~1e-16 differently in another place.  A wrong sign or order
-    # moves a column by O(1).
-    assert np.max(np.abs(basis.basis - vectors), initial=0.0) <= 1e-12
-    return basis
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    tol = 1e-12 * scale
+    assert np.max(np.abs(basis.eigenvalues - values), initial=0.0) <= tol
+    u = _dense(basis)
+    assert np.max(np.abs(u - vectors), initial=0.0) <= tol
+    return u
 
 
 def _degenerate_groups(values):
@@ -228,47 +241,70 @@ def _degenerate_groups(values):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_canonical_basis_matches_loop_on_disconnected_graphs(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 60))
-    lap = combinatorial_laplacian(random_spatial_graph(n, 1.5 / n, rng))
+    lap = _random_disconnected(np.random.default_rng(seed))
     assert connected_components(lap != 0, directed=False)[0] > 1
-    basis = _assert_same_canonical_basis(lap)
-    assert _degenerate_groups(basis.eigenvalues) > 0
+    _assert_same_canonical_basis(lap)
+    assert _degenerate_groups(np.linalg.eigvalsh(lap)) > 0
 
 
 def test_canonical_basis_matches_loop_where_row_0_ties():
-    """A disconnected graph, drawn as above, on which two columns of a
-    degenerate group tie in row 0 of U, so rows that are zero but for
-    rounding order them.  The group's columns of U formed on their own
-    round otherwise and order them otherwise (seed 188 is the one such
-    draw among seeds 0-999); all of U, as dsyevd forms it, does not."""
-    rng = np.random.default_rng(188)
-    n = int(rng.integers(2, 60))
-    lap = combinatorial_laplacian(random_spatial_graph(n, 1.5 / n, rng))
-    basis = _assert_same_canonical_basis(lap)
-    u0 = np.abs(basis.basis[0])
-    values = basis.eigenvalues
-    assert any(values[i + 1] - values[i] <= 1e-9 * max(1.0, values[-1])
-               and u0[i] == u0[i + 1] for i in range(n - 1))
+    """A disconnected graph, drawn as above, with six components: five
+    dimensions of its null space vanish in row 0 of U, where the earlier
+    lexsort met ties that only rows zero but for rounding broke (seed
+    188 is the one such draw among seeds 0-999).  The probe rule reads
+    no row of U."""
+    lap = _random_disconnected(np.random.default_rng(188))
+    assert connected_components(lap != 0, directed=False)[0] == 6
+    _assert_same_canonical_basis(lap)
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (3, 3), (4, 4),
                                        (5, 5), (4, 6), (6, 6)])
 def test_canonical_basis_matches_loop_on_grids(rows, cols):
     lap = _grid_laplacian(rows, cols)
-    basis = _assert_same_canonical_basis(lap)
+    _assert_same_canonical_basis(lap)
     if rows == cols > 2:
-        assert _degenerate_groups(basis.eigenvalues) > 0
+        assert _degenerate_groups(np.linalg.eigvalsh(lap)) > 0
     _assert_same_canonical_basis(lap + np.eye(rows * cols))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_canonical_basis_matches_loop_without_degenerate_groups(seed):
-    """No group to reorder: the basis must still come back F-ordered."""
     lap = _random_combinatorial(50, seed, edge_prob=0.5)
     assert connected_components(lap != 0, directed=False)[0] == 1
-    basis = _assert_same_canonical_basis(lap)
-    assert _degenerate_groups(basis.eigenvalues) == 0
+    _assert_same_canonical_basis(lap)
+    assert _degenerate_groups(np.linalg.eigvalsh(lap)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([0, 3, 4, 5]))
+def test_canonical_basis_ignores_rotations_and_signs_within_groups(seed, grid):
+    """Any orthonormal basis of each group, with any signs, canonicalises
+    to one U: eigh's pairs, each group's columns rotated by a random
+    orthogonal matrix and every column's sign flipped at random, give
+    the basis of the unrotated pairs within 1e-12 * scale.  With tau = 0,
+    Q = I and the rule reads U = Z directly."""
+    rng = np.random.default_rng(seed)
+    lap = _grid_laplacian(grid, grid) if grid else _random_disconnected(rng)
+    values, vectors = np.linalg.eigh(lap)
+    n = len(values)
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    turned = vectors * rng.choice([-1.0, 1.0], size=n)
+    bounds = np.flatnonzero(np.diff(values, prepend=-np.inf,
+                                    append=np.inf) > 1e-9 * scale)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            turned[:, start:stop] @= scipy.stats.ortho_group.rvs(
+                stop - start, random_state=rng)
+    identity_q = (np.zeros((n, n), order="F"), np.zeros(max(n - 1, 0)))
+    canonical = []
+    for z in (vectors, turned):
+        z = np.asfortranarray(z)
+        transform._canonicalize(values, *identity_q, z)
+        canonical.append(z)
+    oracle = eigendecompose_loop(lap)[1]
+    assert np.max(np.abs(canonical[0] - canonical[1])) <= 1e-12 * scale
+    assert np.max(np.abs(canonical[0] - oracle)) <= 1e-12 * scale
 
 
 def test_gft_dc_property():
@@ -401,7 +437,7 @@ def test_inter_predict_beats_unit_precision_on_its_own_field():
     x = sample_gmrf(joint, 20_000, rng=rng)
     current, reference = x[:, :n], x[:, n:]
     basis = eigendecompose(lap)
-    coeffs = current @ basis.basis
+    coeffs = basis.project(current.T).T
 
     def residual(precision):
         return coeffs - inter_predict(basis, reference.T, precision).T
@@ -435,7 +471,7 @@ def test_ggft_zero_residual():
 def test_ggft_eigenvector_gives_unit_coefficient():
     lap = _random_combinatorial(10, seed=12)
     basis = eigendecompose(lap)
-    vec = basis.basis[:, 4]
+    vec = _dense(basis)[:, 4]
     # a column of the basis of L is an eigenvector of L + I
     assert np.allclose(generalized_laplacian(lap) @ vec,
                        (basis.eigenvalues[4] + 1.0) * vec, atol=1e-12)
@@ -465,7 +501,7 @@ def test_ggft_inverse_matches_gft_inverse():
     gen_basis = eigendecompose(generalized_laplacian(lap))
     assert np.allclose(gen_basis.eigenvalues, lap_basis.eigenvalues + 1.0,
                        atol=1e-12)
-    assert np.allclose(gen_basis.basis, lap_basis.basis, atol=1e-9)
+    assert np.allclose(_dense(gen_basis), _dense(lap_basis), atol=1e-9)
     f = rng.normal(size=15)
     assert np.allclose(gft_inverse(gft_forward(f, gen_basis), lap_basis),
                        gft_inverse(gft_forward(f, lap_basis), lap_basis),
